@@ -11,7 +11,9 @@ Two classical evaluators to measure the ordered representation against:
   ever built.
 
 Both share the fuel discipline and print back to named terms so results
-can be compared across strategies.
+can be compared across strategies. The closure machine's values are the
+ordered machine's spines plus its own DbClosure; spines, readback and
+the value walks come from ordlam.machine.
 """
 
 from __future__ import annotations
@@ -21,7 +23,17 @@ from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .errors import InvariantError
-from .machine import ArgStack, EMPTY_ARGS, Fuel, _as_fuel
+from .machine import (
+    _FRAME_APPLY,
+    _FRAME_ARG,
+    Fuel,
+    Spine,
+    _as_fuel,
+    _normal_form,
+    _OutOfFuel,
+    names_in_value,
+    value_node_count,
+)
 from .named import App, FuelExhausted, Lam, NamedTerm, Var, fresh_names
 
 
@@ -129,28 +141,6 @@ def env_to_list(env: Optional[_EnvCell]) -> list:
     return out
 
 
-class DbSpine:
-    """A free variable applied to argument values."""
-
-    __slots__ = ("head", "args")
-
-    def __init__(self, head: str, args: ArgStack = EMPTY_ARGS):
-        self.head = head
-        self.args = args
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DbSpine)
-            and self.head == other.head
-            and self.args.to_list() == other.args.to_list()
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"DbSpine({self.head!r}, {self.args.to_list()!r})"
-
-
 class DbClosure:
     """A binder body with the whole environment that was in scope.
 
@@ -176,11 +166,18 @@ class DbClosure:
     def __repr__(self):
         return f"DbClosure({self.body!r}, {env_to_list(self.env)!r})"
 
+    # The value-walk protocol of machine.Closure.
 
-DbValue = Union[DbSpine, DbClosure]
+    def captured(self) -> list:
+        """Every value of the scope-wide environment."""
+        return env_to_list(self.env)
 
-_FRAME_ARG = 0
-_FRAME_APPLY = 1
+    def body_names(self) -> frozenset[str]:
+        """Names free in the closure's body."""
+        return self.body.free_names
+
+
+DbValue = Union[Spine, DbClosure]
 
 
 def eval_closures(
@@ -208,7 +205,7 @@ def eval_closures(
                 control = _env_lookup(cur, term.index)
                 is_value = True
             elif isinstance(term, FVar):
-                control = DbSpine(term.name)
+                control = Spine(term.name)
                 is_value = True
             else:
                 raise TypeError(f"not a de Bruijn term: {term!r}")
@@ -224,8 +221,8 @@ def eval_closures(
                 fun = frame[1]
                 if not fuel.take():
                     return FuelExhausted(fuel.spent)
-                if isinstance(fun, DbSpine):
-                    control = DbSpine(fun.head, fun.args.append(control))
+                if isinstance(fun, Spine):
+                    control = Spine(fun.head, fun.args.append(control))
                 else:
                     control = (fun.body, _env_cons(control, fun.env))
                     is_value = False
@@ -237,8 +234,8 @@ def db_apply(
     fuel = _as_fuel(fuel)
     if not fuel.take():
         return FuelExhausted(fuel.spent)
-    if isinstance(v, DbSpine):
-        return DbSpine(v.head, v.args.append(w))
+    if isinstance(v, Spine):
+        return Spine(v.head, v.args.append(w))
     return eval_closures(v.body, _env_cons(w, v.env), fuel)
 
 
@@ -248,32 +245,14 @@ def db_whnf(
     return eval_closures(to_debruijn(m), None, fuel)
 
 
-def db_names_in_value(v: DbValue) -> frozenset[str]:
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack: list = [v]
-    while stack:
-        item = stack.pop()
-        if id(item) in seen:
-            continue
-        seen.add(id(item))
-        if isinstance(item, DbSpine):
-            names.add(item.head)
-            stack.extend(item.args.to_list())
-        else:
-            names |= item.body.free_names
-            stack.extend(env_to_list(item.env))
-    return frozenset(names)
-
-
 def db_print_value(v: DbValue) -> NamedTerm:
     """Print a value as a named term without reducing anything further."""
-    fresh = fresh_names(db_names_in_value(v))
+    fresh = fresh_names(names_in_value(v))
     return _db_print_value(v, fresh)
 
 
 def _db_print_value(v: DbValue, fresh: Iterator[str]) -> NamedTerm:
-    if isinstance(v, DbSpine):
+    if isinstance(v, Spine):
         result: NamedTerm = Var(v.head)
         for arg in v.args.to_list():
             result = App(result, _db_print_value(arg, fresh))
@@ -301,33 +280,11 @@ def _db_print_term(
     return Lam(binder, _db_print_term(t.body, (binder,) + scope, env, fresh))
 
 
-class _OutOfFuel(Exception):
-    pass
-
-
-def _db_readback(v: DbValue, fuel: Fuel, fresh: Iterator[str]) -> NamedTerm:
-    if isinstance(v, DbSpine):
-        result: NamedTerm = Var(v.head)
-        for arg in v.args.to_list():
-            result = App(result, _db_readback(arg, fuel, fresh))
-        return result
-    binder = next(fresh)
-    applied = db_apply(v, DbSpine(binder), fuel)
-    if isinstance(applied, FuelExhausted):
-        raise _OutOfFuel
-    return Lam(binder, _db_readback(applied, fuel, fresh))
-
-
 def db_readback_normal_form(
     v: DbValue, fuel: Union[int, Fuel], avoid: frozenset[str] = frozenset()
 ) -> Union[NamedTerm, FuelExhausted]:
     """Fully normalize a closure-machine value back to a named term."""
-    fuel = _as_fuel(fuel)
-    fresh = fresh_names(db_names_in_value(v) | avoid)
-    try:
-        return _db_readback(v, fuel, fresh)
-    except _OutOfFuel:
-        return FuelExhausted(fuel.spent)
+    return _normal_form(db_apply, v, fuel, avoid)
 
 
 def db_normalize_by_evaluation(
@@ -340,22 +297,8 @@ def db_normalize_by_evaluation(
     return db_readback_normal_form(v, fuel, m.free_names)
 
 
-def db_value_node_count(v: DbValue) -> int:
-    """Distinct value nodes reachable from v; shared substructure counts once."""
-    seen: set[int] = set()
-    stack: list = [v]
-    count = 0
-    while stack:
-        item = stack.pop()
-        if id(item) in seen:
-            continue
-        seen.add(id(item))
-        count += 1
-        if isinstance(item, DbSpine):
-            stack.extend(item.args.to_list())
-        else:
-            stack.extend(env_to_list(item.env))
-    return count
+# Distinct value nodes reachable from a value, through whole environments.
+db_value_node_count = value_node_count
 
 
 # ---------------------------------------------------------------------------

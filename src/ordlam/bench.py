@@ -6,7 +6,8 @@ refused rather than written out. Wall time covers evaluation and
 readback only (never digesting or serialization). The space column
 counts distinct live value nodes retained by the evaluated result
 (term nodes for the eager normalizer), a deterministic stand-in for
-process memory.
+process memory. One strategy table drives both this runner and
+`ordlam eval`.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ import json
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import baselines, machine
 from .envseq import ListEnv, TreeEnv
 from .errors import InvariantError
 from .machine import Fuel
-from .named import FuelExhausted, NamedTerm, print_surface, term_size
+from .named import FuelExhausted, NamedTerm, print_surface
 from .ordered import parse_closed
 from .workloads import WORKLOADS, build_workload
 
@@ -43,7 +44,49 @@ CSV_COLUMNS = (
     "status",
 )
 
-STRATEGIES = ("ordered-list", "ordered-tree", "closures", "beta-normal")
+
+@dataclass(frozen=True)
+class Strategy:
+    """How one strategy normalizes: weak-head evaluation, then readback.
+
+    Functions that take fuel share the caller's Fuel object, so the
+    steps of both phases add up; either may return FuelExhausted.
+    """
+
+    whnf: Callable  # (term, fuel) -> value
+    readback: Callable  # (value, fuel, names to avoid) -> normal form
+    print_value: Callable  # value -> named term, reducing nothing
+    node_count: Callable  # value -> distinct nodes it retains
+
+
+# Entries look their functions up on every call, so wrappers installed
+# on the modules at run time (tracing, for one) apply here as well.
+def _ordered(backend) -> Strategy:
+    return Strategy(
+        lambda m, fuel: machine.whnf(m, fuel, backend),
+        lambda v, fuel, avoid: machine.readback_normal_form(v, fuel, avoid),
+        lambda v: machine.print_value(v),
+        lambda v: machine.value_node_count(v),
+    )
+
+
+STRATEGIES = {
+    "ordered-list": _ordered(ListEnv),
+    "ordered-tree": _ordered(TreeEnv),
+    "closures": Strategy(
+        lambda m, fuel: baselines.db_whnf(m, fuel),
+        lambda v, fuel, avoid: baselines.db_readback_normal_form(v, fuel, avoid),
+        lambda v: baselines.db_print_value(v),
+        lambda v: baselines.db_value_node_count(v),
+    ),
+    # Eager normalization reaches the normal form in its first phase.
+    "beta-normal": Strategy(
+        lambda m, fuel: baselines.normalize_hsub(m, fuel),
+        lambda nf, fuel, avoid: nf,
+        lambda nf: nf,
+        lambda nf: nf.node_count,
+    ),
+}
 
 STATUS_OK = "ok"
 STATUS_FUEL = "fuel-exhausted"
@@ -123,34 +166,18 @@ class StrategyOutcome:
 
 def run_strategy(strategy: str, term: NamedTerm, fuel: int) -> StrategyOutcome:
     """Fully normalize term under one strategy, collecting step and space counts."""
-    if strategy in ("ordered-list", "ordered-tree"):
-        backend = ListEnv if strategy == "ordered-list" else TreeEnv
-        budget = Fuel(fuel)
-        value = machine.whnf(term, budget, backend)
-        if isinstance(value, FuelExhausted):
-            return StrategyOutcome(None, budget.spent, 0)
-        nodes = machine.value_node_count(value)
-        nf = machine.readback_normal_form(value, budget, term.free_names)
-        if isinstance(nf, FuelExhausted):
-            return StrategyOutcome(None, budget.spent, nodes)
-        return StrategyOutcome(nf, budget.spent, nodes)
-    if strategy == "closures":
-        budget = Fuel(fuel)
-        value = baselines.db_whnf(term, budget)
-        if isinstance(value, FuelExhausted):
-            return StrategyOutcome(None, budget.spent, 0)
-        nodes = baselines.db_value_node_count(value)
-        nf = baselines.db_readback_normal_form(value, budget, term.free_names)
-        if isinstance(nf, FuelExhausted):
-            return StrategyOutcome(None, budget.spent, nodes)
-        return StrategyOutcome(nf, budget.spent, nodes)
-    if strategy == "beta-normal":
-        budget = Fuel(fuel)
-        nf = baselines.normalize_hsub(term, budget)
-        if isinstance(nf, FuelExhausted):
-            return StrategyOutcome(None, budget.spent, 0)
-        return StrategyOutcome(nf, budget.spent, term_size(nf))
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    entry = STRATEGIES[strategy]
+    budget = Fuel(fuel)
+    value = entry.whnf(term, budget)
+    if isinstance(value, FuelExhausted):
+        return StrategyOutcome(None, budget.spent, 0)
+    nodes = entry.node_count(value)
+    nf = entry.readback(value, budget, term.free_names)
+    if isinstance(nf, FuelExhausted):
+        return StrategyOutcome(None, budget.spent, nodes)
+    return StrategyOutcome(nf, budget.spent, nodes)
 
 
 def run_config(config: BenchConfig) -> BenchRecord:

@@ -4,7 +4,9 @@ Subcommands: eval (reduce a file to weak head or full normal form),
 convert (between surface and ordered text formats), check (run the
 one-step machine while verifying its per-step obligations), bench
 (compare strategies on synthetic workloads), gen (emit a corpus of
-random terms).
+random terms). eval and bench share bench's strategy table; eval's
+"ordered" strategy with --env list|tree is bench's ordered-list or
+ordered-tree.
 
 Exit codes: 0 success; 1 malformed input; 2 fuel exhausted; 3 internal
 invariant breach (including benchmark digest mismatches and failed
@@ -22,9 +24,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import baselines, bench, machine
+from . import bench, machine
 from .deep import run_deep
-from .envseq import BACKENDS, ListEnv
+from .envseq import ListEnv
 from .errors import InvariantError
 from .gen import gen_terms
 from .machine import Fuel, Pending, machine_trace, print_expr, step, weight
@@ -84,37 +86,15 @@ def cmd_eval(args) -> int:
     term = _parse_file(args.file)
     if term is None:
         return EXIT_BAD_INPUT
-    fuel = _resolve_fuel(args.fuel)
-    backend = BACKENDS[args.env]
-
-    if args.print == "nf":
-        if args.strategy == "ordered":
-            result = machine.normalize_by_evaluation(term, fuel, backend)
-        elif args.strategy == "closures":
-            result = baselines.db_normalize_by_evaluation(term, fuel)
+    name = f"ordered-{args.env}" if args.strategy == "ordered" else args.strategy
+    strategy = bench.STRATEGIES[name]
+    fuel = Fuel(_resolve_fuel(args.fuel))
+    result = strategy.whnf(term, fuel)
+    if not isinstance(result, FuelExhausted):
+        if args.print == "nf":
+            result = strategy.readback(result, fuel, term.free_names)
         else:
-            result = baselines.normalize_hsub(term, fuel)
-        if isinstance(result, FuelExhausted):
-            print(f"fuel exhausted after {result.spent} steps", file=sys.stderr)
-            return EXIT_FUEL
-        print(print_surface(result))
-        return EXIT_OK
-
-    if args.strategy == "ordered":
-        value = machine.whnf(term, fuel, backend)
-        if isinstance(value, FuelExhausted):
-            print(f"fuel exhausted after {value.spent} steps", file=sys.stderr)
-            return EXIT_FUEL
-        print(print_surface(machine.print_value(value)))
-        return EXIT_OK
-    if args.strategy == "closures":
-        value = baselines.db_whnf(term, fuel)
-        if isinstance(value, FuelExhausted):
-            print(f"fuel exhausted after {value.spent} steps", file=sys.stderr)
-            return EXIT_FUEL
-        print(print_surface(baselines.db_print_value(value)))
-        return EXIT_OK
-    result = baselines.normalize_hsub(term, fuel)
+            result = strategy.print_value(result)
     if isinstance(result, FuelExhausted):
         print(f"fuel exhausted after {result.spent} steps", file=sys.stderr)
         return EXIT_FUEL

@@ -13,9 +13,10 @@ Two observationally equal backends:
   weight ratio 3, single/double rotations); split and insert are
   logarithmic in the length.
 
-Elements are always held by reference, never copied. Backend cell
-allocations are counted globally so tests can check asymptotic costs
-without timing anything.
+Elements are always held by reference, never copied. Every backend cell
+is built through the module's _Cons or _Node class, which the tests
+replace with counting subclasses to check asymptotic costs without
+timing anything. The module holds no mutable state.
 """
 
 from __future__ import annotations
@@ -23,17 +24,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional
 
 from .errors import InvariantError
-
-_allocations = 0
-
-
-def reset_allocations() -> None:
-    global _allocations
-    _allocations = 0
-
-
-def allocation_count() -> int:
-    return _allocations
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +34,6 @@ class _Cons:
     __slots__ = ("head", "tail")
 
     def __init__(self, head: Any, tail: Optional["_Cons"]):
-        global _allocations
-        _allocations += 1
         self.head = head
         self.tail = tail
 
@@ -153,8 +141,6 @@ class _Node:
     __slots__ = ("left", "value", "right", "size")
 
     def __init__(self, left, value, right, size):
-        global _allocations
-        _allocations += 1
         self.left = left
         self.value = value
         self.right = right

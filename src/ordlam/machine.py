@@ -18,6 +18,11 @@ Evaluation dispatches six ways, each costing one fuel unit:
 The same dispatch drives both the big-step evaluator (an explicit-stack
 loop, so deep terms do not recurse) and the one-step rewriting machine
 used by the trace checker. Printing turns values back into named terms.
+
+Spines, the walks over values and readback to normal form are shared
+with the de Bruijn closure machine in baselines: a closure class takes
+part by providing captured() and body_names(), and readback is given
+the machine's apply function.
 """
 
 from __future__ import annotations
@@ -170,6 +175,16 @@ class Closure:
     def __repr__(self):
         return f"Closure({self.kvec!r}, {self.body!r}, {self.env.to_list()!r})"
 
+    # The value-walk protocol, which baselines.DbClosure provides too.
+
+    def captured(self) -> list:
+        """The values the closure holds."""
+        return self.env.to_list()
+
+    def body_names(self) -> frozenset[str]:
+        """Names free in the closure's body."""
+        return ordered_free_names(self.body)
+
 
 Value = Union[Spine, Closure]
 
@@ -275,24 +290,30 @@ def whnf(
 # printing values back to named terms
 
 
-def names_in_value(v: Value) -> frozenset[str]:
-    """Every name reachable in a value: spine heads, closure bodies, environments."""
-    names: set[str] = set()
-    stack: list = [v]
+def _reachable(v: Value) -> Iterator[Value]:
+    """Each distinct value node reachable from v, once (explicit stack)."""
     seen: set[int] = set()
+    stack: list = [v]
     while stack:
         item = stack.pop()
         if id(item) in seen:
             continue
         seen.add(id(item))
+        yield item
+        if isinstance(item, Spine):
+            stack.extend(item.args.to_list())
+        else:
+            stack.extend(item.captured())
+
+
+def names_in_value(v: Value) -> frozenset[str]:
+    """Every name reachable in a value: spine heads, closure bodies, environments."""
+    names: set[str] = set()
+    for item in _reachable(v):
         if isinstance(item, Spine):
             names.add(item.head)
-            stack.extend(item.args.to_list())
-        elif isinstance(item, Closure):
-            names |= ordered_free_names(item.body)
-            stack.extend(item.env.to_list())
         else:
-            raise TypeError(f"not a value: {item!r}")
+            names |= item.body_names()
     return frozenset(names)
 
 
@@ -373,17 +394,30 @@ class _OutOfFuel(Exception):
     pass
 
 
-def _readback(v: Value, fuel: Fuel, fresh: Iterator[str]) -> NamedTerm:
+def _readback(v: Value, apply, fuel: Fuel, fresh: Iterator[str]) -> NamedTerm:
     if isinstance(v, Spine):
         result: NamedTerm = Var(v.head)
         for arg in v.args.to_list():
-            result = App(result, _readback(arg, fuel, fresh))
+            result = App(result, _readback(arg, apply, fuel, fresh))
         return result
     binder = next(fresh)
-    applied = apply_value(v, Spine(binder), fuel)
+    applied = apply(v, Spine(binder), fuel)
     if isinstance(applied, FuelExhausted):
         raise _OutOfFuel
-    return Lam(binder, _readback(applied, fuel, fresh))
+    return Lam(binder, _readback(applied, apply, fuel, fresh))
+
+
+def _normal_form(
+    apply, v: Value, fuel: Union[int, Fuel], avoid: frozenset[str]
+) -> Union[NamedTerm, FuelExhausted]:
+    """Read a value back to a named beta-normal form, opening each closure
+    by applying it (with apply) to a fresh inert head."""
+    fuel = _as_fuel(fuel)
+    fresh = fresh_names(names_in_value(v) | avoid)
+    try:
+        return _readback(v, apply, fuel, fresh)
+    except _OutOfFuel:
+        return FuelExhausted(fuel.spent)
 
 
 def readback_normal_form(
@@ -394,12 +428,7 @@ def readback_normal_form(
     Closures are opened by applying them to fresh inert heads, so this
     keeps evaluating under binders until only spines remain.
     """
-    fuel = _as_fuel(fuel)
-    fresh = fresh_names(names_in_value(v) | avoid)
-    try:
-        return _readback(v, fuel, fresh)
-    except _OutOfFuel:
-        return FuelExhausted(fuel.spent)
+    return _normal_form(apply_value, v, fuel, avoid)
 
 
 def normalize_by_evaluation(
@@ -581,19 +610,4 @@ def _value_weight(v: Value) -> int:
 
 def value_node_count(v: Value) -> int:
     """Distinct value nodes reachable from v; shared substructure counts once."""
-    seen: set[int] = set()
-    stack: list = [v]
-    count = 0
-    while stack:
-        item = stack.pop()
-        if id(item) in seen:
-            continue
-        seen.add(id(item))
-        count += 1
-        if isinstance(item, Spine):
-            stack.extend(item.args.to_list())
-        elif isinstance(item, Closure):
-            stack.extend(item.env.to_list())
-        else:
-            raise TypeError(f"not a value: {item!r}")
-    return count
+    return sum(1 for _ in _reachable(v))

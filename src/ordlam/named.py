@@ -91,14 +91,6 @@ DEFAULT_NODE_CEILING = 200_000
 DEFAULT_WORK_CEILING = 10_000_000
 
 
-def free_names(t: NamedTerm) -> frozenset[str]:
-    return t.free_names
-
-
-def term_size(t: NamedTerm) -> int:
-    return t.node_count
-
-
 # ---------------------------------------------------------------------------
 # surface syntax
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .named import App, Lam, NamedTerm, Var, fresh_name, subst
+from .named import _IDENT, App, Lam, NamedTerm, Var, fresh_name, subst
 
 
 class OrderedTerm:
@@ -67,11 +67,6 @@ class OLam(OrderedTerm):
             raise ValueError("binder gap counts must be non-negative")
         # May go negative on invalid preterms; is_ordered reports those.
         object.__setattr__(self, "fv", self.body.fv - len(kvec))
-
-
-def fv_count(t: OrderedTerm) -> int:
-    """Number of unbound dots in t (signed: negative only on invalid preterms)."""
-    return t.fv
 
 
 def subterms(t: OrderedTerm) -> Iterator[OrderedTerm]:
@@ -236,7 +231,7 @@ def _read(tokens: list[str], pos: int) -> tuple[OrderedTerm, int]:
     if tok == ")":
         raise OrderedSyntaxError("unexpected ')'")
     if tok != "(":
-        if not _is_identifier(tok):
+        if not _IDENT.fullmatch(tok):
             raise OrderedSyntaxError(f"bad free-variable name {tok!r}")
         return Free(tok), pos + 1
     if pos + 1 >= len(tokens):
@@ -278,11 +273,3 @@ def _expect(tokens: list[str], pos: int, tok: str) -> int:
         found = tokens[pos] if pos < len(tokens) else "end of input"
         raise OrderedSyntaxError(f"expected {tok!r}, got {found!r}")
     return pos + 1
-
-
-def _is_identifier(tok: str) -> bool:
-    if not tok:
-        return False
-    if not (tok[0].isalpha() or tok[0] == "_"):
-        return False
-    return all(c.isalnum() or c in "_'" for c in tok)

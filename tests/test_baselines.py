@@ -2,7 +2,6 @@ from ordlam.baselines import (
     BVar,
     DApp,
     DbClosure,
-    DbSpine,
     DLam,
     FVar,
     db_normalize_by_evaluation,
@@ -14,7 +13,7 @@ from ordlam.baselines import (
     to_debruijn,
 )
 from ordlam.gen import gen_terms
-from ordlam.machine import value_node_count, whnf
+from ordlam.machine import Spine, value_node_count, whnf
 from ordlam.named import (
     App,
     FuelExhausted,
@@ -79,7 +78,7 @@ class TestEvalClosures:
     def test_s_applied_to_three(self):
         t = App(App(App(S_NAMED, Var("g")), Var("f")), Var("n"))
         v = db_whnf(t)
-        assert isinstance(v, DbSpine)
+        assert isinstance(v, Spine)
         assert alpha_eq(db_normalize_by_evaluation(t), parse_surface("g n (f n)"))
 
     def test_whnf_stops_at_closure(self):

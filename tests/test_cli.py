@@ -57,6 +57,21 @@ class TestEval:
         assert main(["eval", f, "--fuel", "100"]) == 2
         assert "fuel exhausted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--strategy", strategy, "--print", mode]
+            for strategy in ("ordered", "closures", "beta-normal")
+            for mode in ("whnf", "nf")
+        ]
+        + [["--env", "tree", "--print", mode] for mode in ("whnf", "nf")],
+        ids=lambda flags: "-".join(flags[1::2]),
+    )
+    def test_fuel_exhaustion_on_every_path(self, tmp_path, capsys, flags):
+        f = write(tmp_path, "t.lam", r"(\x. x x) (\x. x x)")
+        assert main(["eval", f, "--fuel", "100", *flags]) == 2
+        assert capsys.readouterr().err == "fuel exhausted after 100 steps\n"
+
     def test_env_var_fuel(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ORDLAM_FUEL", "50")
         f = write(tmp_path, "t.lam", r"(\x. x x) (\x. x x)")
@@ -108,6 +123,11 @@ class TestConvert:
     def test_malformed_ordered_exit_1(self, tmp_path, capsys):
         f = write(tmp_path, "bad.ord", "(app 1 .")
         assert main(["convert", f, "--to", "named"]) == 1
+
+    def test_non_ascii_name_exit_1(self, tmp_path, capsys):
+        f = write(tmp_path, "bad.ord", "é")
+        assert main(["convert", f, "--to", "named"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_malformed_named_exit_1(self, tmp_path, capsys):
         f = write(tmp_path, "bad.lam", "a (b")

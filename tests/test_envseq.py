@@ -1,16 +1,11 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from ordlam.envseq import (
-    BACKENDS,
-    ListEnv,
-    TreeEnv,
-    allocation_count,
-    reset_allocations,
-    tree_is_balanced,
-)
+from ordlam import envseq
+from ordlam.envseq import BACKENDS, ListEnv, TreeEnv, tree_is_balanced
 from ordlam.errors import InvariantError
 
 
@@ -200,37 +195,57 @@ class TestTreeBalanceStress:
         assert env.to_list() == model
 
 
+@pytest.fixture
+def cells(monkeypatch):
+    """Counts the list and tree cells built while the test runs."""
+    counter = SimpleNamespace(built=0)
+
+    def counting(cell_class):
+        class Counted(cell_class):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                counter.built += 1
+                super().__init__(*args)
+
+        return Counted
+
+    monkeypatch.setattr(envseq, "_Cons", counting(envseq._Cons))
+    monkeypatch.setattr(envseq, "_Node", counting(envseq._Node))
+    return counter
+
+
 class TestAllocationCosts:
-    def _split_allocs(self, backend, size):
+    def _split_allocs(self, cells, backend, size):
         env = backend.from_values(range(size))
-        reset_allocations()
+        cells.built = 0
         env.split_at(size // 2)
-        return allocation_count()
+        return cells.built
 
-    def _insert_allocs(self, backend, size, kvec):
+    def _insert_allocs(self, cells, backend, size, kvec):
         env = backend.from_values(range(size))
-        reset_allocations()
+        cells.built = 0
         env.multi_insert(kvec, "w")
-        return allocation_count()
+        return cells.built
 
-    def test_list_split_linear(self):
-        a1 = self._split_allocs(ListEnv, 1024)
-        a2 = self._split_allocs(ListEnv, 4096)
+    def test_list_split_linear(self, cells):
+        a1 = self._split_allocs(cells, ListEnv, 1024)
+        a2 = self._split_allocs(cells, ListEnv, 4096)
         assert a1 == 512  # exactly the rebuilt prefix
         assert a2 == 2048
 
-    def test_tree_split_logarithmic(self):
+    def test_tree_split_logarithmic(self, cells):
         for size in (1024, 4096, 16384):
-            allocs = self._split_allocs(TreeEnv, size)
+            allocs = self._split_allocs(cells, TreeEnv, size)
             assert allocs <= 8 * math.log2(size) + 8
 
-    def test_tree_insert_logarithmic_per_position(self):
+    def test_tree_insert_logarithmic_per_position(self, cells):
         for size in (1024, 4096, 16384):
             for kvec in [(size // 2,), (size // 4, size // 4), (0, 1, 2, 3)]:
-                allocs = self._insert_allocs(TreeEnv, size, kvec)
+                allocs = self._insert_allocs(cells, TreeEnv, size, kvec)
                 bound = (1 + len(kvec)) * (10 * math.log2(size) + 10)
                 assert allocs <= bound
 
-    def test_list_insert_linear(self):
-        allocs = self._insert_allocs(ListEnv, 1024, (512,))
+    def test_list_insert_linear(self, cells):
+        allocs = self._insert_allocs(cells, ListEnv, 1024, (512,))
         assert allocs == 513  # rebuilt prefix plus the inserted cell

@@ -1,7 +1,7 @@
 import pytest
 
 from ordlam.gen import gen_terms
-from ordlam.named import FuelExhausted, NamedTerm, Var, normalize, term_size
+from ordlam.named import FuelExhausted, NamedTerm, Var, normalize
 
 
 def test_size_bound_of_one_yields_a_variable():
@@ -20,7 +20,7 @@ def test_different_seeds_differ():
 def test_sizes_respected():
     for term in gen_terms(11, 500, 30, 0.5):
         assert isinstance(term, NamedTerm)
-        assert term_size(term) <= 30
+        assert term.node_count <= 30
 
 
 def test_at_least_half_converge_with_bias_half():

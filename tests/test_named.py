@@ -7,7 +7,6 @@ from ordlam.named import (
     ParseError,
     Var,
     alpha_eq,
-    free_names,
     is_normal,
     normalize,
     parse_surface,
@@ -138,7 +137,7 @@ class TestSubst:
         assert isinstance(result, Lam)
         assert result.binder != "x"
         assert result.body == App(Var(result.binder), Var("x"))
-        assert free_names(result) == frozenset({"x"})
+        assert result.free_names == frozenset({"x"})
 
     def test_no_free_occurrence_is_identity(self):
         t = Lam("y", App(App(Var("a"), Var("b")), Var("y")))
@@ -155,10 +154,10 @@ class TestSubst:
             (parse_surface("x x y"), "x", Var("y")),
         ]
         for t, x, s in cases:
-            expected = free_names(t) - {x}
-            if x in free_names(t):
-                expected |= free_names(s)
-            assert free_names(subst(t, x, s)) == expected
+            expected = t.free_names - {x}
+            if x in t.free_names:
+                expected |= s.free_names
+            assert subst(t, x, s).free_names == expected
 
 
 class TestReduceOnceAll:

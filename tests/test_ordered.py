@@ -9,7 +9,6 @@ from ordlam.ordered import (
     OLam,
     OrderedSyntaxError,
     ParseResult,
-    fv_count,
     is_ordered,
     ordered_free_names,
     parse_closed,
@@ -61,18 +60,18 @@ MOTIVATING_ORDERED = OApp(
 
 class TestFvCount:
     def test_free_variable(self):
-        assert fv_count(Free("a")) == 0
+        assert Free("a").fv == 0
 
     def test_dot(self):
-        assert fv_count(DOT) == 1
+        assert DOT.fv == 1
 
     def test_binder_consumes_occurrences(self):
         t = OLam((1, 1), OApp(OApp(DOT, 1, DOT), 2, OApp(DOT, 1, DOT)))
-        assert fv_count(t.body) == 4
-        assert fv_count(t) == 2
+        assert t.body.fv == 4
+        assert t.fv == 2
 
     def test_negative_on_invalid_preterm(self):
-        assert fv_count(OLam((0, 0, 0), DOT)) == -2
+        assert OLam((0, 0, 0), DOT).fv == -2
 
 
 class TestIsOrdered:
@@ -135,7 +134,7 @@ class TestToOrdered:
     def test_outputs_are_ordered_with_ordered_subterms(self):
         for term in gen_terms(6, 200, 50, 0.3):
             result = to_ordered(term)
-            assert fv_count(result.term) == len(result.vars)
+            assert result.term.fv == len(result.vars)
             for sub in subterms(result.term):
                 assert is_ordered(sub)
 
@@ -234,3 +233,12 @@ class TestTextFormat:
     def test_malformed_input_rejected(self, bad):
         with pytest.raises(OrderedSyntaxError):
             read_ordered(bad)
+
+    @pytest.mark.parametrize("name", ["é", "xé", "x-y", "2x"])
+    def test_names_the_surface_syntax_rejects_are_rejected(self, name):
+        with pytest.raises(OrderedSyntaxError):
+            read_ordered(name)
+
+    @pytest.mark.parametrize("name", ["x", "_", "x2'", "Foo_bar"])
+    def test_surface_names_are_accepted(self, name):
+        assert read_ordered(name) == Free(name) == parse_closed(parse_surface(name))
