@@ -26,6 +26,7 @@ from .errors import InvariantError
 from .machine import (
     _FRAME_APPLY,
     _FRAME_ARG,
+    DEFAULT_FUEL,
     Fuel,
     Spine,
     _as_fuel,
@@ -183,7 +184,7 @@ DbValue = Union[Spine, DbClosure]
 def eval_closures(
     t: DbTerm,
     env: Optional[_EnvCell] = None,
-    fuel: Union[int, Fuel] = 1_000_000,
+    fuel: Union[int, Fuel] = DEFAULT_FUEL,
 ) -> Union[DbValue, FuelExhausted]:
     """Call-by-value evaluation with scope-wide closure environments."""
     fuel = _as_fuel(fuel)
@@ -229,7 +230,7 @@ def eval_closures(
 
 
 def db_apply(
-    v: DbValue, w: DbValue, fuel: Union[int, Fuel] = 1_000_000
+    v: DbValue, w: DbValue, fuel: Union[int, Fuel] = DEFAULT_FUEL
 ) -> Union[DbValue, FuelExhausted]:
     fuel = _as_fuel(fuel)
     if not fuel.take():
@@ -240,7 +241,7 @@ def db_apply(
 
 
 def db_whnf(
-    m: NamedTerm, fuel: Union[int, Fuel] = 1_000_000
+    m: NamedTerm, fuel: Union[int, Fuel] = DEFAULT_FUEL
 ) -> Union[DbValue, FuelExhausted]:
     return eval_closures(to_debruijn(m), None, fuel)
 
@@ -288,7 +289,7 @@ def db_readback_normal_form(
 
 
 def db_normalize_by_evaluation(
-    m: NamedTerm, fuel: Union[int, Fuel] = 1_000_000
+    m: NamedTerm, fuel: Union[int, Fuel] = DEFAULT_FUEL
 ) -> Union[NamedTerm, FuelExhausted]:
     fuel = _as_fuel(fuel)
     v = db_whnf(m, fuel)
@@ -371,12 +372,12 @@ def _from_db(t: DbTerm, scope: tuple[str, ...], fresh) -> NamedTerm:
 
 
 def normalize_hsub(
-    m: NamedTerm, fuel: Union[int, Fuel] = 1_000_000
+    m: NamedTerm, fuel: Union[int, Fuel] = DEFAULT_FUEL
 ) -> Union[NamedTerm, FuelExhausted]:
     """Eager full beta-normal form; every created redex is reduced immediately."""
     fuel = _as_fuel(fuel)
     try:
         nf = _db_normal_form(to_debruijn(m), fuel)
-    except (_OutOfFuel, RecursionError):
+    except _OutOfFuel:
         return FuelExhausted(fuel.spent)
     return from_debruijn(nf, m.free_names)

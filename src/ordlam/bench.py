@@ -24,12 +24,11 @@ from typing import Callable, Optional, Sequence
 from . import baselines, machine
 from .envseq import ListEnv, TreeEnv
 from .errors import InvariantError
-from .machine import Fuel
+from .machine import DEFAULT_FUEL, Fuel
 from .named import FuelExhausted, NamedTerm, print_surface
 from .ordered import parse_closed
 from .workloads import WORKLOADS, build_workload
 
-DEFAULT_FUEL = 1_000_000
 DEFAULT_REPETITIONS = 3
 
 CSV_COLUMNS = (

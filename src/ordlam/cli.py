@@ -8,9 +8,11 @@ random terms). eval and bench share bench's strategy table; eval's
 "ordered" strategy with --env list|tree is bench's ordered-list or
 ordered-tree.
 
-Exit codes: 0 success; 1 malformed input; 2 fuel exhausted; 3 internal
-invariant breach (including benchmark digest mismatches and failed
-check obligations); 4 ordered input that is not a valid closed term.
+Exit codes: 0 success; 1 malformed input, a non-positive number or a
+term nested beyond the worker's recursion limit; 2 fuel exhausted; 3
+internal invariant breach (including benchmark digest mismatches and
+failed check obligations); 4 ordered input that is not a valid closed
+term.
 
 The ORDLAM_FUEL environment variable overrides the default fuel; an
 explicit --fuel flag wins over both. All commands run on a large-stack
@@ -302,8 +304,11 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except RecursionError:
+        print("input nested too deeply to process", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

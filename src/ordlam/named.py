@@ -307,14 +307,6 @@ def _alpha_key(t, env, depth):
     return ("l", _alpha_key(t.body, env2, depth + 1))
 
 
-def fresh_name(avoid: frozenset[str] | set[str], start: int = 0) -> str:
-    """Deterministic fresh name: the first of z0, z1, ... not in avoid."""
-    i = start
-    while f"z{i}" in avoid:
-        i += 1
-    return f"z{i}"
-
-
 def fresh_names(avoid: frozenset[str] | set[str]) -> Iterator[str]:
     """Deterministic stream of distinct fresh names avoiding a fixed set."""
     i = 0
@@ -340,7 +332,7 @@ def subst(t: NamedTerm, x: str, s: NamedTerm) -> NamedTerm:
     assert isinstance(t, Lam)
     # x is free in t, so the binder differs from x.
     if t.binder in s.free_names:
-        z = fresh_name(s.free_names | t.body.free_names | {x})
+        z = next(fresh_names(s.free_names | t.body.free_names | {x}))
         renamed = subst(t.body, t.binder, Var(z))
         return Lam(z, subst(renamed, x, s))
     return Lam(t.binder, subst(t.body, x, s))
@@ -398,29 +390,26 @@ def normalize(
     """Normal-order reduction to beta-normal form within a step budget.
 
     Also gives up (as FuelExhausted) when resources other than the step
-    count run out: an intermediate term exceeding max_nodes, cumulative
-    traversal work exceeding max_work (each step costs about the current
-    term size), or term depth beyond the platform recursion limit.
-    Divergent terms can grow arbitrarily within a few steps, so a pure
-    step budget would not keep this total.
+    count run out: an intermediate term exceeding max_nodes, or
+    cumulative traversal work exceeding max_work (each step costs about
+    the current term size). Divergent terms can grow arbitrarily within
+    a few steps, so a pure step budget would not keep this total. A term
+    nested deeper than the recursion limit raises RecursionError.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     spent = 0
     work = 0
-    try:
-        while spent < fuel:
-            reduced = _reduce_normal_once(t)
-            if reduced is None:
-                return t
-            t = reduced
-            spent += 1
-            size = t.node_count
-            work += size
-            if size > max_nodes or work > max_work:
-                return FuelExhausted(spent)
-    except RecursionError:
-        return FuelExhausted(spent)
+    while spent < fuel:
+        reduced = _reduce_normal_once(t)
+        if reduced is None:
+            return t
+        t = reduced
+        spent += 1
+        size = t.node_count
+        work += size
+        if size > max_nodes or work > max_work:
+            return FuelExhausted(spent)
     return FuelExhausted(spent)
 
 
@@ -451,18 +440,15 @@ def whnf_oracle(
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     spent = 0
-    try:
-        while spent < fuel:
-            head, args = _spine_view(t)
-            if not (isinstance(head, Lam) and args):
-                return t
-            reduced = subst(head.body, head.binder, args[0])
-            for arg in args[1:]:
-                reduced = App(reduced, arg)
-            t = reduced
-            spent += 1
-            if t.node_count > max_nodes:
-                return FuelExhausted(spent)
-    except RecursionError:
-        return FuelExhausted(spent)
+    while spent < fuel:
+        head, args = _spine_view(t)
+        if not (isinstance(head, Lam) and args):
+            return t
+        reduced = subst(head.body, head.binder, args[0])
+        for arg in args[1:]:
+            reduced = App(reduced, arg)
+        t = reduced
+        spent += 1
+        if t.node_count > max_nodes:
+            return FuelExhausted(spent)
     return FuelExhausted(spent)

@@ -10,7 +10,9 @@ unbound dots of a term.
 
 The translation from a named term under a context of names yields the
 unique ordered term plus the left-to-right list of context-variable
-occurrences that the dots stand for.
+occurrences that the dots stand for. It needs no renaming: a binder
+that shadows a context name claims every occurrence of that name in its
+body, and an application's split is its translated function part's fv.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .named import _IDENT, App, Lam, NamedTerm, Var, fresh_name, subst
+from .named import _IDENT, App, Lam, NamedTerm, Var
 
 
 class OrderedTerm:
@@ -70,12 +72,16 @@ class OLam(OrderedTerm):
 
 
 def subterms(t: OrderedTerm) -> Iterator[OrderedTerm]:
-    yield t
-    if isinstance(t, OApp):
-        yield from subterms(t.fun)
-        yield from subterms(t.arg)
-    elif isinstance(t, OLam):
-        yield from subterms(t.body)
+    """Every subterm of t in pre-order, function part before argument."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, OApp):
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif isinstance(t, OLam):
+            stack.append(t.body)
 
 
 def is_ordered(t: OrderedTerm) -> bool:
@@ -118,34 +124,40 @@ def to_ordered(m: NamedTerm, gamma: frozenset[str] = frozenset()) -> ParseResult
     """Translate a named term under a context of names.
 
     Names in gamma become dots (recorded in the occurrence list); other
-    names stay as free variables. Binders that shadow a name of gamma
-    are alpha-renamed first, so the result is deterministic.
+    names stay as free variables. A binder that shadows a name of gamma
+    binds every occurrence of that name in its body, so no renaming is
+    needed and the result is deterministic.
     """
-    gamma = frozenset(gamma)
+    occurrences: list[str] = []
+    term = _translate(m, set(gamma), occurrences)
+    return ParseResult(term, tuple(occurrences))
+
+
+def _translate(m: NamedTerm, bound: set[str], occ: list[str]) -> OrderedTerm:
+    """Translate m, appending the names its unbound dots stand for to occ."""
     if isinstance(m, Var):
-        if m.name in gamma:
-            return ParseResult(DOT, (m.name,))
-        return ParseResult(Free(m.name), ())
+        if m.name in bound:
+            occ.append(m.name)
+            return DOT
+        return Free(m.name)
     if isinstance(m, App):
-        fun = to_ordered(m.fun, gamma)
-        arg = to_ordered(m.arg, gamma)
-        return ParseResult(
-            OApp(fun.term, len(fun.vars), arg.term), fun.vars + arg.vars
-        )
+        fun = _translate(m.fun, bound, occ)
+        return OApp(fun, fun.fv, _translate(m.arg, bound, occ))
     assert isinstance(m, Lam)
-    binder, body = m.binder, m.body
-    if binder in gamma:
-        binder_new = fresh_name(gamma | body.free_names | {binder})
-        body = subst(body, binder, Var(binder_new))
-        binder = binder_new
-    inner = to_ordered(body, gamma | {binder})
-    kvec, outer_vars = _strip_occurrences(inner.vars, binder)
-    return ParseResult(OLam(kvec, inner.term), outer_vars)
+    binder = m.binder
+    shadows = binder in bound
+    bound.add(binder)
+    start = len(occ)
+    body = _translate(m.body, bound, occ)
+    if not shadows:
+        bound.discard(binder)
+    kvec, occ[start:] = _strip_occurrences(occ[start:], binder)
+    return OLam(kvec, body)
 
 
 def _strip_occurrences(
-    occurrences: tuple[str, ...], binder: str
-) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    occurrences: list[str], binder: str
+) -> tuple[tuple[int, ...], list[str]]:
     """Split an occurrence list into the binder's gap vector and the rest.
 
     Each gap counts the non-binder names between consecutive binder
@@ -162,7 +174,7 @@ def _strip_occurrences(
         else:
             rest.append(name)
             gap += 1
-    return tuple(kvec), tuple(rest)
+    return tuple(kvec), rest
 
 
 def parse_closed(m: NamedTerm) -> OrderedTerm:
@@ -180,27 +192,24 @@ class OrderedSyntaxError(ValueError):
 
 def write_ordered(t: OrderedTerm) -> str:
     parts: list[str] = []
-    _write(t, parts)
+    stack: list = [t]  # terms still to write and literal closing text
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif isinstance(t, Free):
+            parts.append(t.name)
+        elif isinstance(t, Dot):
+            parts.append(".")
+        elif isinstance(t, OApp):
+            parts.append(f"(app {t.split} ")
+            stack += (")", t.arg, " ", t.fun)
+        elif isinstance(t, OLam):
+            parts.append(f"(lam ({' '.join(str(k) for k in t.kvec)}) ")
+            stack += (")", t.body)
+        else:
+            raise TypeError(f"not an ordered term: {t!r}")
     return "".join(parts)
-
-
-def _write(t: OrderedTerm, parts: list[str]) -> None:
-    if isinstance(t, Free):
-        parts.append(t.name)
-    elif isinstance(t, Dot):
-        parts.append(".")
-    elif isinstance(t, OApp):
-        parts.append(f"(app {t.split} ")
-        _write(t.fun, parts)
-        parts.append(" ")
-        _write(t.arg, parts)
-        parts.append(")")
-    elif isinstance(t, OLam):
-        parts.append(f"(lam ({' '.join(str(k) for k in t.kvec)}) ")
-        _write(t.body, parts)
-        parts.append(")")
-    else:
-        raise TypeError(f"not an ordered term: {t!r}")
 
 
 def _tokenize_ordered(src: str) -> list[str]:

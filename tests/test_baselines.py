@@ -1,3 +1,7 @@
+import sys
+
+import pytest
+
 from ordlam.baselines import (
     BVar,
     DApp,
@@ -135,6 +139,13 @@ class TestNormalizeHsub:
 
     def test_divergence(self):
         assert isinstance(normalize_hsub(OMEGA, fuel=500), FuelExhausted)
+
+    def test_depth_limit_is_not_reported_as_divergence(self):
+        deep = Var("a")
+        for _ in range(2 * sys.getrecursionlimit()):
+            deep = App(Var("f"), deep)
+        with pytest.raises(RecursionError):
+            normalize_hsub(App(Lam("x", Var("x")), deep))
 
 
 class TestStrategyAgreement:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ordlam import cli
 from ordlam.cli import main
 from ordlam.named import alpha_eq, parse_surface
 
@@ -272,3 +273,29 @@ class TestGen:
             )
         for fa, fb in zip(sorted(a.iterdir()), sorted(b.iterdir())):
             assert fa.read_text() == fb.read_text()
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "{file}", "--fuel", "0"],
+            ["check", "{file}", "--fuel", "0"],
+            ["bench", "--workload", "church-add", "--size", "0", "--out", "{out}"],
+            ["bench", "--workload", "church-add", "--size", "3", "--reps", "0", "--out", "{out}"],
+            ["gen", "--seed", "1", "--count", "1", "--max-size", "0", "--out", "{out}"],
+        ],
+    )
+    def test_non_positive_number_exit_1(self, tmp_path, capsys, argv):
+        paths = {"file": write(tmp_path, "t.lam", "a"), "out": str(tmp_path / "out")}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_recursion_limit_exit_1(self, tmp_path, capsys, monkeypatch):
+        def too_deep(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "cmd_eval", too_deep)
+        assert main(["eval", write(tmp_path, "t.lam", "a")]) == 1
+        assert capsys.readouterr().err == "input nested too deeply to process\n"

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ordlam.named import (
@@ -32,6 +34,11 @@ def church(n: int) -> Lam:
     for _ in range(n):
         body = App(Var("s"), body)
     return Lam("s", Lam("z", body))
+
+
+def deeper_than_the_recursion_limit() -> App:
+    """(\\x. x) applied to s (s (... z)) nested past the recursion limit."""
+    return App(Lam("x", Var("x")), church(2 * sys.getrecursionlimit()).body.body)
 
 
 class TestParse:
@@ -219,6 +226,12 @@ class TestNormalize:
         for u in reduce_once_all(t):
             got = normalize(u)
             assert alpha_eq(got, want)
+
+
+@pytest.mark.parametrize("oracle", [normalize, whnf_oracle])
+def test_depth_limit_is_not_reported_as_divergence(oracle):
+    with pytest.raises(RecursionError):
+        oracle(deeper_than_the_recursion_limit())
 
 
 class TestWhnfOracle:

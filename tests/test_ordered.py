@@ -1,7 +1,7 @@
 import pytest
 
 from ordlam.gen import gen_terms
-from ordlam.named import App, Lam, Var, parse_surface
+from ordlam.named import App, Lam, Var, alpha_eq, parse_surface
 from ordlam.ordered import (
     DOT,
     Free,
@@ -39,6 +39,42 @@ def _random_valid_ordered(rng, depth, gamma):
         kvec.append(gap)
         budget -= gap
     return OLam(tuple(kvec), body)
+
+
+def _rename_binders(t, new_name, scope=None, depth=0):
+    """Give every binder the name new_name(depth), keeping each bound
+    occurrence with its binder unless a renamed inner binder captures it."""
+    scope = scope or {}
+    if isinstance(t, Var):
+        return Var(scope.get(t.name, t.name))
+    if isinstance(t, App):
+        return App(
+            _rename_binders(t.fun, new_name, scope, depth),
+            _rename_binders(t.arg, new_name, scope, depth),
+        )
+    name = new_name(depth)
+    body = _rename_binders(t.body, new_name, {**scope, t.binder: name}, depth + 1)
+    return Lam(name, body)
+
+
+def _free_occurrences(t, gamma, bound=frozenset()):
+    """Free occurrences of gamma's names in t, left to right."""
+    if isinstance(t, Var):
+        return [t.name] if t.name in gamma and t.name not in bound else []
+    if isinstance(t, App):
+        return _free_occurrences(t.fun, gamma, bound) + _free_occurrences(
+            t.arg, gamma, bound
+        )
+    return _free_occurrences(t.body, gamma, bound | {t.binder})
+
+
+def _shadowing_binders(t, scope=frozenset()):
+    if isinstance(t, Var):
+        return 0
+    if isinstance(t, App):
+        return _shadowing_binders(t.fun, scope) + _shadowing_binders(t.arg, scope)
+    return (t.binder in scope) + _shadowing_binders(t.body, scope | {t.binder})
+
 
 # The ordered form of the S combinator: each binder records where its
 # occurrences sit among the body's unbound dots, each application the
@@ -145,6 +181,28 @@ class TestToOrdered:
             assert set(result.vars) <= gamma
             assert not (ordered_free_names(result.term) & gamma)
 
+    def test_shadowing_binders_need_no_renaming(self):
+        import random
+
+        from ordlam.machine import print_ordered
+
+        # Binder names drawn from {x, y}, and free a, b renamed to x, y:
+        # inner binders shadow outer ones and the context's x and y.
+        rng = random.Random(33)
+        two_names = lambda depth: rng.choice(("x", "y"))
+        terms = [
+            _rename_binders(t, two_names, {"a": "x", "b": "y"})
+            for t in gen_terms(12, 300, 50, 0.3)
+        ]
+        assert sum(_shadowing_binders(t) for t in terms) > 100
+        for term in terms:
+            apart = _rename_binders(term, lambda depth: f"r{depth}")
+            for gamma in (frozenset(), frozenset({"x", "y", "a", "f"})):
+                result = to_ordered(term, gamma)
+                assert result == to_ordered(apart, gamma)
+                assert list(result.vars) == _free_occurrences(term, gamma)
+            assert alpha_eq(print_ordered(parse_closed(term), []), term)
+
     def test_every_valid_pair_is_reachable(self):
         # Generate valid (term, occurrence list) pairs directly, print the
         # dots as inert context variables, and re-translate: the original
@@ -242,3 +300,25 @@ class TestTextFormat:
     @pytest.mark.parametrize("name", ["x", "_", "x2'", "Foo_bar"])
     def test_surface_names_are_accepted(self, name):
         assert read_ordered(name) == Free(name) == parse_closed(parse_surface(name))
+
+
+class TestDeepTerms:
+    def test_walks_handle_depth_beyond_the_recursion_limit(self):
+        # Built bottom-up so construction itself never recurses.
+        depth = 100_000
+        t = DOT
+        prefixes, suffixes = [], []
+        for i in range(depth):
+            if i % 2:
+                t = OApp(t, 1, Free("a"))
+                prefixes.append("(app 1 ")
+                suffixes.append(" a)")
+            else:
+                t = OLam((0,), OApp(t, 1, DOT))
+                prefixes.append("(lam (0) (app 1 ")
+                suffixes.append(" .))")
+        assert sum(1 for _ in subterms(t)) == 2 * depth + 1 + depth // 2
+        assert is_ordered(t)
+        assert ordered_free_names(t) == {"a"}
+        expected = "".join(reversed(prefixes)) + "." + "".join(suffixes)
+        assert write_ordered(t) == expected
