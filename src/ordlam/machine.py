@@ -17,7 +17,8 @@ Evaluation dispatches six ways, each costing one fuel unit:
 
 The same dispatch drives both the big-step evaluator (an explicit-stack
 loop, so deep terms do not recurse) and the one-step rewriting machine
-used by the trace checker. Printing turns values back into named terms.
+used by the trace checker. Printing turns terms, values and machine
+expressions back into named terms, with one explicit-stack loop too.
 
 Spines, the walks over values and readback to normal form are shared
 with the de Bruijn closure machine in baselines: a closure class takes
@@ -328,41 +329,85 @@ def _list_multi_insert(values: list, kvec: tuple[int, ...], w) -> list:
     return out
 
 
-def _print_term(t: OrderedTerm, env: list, fresh: Iterator[str]) -> NamedTerm:
-    if isinstance(t, Free):
-        if env:
-            raise InvariantError("free variable printed under a non-empty environment")
-        return Var(t.name)
-    if isinstance(t, Dot):
-        if len(env) != 1:
-            raise InvariantError(
-                f"dot printed under environment of length {len(env)}"
-            )
-        return _print_value(env[0], fresh)
-    if isinstance(t, OApp):
-        if t.split > len(env):
-            raise InvariantError("application split exceeds environment length")
-        return App(
-            _print_term(t.fun, env[: t.split], fresh),
-            _print_term(t.arg, env[t.split :], fresh),
-        )
-    if isinstance(t, OLam):
-        binder = next(fresh)
-        marker = Spine(binder)
-        inner = _list_multi_insert(env, t.kvec, marker)
-        return Lam(binder, _print_term(t.body, inner, fresh))
-    raise TypeError(f"not an ordered term: {t!r}")
+# Printer tasks. A term task binds the term's unbound dots to the window
+# buf[lo:hi] of a shared list, so an application only moves the window's
+# middle; a binder copies its window once, with its fresh marker inserted.
+_TERM = 0  # (_TERM, ordered term, buf, lo, hi)
+_VALUE = 1  # (_VALUE, value)
+_EXPR = 2  # (_EXPR, machine expression)
+_APP = 3  # (_APP,): pop an argument and a function, push their application
+_LAM = 4  # (_LAM, binder): pop a body, push its abstraction
+_APP_TASK = (_APP,)
 
 
-def _print_value(v: Value, fresh: Iterator[str]) -> NamedTerm:
-    if isinstance(v, Spine):
-        result: NamedTerm = Var(v.head)
-        for arg in v.args.to_list():
-            result = App(result, _print_value(arg, fresh))
-        return result
-    if isinstance(v, Closure):
-        return _print_term(OLam(v.kvec, v.body), v.env.to_list(), fresh)
-    raise TypeError(f"not a value: {v!r}")
+def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
+    """Print one task's term with an explicit work stack, so depth never
+    recurses. Binders draw fresh names in pre-order, function part before
+    argument part, spine arguments left to right."""
+    work = [task]
+    out: list[NamedTerm] = []
+    while work:
+        task = work.pop()
+        kind = task[0]
+        if kind == _TERM:
+            _, t, buf, lo, hi = task
+            if type(t) is OApp:
+                if t.split > hi - lo:
+                    raise InvariantError("application split exceeds environment length")
+                mid = lo + t.split
+                work.append(_APP_TASK)
+                work.append((_TERM, t.arg, buf, mid, hi))
+                work.append((_TERM, t.fun, buf, lo, mid))
+            elif type(t) is Dot:
+                if hi - lo != 1:
+                    raise InvariantError(
+                        f"dot printed under environment of length {hi - lo}"
+                    )
+                work.append((_VALUE, buf[lo]))
+            elif type(t) is OLam:
+                binder = next(fresh)
+                inner = _list_multi_insert(buf[lo:hi], t.kvec, Spine(binder))
+                work.append((_LAM, binder))
+                work.append((_TERM, t.body, inner, 0, len(inner)))
+            elif type(t) is Free:
+                if hi > lo:
+                    raise InvariantError(
+                        "free variable printed under a non-empty environment"
+                    )
+                out.append(Var(t.name))
+            else:
+                raise TypeError(f"not an ordered term: {t!r}")
+        elif kind == _VALUE:
+            v = task[1]
+            if type(v) is Spine:
+                out.append(Var(v.head))
+                for arg in reversed(v.args.to_list()):
+                    work.append(_APP_TASK)
+                    work.append((_VALUE, arg))
+            elif type(v) is Closure:
+                values = v.env.to_list()
+                work.append((_TERM, OLam(v.kvec, v.body), values, 0, len(values)))
+            else:
+                raise TypeError(f"not a value: {v!r}")
+        elif kind == _APP:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif kind == _LAM:
+            out[-1] = Lam(task[1], out[-1])
+        else:
+            e = task[1]
+            if isinstance(e, Pending):
+                values = e.env.to_list()
+                work.append((_TERM, e.term, values, 0, len(values)))
+            elif isinstance(e, Done):
+                work.append((_VALUE, e.value))
+            elif isinstance(e, Pair):
+                work.append(_APP_TASK)
+                work.append((_EXPR, e.arg))
+                work.append((_EXPR, e.fun))
+            else:
+                raise TypeError(f"not a machine expression: {e!r}")
+    return out.pop()
 
 
 def print_ordered(t: OrderedTerm, env: list) -> NamedTerm:
@@ -378,12 +423,13 @@ def print_ordered(t: OrderedTerm, env: list) -> NamedTerm:
     avoid = set(ordered_free_names(t))
     for v in env:
         avoid |= names_in_value(v)
-    return _print_term(t, list(env), fresh_names(avoid))
+    values = list(env)
+    return _print((_TERM, t, values, 0, len(values)), fresh_names(avoid))
 
 
 def print_value(v: Value) -> NamedTerm:
     """Print a value as a named term (spines as applications, closures as lambdas)."""
-    return _print_value(v, fresh_names(names_in_value(v)))
+    return _print((_VALUE, v), fresh_names(names_in_value(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -555,30 +601,24 @@ def run_machine(
 
 def print_expr(e: MachineExpr) -> NamedTerm:
     """Print a machine expression (pairs print as applications)."""
-    avoid = _names_in_expr(e)
-    fresh = fresh_names(avoid)
-    return _print_expr(e, fresh)
-
-
-def _print_expr(e: MachineExpr, fresh: Iterator[str]) -> NamedTerm:
-    if isinstance(e, Pending):
-        return _print_term(e.term, e.env.to_list(), fresh)
-    if isinstance(e, Done):
-        return _print_value(e.value, fresh)
-    if isinstance(e, Pair):
-        return App(_print_expr(e.fun, fresh), _print_expr(e.arg, fresh))
-    raise TypeError(f"not a machine expression: {e!r}")
+    return _print((_EXPR, e), fresh_names(_names_in_expr(e)))
 
 
 def _names_in_expr(e: MachineExpr) -> set[str]:
-    if isinstance(e, Pending):
-        names = set(ordered_free_names(e.term))
-        for v in e.env.to_list():
-            names |= names_in_value(v)
-        return names
-    if isinstance(e, Done):
-        return set(names_in_value(e.value))
-    return _names_in_expr(e.fun) | _names_in_expr(e.arg)
+    names: set[str] = set()
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Pending):
+            names |= ordered_free_names(e.term)
+            for v in e.env.to_list():
+                names |= names_in_value(v)
+        elif isinstance(e, Done):
+            names |= names_in_value(e.value)
+        else:
+            stack.append(e.arg)
+            stack.append(e.fun)
+    return names
 
 
 def weight(e: MachineExpr) -> int:

@@ -228,38 +228,42 @@ def parse_surface(src: str) -> NamedTerm:
 def print_surface(t: NamedTerm) -> str:
     """Render a term with minimal parentheses; re-parses to an alpha-equal term."""
     parts: list[str] = []
-    _print_into(t, parts, top=True)
-    return "".join(parts)
-
-
-def _print_into(t: NamedTerm, parts: list[str], top: bool) -> None:
-    if isinstance(t, Var):
-        parts.append(t.name)
-    elif isinstance(t, Lam):
-        # A lambda body extends to the end of the term, so a lambda needs
-        # parentheses anywhere but the rightmost (top) position.
-        if not top:
-            parts.append("(")
-        parts.append("\\")
-        parts.append(t.binder)
-        parts.append(". ")
-        _print_into(t.body, parts, top=True)
-        if not top:
-            parts.append(")")
-    elif isinstance(t, App):
-        # Function position: applications stay bare (left-associative),
-        # lambdas need parentheses. Argument position: only a variable
-        # stays bare.
-        _print_into(t.fun, parts, top=isinstance(t.fun, (Var, App)))
-        parts.append(" ")
-        if isinstance(t.arg, Var):
-            parts.append(t.arg.name)
+    # Items are literal strings or (term, top) pairs; top is True where the
+    # term extends to the end of its enclosing text.
+    stack: list = [(t, True)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        t, top = item
+        if isinstance(t, Var):
+            parts.append(t.name)
+        elif isinstance(t, Lam):
+            # A lambda body extends to the end of the term, so a lambda needs
+            # parentheses anywhere but the rightmost (top) position.
+            if not top:
+                parts.append("(")
+                stack.append(")")
+            parts.append("\\")
+            parts.append(t.binder)
+            parts.append(". ")
+            stack.append((t.body, True))
+        elif isinstance(t, App):
+            # Function position: applications stay bare (left-associative),
+            # lambdas need parentheses. Argument position: only a variable
+            # stays bare.
+            if isinstance(t.arg, Var):
+                stack.append(t.arg.name)
+            else:
+                stack.append(")")
+                stack.append((t.arg, True))
+                stack.append("(")
+            stack.append(" ")
+            stack.append((t.fun, isinstance(t.fun, (Var, App))))
         else:
-            parts.append("(")
-            _print_into(t.arg, parts, top=True)
-            parts.append(")")
-    else:
-        raise TypeError(f"not a named term: {t!r}")
+            raise TypeError(f"not a named term: {t!r}")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

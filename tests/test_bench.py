@@ -57,6 +57,20 @@ class TestWorkloads:
             build_workload(name, 8)
 
 
+PINNED_DIGESTS = {
+    ("church-add", 8): "8995880b8e2915c8",
+    ("church-add", 64): "3ffdf289708dbebb",
+    ("church-mul", 8): "c3bf79a8d66ae7a6",
+    ("church-mul", 64): "1088a0a25fb83751",
+    ("church-exp", 8): "10435cc49f9b2737",
+    ("church-exp", 64): "d647798aff2c8cee",
+    ("combinator-chain", 8): "75307022fcf844f6",
+    ("combinator-chain", 64): "69f21cb9fda9fbc7",
+    ("leak-family", 8): "f081f7e7632229ae",
+    ("leak-family", 64): "0061c68d2ebc5490",
+}
+
+
 class TestDigest:
     def test_canonical_text_is_alpha_invariant(self):
         t = parse_surface(r"\x.\y. x (a y)")
@@ -66,6 +80,26 @@ class TestDigest:
 
     def test_distinct_terms_distinct_digests(self):
         assert digest_term(parse_surface("a")) != digest_term(parse_surface("b"))
+
+    @pytest.mark.parametrize("size", (8, 64))
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_workload_digests_are_pinned(self, workload, size):
+        # Hard-coded, so a change to binder naming or parenthesization in
+        # the canonical print cannot pass unnoticed.
+        assert digest_term(WORKLOADS[workload](size)) == PINNED_DIGESTS[workload, size]
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (r"\x. z0 x", r"\z1. z0 z1"),
+            (
+                r"(\x. \y. x (z0 y) (\z1. z1 y)) z2",
+                r"(\z1. \z3. z1 (z0 z3) (\z4. z4 z3)) z2",
+            ),
+        ],
+    )
+    def test_canonical_binders_skip_free_names(self, source, expected):
+        assert canonical_text(parse_surface(source)) == expected
 
 
 class TestRunStrategy:

@@ -34,6 +34,7 @@ from ordlam.named import (
     alpha_eq,
     normalize,
     parse_surface,
+    print_surface,
     reduce_once_all,
 )
 from ordlam.ordered import DOT, Free, OApp, OLam, parse_closed
@@ -183,6 +184,40 @@ class TestPrinting:
     def test_pending_prints_as_its_term(self):
         e = Pending(parse_closed(S_NAMED), ListEnv.empty())
         assert alpha_eq(print_expr(e), S_NAMED)
+
+
+class TestDeepPrinting:
+    # Each input is built bottom-up and nested far past the recursion
+    # limit; the printed text is compared, since comparing deep named
+    # terms with == would itself recurse.
+    DEPTH = 100_000
+
+    def test_ordered_numeral(self):
+        body = DOT
+        for _ in range(self.DEPTH):
+            body = OApp(DOT, 1, body)
+        numeral = OLam((0,) * self.DEPTH, OLam((self.DEPTH,), body))
+        expected = (
+            r"\z0. \z1. "
+            + "z0 (" * (self.DEPTH - 1)
+            + "z0 z1"
+            + ")" * (self.DEPTH - 1)
+        )
+        assert print_surface(print_ordered(numeral, [])) == expected
+
+    def test_nested_spine(self):
+        v = spine("x")
+        for _ in range(self.DEPTH):
+            v = spine("f", v)
+        expected = "f (" * (self.DEPTH - 1) + "f x" + ")" * (self.DEPTH - 1)
+        assert print_surface(print_value(v)) == expected
+
+    def test_pair_chain(self):
+        e = Pending(OLam((0,), DOT), ListEnv.empty())
+        for _ in range(self.DEPTH):
+            e = Pair(Done(spine("f")), e)
+        expected = "f (" * self.DEPTH + r"\z0. z0" + ")" * self.DEPTH
+        assert print_surface(print_expr(e)) == expected
 
 
 class TestMachine:

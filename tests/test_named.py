@@ -98,6 +98,19 @@ class TestPrint:
         assert print_surface(t) == "a (b c)"
         assert parse_surface(print_surface(t)) == t
 
+    @pytest.mark.parametrize("nesting", ["left", "right"])
+    def test_application_chain_deeper_than_the_recursion_limit(self, nesting):
+        depth = 100_000
+        t = Var("x")
+        for _ in range(depth):
+            t = App(t, Var("a")) if nesting == "left" else App(Var("f"), t)
+        expected = (
+            "x" + " a" * depth
+            if nesting == "left"
+            else "f (" * (depth - 1) + "f x" + ")" * (depth - 1)
+        )
+        assert print_surface(t) == expected
+
     def test_round_trip_on_corpus(self):
         from ordlam.gen import gen_terms
 
