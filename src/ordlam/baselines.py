@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import InvariantError
 from .machine import (
@@ -246,39 +246,69 @@ def db_whnf(
     return eval_closures(to_debruijn(m), None, fuel)
 
 
+# db_print_value tasks.
+_TERM = 0  # (_TERM, de Bruijn term, scope start, environment)
+_VALUE = 1  # (_VALUE, value)
+_APP = 2  # (_APP,): pop an argument and a function, push their application
+_LAM = 3  # (_LAM, binder): leave the binder's scope, wrap the body in it
+_APP_TASK = (_APP,)
+
+
 def db_print_value(v: DbValue) -> NamedTerm:
-    """Print a value as a named term without reducing anything further."""
+    """Print a value as a named term without reducing anything further.
+
+    One explicit-stack loop, so depth never recurses. Binders draw fresh
+    names in pre-order, function part before argument part, spine
+    arguments left to right. The binder names in scope live in one list,
+    innermost last; a term task records where its closure's scope starts.
+    """
     fresh = fresh_names(names_in_value(v))
-    return _db_print_value(v, fresh)
-
-
-def _db_print_value(v: DbValue, fresh: Iterator[str]) -> NamedTerm:
-    if isinstance(v, Spine):
-        result: NamedTerm = Var(v.head)
-        for arg in v.args.to_list():
-            result = App(result, _db_print_value(arg, fresh))
-        return result
-    binder = next(fresh)
-    return Lam(binder, _db_print_term(v.body, (binder,), v.env, fresh))
-
-
-def _db_print_term(
-    t: DbTerm, scope: tuple[str, ...], env: Optional[_EnvCell], fresh: Iterator[str]
-) -> NamedTerm:
-    if isinstance(t, BVar):
-        if t.index < len(scope):
-            return Var(scope[t.index])
-        return _db_print_value(_env_lookup(env, t.index - len(scope)), fresh)
-    if isinstance(t, FVar):
-        return Var(t.name)
-    if isinstance(t, DApp):
-        return App(
-            _db_print_term(t.fun, scope, env, fresh),
-            _db_print_term(t.arg, scope, env, fresh),
-        )
-    assert isinstance(t, DLam)
-    binder = next(fresh)
-    return Lam(binder, _db_print_term(t.body, (binder,) + scope, env, fresh))
+    scope: list[str] = []
+    work: list[tuple] = [(_VALUE, v)]
+    out: list[NamedTerm] = []
+    while work:
+        task = work.pop()
+        kind = task[0]
+        if kind == _TERM:
+            _, t, base, env = task
+            if isinstance(t, BVar):
+                depth = len(scope) - base
+                if t.index < depth:
+                    out.append(Var(scope[-1 - t.index]))
+                else:
+                    work.append((_VALUE, _env_lookup(env, t.index - depth)))
+            elif isinstance(t, FVar):
+                out.append(Var(t.name))
+            elif isinstance(t, DApp):
+                work.append(_APP_TASK)
+                work.append((_TERM, t.arg, base, env))
+                work.append((_TERM, t.fun, base, env))
+            else:
+                assert isinstance(t, DLam)
+                binder = next(fresh)
+                work.append((_LAM, binder))
+                work.append((_TERM, t.body, base, env))
+                scope.append(binder)
+        elif kind == _VALUE:
+            value = task[1]
+            if isinstance(value, Spine):
+                out.append(Var(value.head))
+                for arg in reversed(value.args.to_list()):
+                    work.append(_APP_TASK)
+                    work.append((_VALUE, arg))
+            else:
+                # A closure's body sees only its own binder, then its env.
+                binder = next(fresh)
+                work.append((_LAM, binder))
+                work.append((_TERM, value.body, len(scope), value.env))
+                scope.append(binder)
+        elif kind == _APP:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        else:
+            scope.pop()
+            out[-1] = Lam(task[1], out[-1])
+    return out.pop()
 
 
 def db_readback_normal_form(

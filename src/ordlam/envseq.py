@@ -10,8 +10,10 @@ Two observationally equal backends:
 * ListEnv: a shared-tail linked list; split and insert rebuild the
   prefix (linear in the split position).
 * TreeEnv: a weight-balanced binary tree (one element per node,
-  weight ratio 3, single/double rotations); split and insert are
-  logarithmic in the length.
+  weight ratio 3, single/double rotations); a split is logarithmic in
+  the length, and a multi-insert of m positions into n elements is one
+  pass over the tree that rebuilds only the paths the positions reach,
+  O(m log(n/m + 1)) node builds.
 
 Elements are always held by reference, never copied. Every backend cell
 is built through the module's _Cons or _Node class, which the tests
@@ -21,6 +23,8 @@ timing anything. The module holds no mutable state.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Any, Iterable, Optional
 
 from .errors import InvariantError
@@ -184,9 +188,10 @@ def _rebalance_left_heavy(left, value, right) -> _Node:
 
 def _join(left, value, right) -> _Node:
     """Tree holding left ++ [value] ++ right, balanced, for any input sizes."""
-    sl, sr = _size(left), _size(right)
-    if _balanced_sizes(sl, sr):
-        return _node(left, value, right)
+    sl = left.size if left is not None else 0
+    sr = right.size if right is not None else 0
+    if sl + sr <= 1 or (sl <= _DELTA * sr and sr <= _DELTA * sl):
+        return _Node(left, value, right, sl + sr + 1)
     if sl > sr:
         joined = _join(left.right, value, right)
         if _balanced_sizes(_size(left.left), joined.size):
@@ -199,14 +204,65 @@ def _join(left, value, right) -> _Node:
 
 
 def _split(node: Optional[_Node], k: int):
-    if node is None:
-        return None, None
-    left_size = _size(node.left)
+    """The first k elements and the rest, as two balanced trees."""
+    if k == 0:
+        return None, node
+    size = node.size
+    if k == size:
+        return node, None
+    left = node.left
+    right = node.right
+    left_size = left.size if left is not None else 0
     if k <= left_size:
-        a, b = _split(node.left, k)
-        return a, _join(b, node.value, node.right)
-    a, b = _split(node.right, k - left_size - 1)
-    return _join(node.left, node.value, a), b
+        a, b = _split(left, k)
+        sb = b.size if b is not None else 0
+        sr = size - left_size - 1
+        # The rejoin needs a rotation only when the sides are out of balance.
+        if sb + sr <= 1 or (sb <= _DELTA * sr and sr <= _DELTA * sb):
+            return a, _Node(b, node.value, right, sb + sr + 1)
+        return a, _join(b, node.value, right)
+    a, b = _split(right, k - left_size - 1)
+    sa = a.size if a is not None else 0
+    if left_size + sa <= 1 or (left_size <= _DELTA * sa and sa <= _DELTA * left_size):
+        return _Node(left, node.value, a, left_size + sa + 1), b
+    return _join(left, node.value, a), b
+
+
+def _build(values: list, lo: int, hi: int) -> Optional[_Node]:
+    """Balanced tree of values[lo:hi], one node per element."""
+    if lo >= hi:
+        return None
+    if hi - lo == 1:
+        return _Node(None, values[lo], None, 1)
+    mid = (lo + hi) // 2
+    return _Node(
+        _build(values, lo, mid), values[mid], _build(values, mid + 1, hi), hi - lo
+    )
+
+
+def _insert_all(
+    node: Optional[_Node], positions: list, lo: int, hi: int, base: int, value
+) -> Optional[_Node]:
+    """Insert value at each of the sorted positions[lo:hi] of the sequence
+    held by node, whose first element sits at position base.
+
+    A subtree no position reaches is returned as it is; copies that land
+    in an empty subtree become one balanced run; every visited node is
+    rebuilt once, by _join.
+    """
+    if lo == hi:
+        return node
+    if node is None:
+        return _build([value] * (hi - lo), 0, hi - lo)
+    left = node.left
+    cut = base + (left.size if left is not None else 0)
+    # Positions up to cut land before node.value, the rest after it.
+    mid = bisect_right(positions, cut, lo, hi)
+    return _join(
+        _insert_all(left, positions, lo, mid, base, value),
+        node.value,
+        _insert_all(node.right, positions, mid, hi, cut + 1, value),
+    )
 
 
 class TreeEnv:
@@ -228,14 +284,7 @@ class TreeEnv:
     @classmethod
     def from_values(cls, values: Iterable[Any]) -> "TreeEnv":
         values = list(values)
-
-        def build(lo: int, hi: int) -> Optional[_Node]:
-            if lo >= hi:
-                return None
-            mid = (lo + hi) // 2
-            return _node(build(lo, mid), values[mid], build(mid + 1, hi))
-
-        return cls(build(0, len(values)))
+        return cls(_build(values, 0, len(values)))
 
     def __len__(self) -> int:
         return _size(self._node)
@@ -272,24 +321,15 @@ class TreeEnv:
         return TreeEnv(a), TreeEnv(b)
 
     def multi_insert(self, kvec: tuple[int, ...], value: Any) -> "TreeEnv":
-        total = sum(kvec)
+        positions = list(accumulate(kvec))
+        total = positions[-1] if positions else 0
         if total > len(self):
             raise InvariantError(
                 f"insert positions need {total} elements, sequence has {len(self)}"
             )
         if not kvec:
             return self
-        # Insert right to left so earlier positions stay valid.
-        positions = []
-        acc = 0
-        for gap in kvec:
-            acc += gap
-            positions.append(acc)
-        node = self._node
-        for pos in reversed(positions):
-            a, b = _split(node, pos)
-            node = _join(a, value, b)
-        return TreeEnv(node)
+        return TreeEnv(_insert_all(self._node, positions, 0, len(positions), 0, value))
 
     def __repr__(self) -> str:
         return f"TreeEnv({self.to_list()!r})"

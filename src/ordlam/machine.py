@@ -540,36 +540,48 @@ def step(e: MachineExpr) -> Optional[tuple[MachineExpr, str]]:
     """One rule application at the leftmost-outermost reducible position.
 
     Returns the rewritten expression and the rule tag, or None when the
-    expression is fully evaluated (stuck).
+    expression is fully evaluated (stuck). Only a Done expression is
+    stuck, so the walk descends pairs, function part first, to the first
+    part that is not Done, and rebuilds the pairs above it on the way out.
     """
+    path: list[tuple[Pair, bool]] = []
+    while isinstance(e, Pair):
+        if not isinstance(e.fun, Done):
+            path.append((e, True))
+            e = e.fun
+        elif not isinstance(e.arg, Done):
+            path.append((e, False))
+            e = e.arg
+        else:
+            break
     if isinstance(e, Done):
         return None
     if isinstance(e, Pending):
         term, env = e.term, e.env
         if isinstance(term, OApp):
             env_fun, env_arg = env.split_at(term.split)
-            return Pair(Pending(term.fun, env_fun), Pending(term.arg, env_arg)), RULE_SPLIT
-        if isinstance(term, OLam):
-            return Done(Closure(term.kvec, term.body, env)), RULE_CLOSE
-        if isinstance(term, Dot):
-            return Done(env.sole()), RULE_BOUND
-        if isinstance(term, Free):
-            return Done(Spine(term.name)), RULE_VAR
-        raise TypeError(f"not an ordered term: {term!r}")
-    assert isinstance(e, Pair)
-    inner = step(e.fun)
-    if inner is not None:
-        rewritten, rule = inner
-        return Pair(rewritten, e.arg), rule
-    inner = step(e.arg)
-    if inner is not None:
-        rewritten, rule = inner
-        return Pair(e.fun, rewritten), rule
-    fun = e.fun.value
-    arg = e.arg.value
-    if isinstance(fun, Spine):
-        return Done(Spine(fun.head, fun.args.append(arg))), RULE_SPINE
-    return Pending(fun.body, fun.env.multi_insert(fun.kvec, arg)), RULE_BETA
+            rewritten = Pair(Pending(term.fun, env_fun), Pending(term.arg, env_arg))
+            rule = RULE_SPLIT
+        elif isinstance(term, OLam):
+            rewritten, rule = Done(Closure(term.kvec, term.body, env)), RULE_CLOSE
+        elif isinstance(term, Dot):
+            rewritten, rule = Done(env.sole()), RULE_BOUND
+        elif isinstance(term, Free):
+            rewritten, rule = Done(Spine(term.name)), RULE_VAR
+        else:
+            raise TypeError(f"not an ordered term: {term!r}")
+    else:
+        assert isinstance(e, Pair)
+        fun = e.fun.value
+        arg = e.arg.value
+        if isinstance(fun, Spine):
+            rewritten, rule = Done(Spine(fun.head, fun.args.append(arg))), RULE_SPINE
+        else:
+            rewritten = Pending(fun.body, fun.env.multi_insert(fun.kvec, arg))
+            rule = RULE_BETA
+    for pair, in_fun in reversed(path):
+        rewritten = Pair(rewritten, pair.arg) if in_fun else Pair(pair.fun, rewritten)
+    return rewritten, rule
 
 
 def machine_trace(
@@ -628,20 +640,35 @@ def weight(e: MachineExpr) -> int:
     arguments' weights, a pair the sum of its parts. Arbitrary-precision
     arithmetic matters: spines make the exponential term grow fast.
     """
-    if isinstance(e, Pending):
-        return 1
-    if isinstance(e, Done):
-        return _value_weight(e.value)
-    if isinstance(e, Pair):
-        return weight(e.fun) + weight(e.arg)
-    raise TypeError(f"not a machine expression: {e!r}")
+    total = 0
+    values: list = []
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Pending):
+            total += 1
+        elif isinstance(e, Done):
+            values.append(e.value)
+        elif isinstance(e, Pair):
+            stack.append(e.arg)
+            stack.append(e.fun)
+        else:
+            raise TypeError(f"not a machine expression: {e!r}")
+    return total + _value_weight(values)
 
 
-def _value_weight(v: Value) -> int:
-    if isinstance(v, Closure):
-        return 2
-    args = v.args.to_list()
-    return 1 + 2 ** len(args) + sum(_value_weight(a) for a in args)
+def _value_weight(values: list) -> int:
+    """Summed weight of the values, walking spine arguments with a stack."""
+    total = 0
+    while values:
+        v = values.pop()
+        if isinstance(v, Closure):
+            total += 2
+        else:
+            args = v.args.to_list()
+            total += 1 + 2 ** len(args)
+            values.extend(args)
+    return total
 
 
 # ---------------------------------------------------------------------------

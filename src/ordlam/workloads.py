@@ -76,10 +76,11 @@ def combinator_chain(size: int) -> NamedTerm:
     return t
 
 
-def big_spine(size: int) -> NamedTerm:
+def big_spine(size: int, arg: str = "a") -> NamedTerm:
+    """c arg arg ... arg with size arguments."""
     t: NamedTerm = Var("c")
     for _ in range(size):
-        t = App(t, Var("a"))
+        t = App(t, Var(arg))
     return t
 
 
@@ -93,12 +94,21 @@ def leak_family(size: int) -> NamedTerm:
     return App(Lam("big", App(discard, Var("big"))), big_spine(size))
 
 
+def wide_binder(size: int) -> NamedTerm:
+    """(\\x. c x ... x) a with size occurrences of x; the normal form is
+    c a ... a. One beta step inserts a at size positions of one
+    environment, and every application splits it near its end, which is
+    where the list and tree environments part ways."""
+    return App(Lam("x", big_spine(size, "x")), Var("a"))
+
+
 WORKLOADS = {
     "church-add": church_add,
     "church-mul": church_mul,
     "church-exp": church_exp,
     "combinator-chain": combinator_chain,
     "leak-family": leak_family,
+    "wide-binder": wide_binder,
 }
 
 

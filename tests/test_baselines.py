@@ -8,7 +8,9 @@ from ordlam.baselines import (
     DbClosure,
     DLam,
     FVar,
+    _env_cons,
     db_normalize_by_evaluation,
+    db_print_value,
     db_value_node_count,
     db_whnf,
     from_debruijn,
@@ -17,7 +19,7 @@ from ordlam.baselines import (
     to_debruijn,
 )
 from ordlam.gen import gen_terms
-from ordlam.machine import Spine, value_node_count, whnf
+from ordlam.machine import EMPTY_ARGS, Spine, value_node_count, whnf
 from ordlam.named import (
     App,
     FuelExhausted,
@@ -26,6 +28,7 @@ from ordlam.named import (
     alpha_eq,
     normalize,
     parse_surface,
+    print_surface,
     reduce_once_all,
 )
 
@@ -108,6 +111,50 @@ class TestEvalClosures:
             gaps[n] = loose - exact
         assert gaps[100] - gaps[10] == 90
         assert gaps[1000] - gaps[100] == 900
+
+
+class TestDbPrintValue:
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (r"(\x. \y. \w. x w) (g h)", r"\z0. \z1. g h z1"),
+            (
+                r"(\x. \y. \w. w x y) (f (\u. \v. u v) (\u. u))",
+                r"\z0. \z1. z1 (f (\z2. \z3. z2 z3) (\z4. z4)) z0",
+            ),
+        ],
+    )
+    def test_closures_print_their_environment(self, source, expected):
+        v = db_whnf(parse_surface(source))
+        assert print_surface(db_print_value(v)) == expected
+
+
+class TestDeepDbPrinting:
+    # Built bottom-up and nested far past the recursion limit; the
+    # printed text is compared, since == on deep terms would recurse.
+    DEPTH = 100_000
+
+    def test_nested_spine(self):
+        v = Spine("x")
+        for _ in range(self.DEPTH):
+            v = Spine("f", EMPTY_ARGS.append(v))
+        expected = "f (" * (self.DEPTH - 1) + "f x" + ")" * (self.DEPTH - 1)
+        assert print_surface(db_print_value(v)) == expected
+
+    def test_closure_under_deep_binders(self):
+        # \z0. \z1. ... \zD. y z0, where y comes from the closure's
+        # environment past all DEPTH + 1 binders in scope.
+        # Each node's cached free-name set is filled as it is built,
+        # since computing it on a deep term recurses; the printer is
+        # what is under test here.
+        body = DApp(BVar(self.DEPTH + 1), BVar(self.DEPTH))
+        body.free_names
+        for _ in range(self.DEPTH):
+            body = DLam(body)
+            body.free_names
+        v = DbClosure(body, _env_cons(Spine("y"), None))
+        expected = "".join(f"\\z{i}. " for i in range(self.DEPTH + 1)) + "y z0"
+        assert print_surface(db_print_value(v)) == expected
 
 
 class TestNormalizeHsub:

@@ -29,6 +29,7 @@ from ordlam.workloads import (
     church_mul,
     combinator_chain,
     leak_family,
+    wide_binder,
 )
 
 
@@ -47,6 +48,19 @@ class TestWorkloads:
 
     def test_leak_family_normal_form(self):
         assert alpha_eq(normalize(leak_family(4)), parse_surface(r"\y. y"))
+
+    def test_wide_binder_normal_form(self):
+        # c a ... a, written out rather than obtained by evaluation.
+        expected = parse_surface("c" + " a" * 9)
+        assert alpha_eq(normalize(wide_binder(9)), expected)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_wide_binder_normalizes_everywhere(self, strategy):
+        outcome = run_strategy(strategy, wide_binder(64), 100_000)
+        assert outcome.ok
+        assert digest_term(outcome.normal_form) == digest_term(
+            parse_surface("c" + " a" * 64)
+        )
 
     def test_unknown_workload(self):
         with pytest.raises(ValueError):
@@ -68,6 +82,8 @@ PINNED_DIGESTS = {
     ("combinator-chain", 64): "69f21cb9fda9fbc7",
     ("leak-family", 8): "f081f7e7632229ae",
     ("leak-family", 64): "0061c68d2ebc5490",
+    ("wide-binder", 8): "2f1714e8f38c005b",
+    ("wide-binder", 64): "59b728ae693e45d3",
 }
 
 

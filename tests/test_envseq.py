@@ -119,42 +119,81 @@ def _random_kvec(rng, length):
     return tuple(kvec)
 
 
+def _long_kvec(rng, length):
+    """Dozens of positions: runs of gap 0 and gap 1 and random gaps, with
+    positions at both ends of the sequence."""
+    kvec = [0] * rng.randint(0, 3)
+    remaining = length
+    for _ in range(rng.randint(12, 60)):
+        shape = rng.random()
+        if shape < 0.3:
+            gap = 0
+        elif shape < 0.7:
+            gap = min(1, remaining)
+        else:
+            gap = rng.randint(0, min(remaining, 5))
+        kvec.append(gap)
+        remaining -= gap
+    if rng.random() < 0.5:
+        kvec.extend([remaining] + [0] * rng.randint(0, 3))
+    return tuple(kvec)
+
+
+def _check_agreement(rng, max_len, programs, steps, draw_kvec):
+    """Run random split/insert programs on both backends against a list
+    model; the tree stays balanced and every version persists."""
+    for _ in range(programs):
+        model = list(range(rng.randint(0, max_len)))
+        lst = ListEnv.from_values(model)
+        tree = TreeEnv.from_values(model)
+        history = [(model[:], lst, tree)]
+        for _ in range(steps):
+            if rng.random() < 0.5 and model:
+                k = rng.randint(0, len(model))
+                keep_first = rng.random() < 0.5
+                lst = lst.split_at(k)[0 if keep_first else 1]
+                tree = tree.split_at(k)[0 if keep_first else 1]
+                model = model[:k] if keep_first else model[k:]
+            else:
+                kvec = draw_kvec(rng, len(model))
+                w = rng.randint(100, 999)
+                lst = lst.multi_insert(kvec, w)
+                tree = tree.multi_insert(kvec, w)
+                expected = []
+                rest = model[:]
+                for gap in kvec:
+                    expected.extend(rest[:gap])
+                    expected.append(w)
+                    rest = rest[gap:]
+                model = expected + rest
+            assert lst.to_list() == model
+            assert tree.to_list() == model
+            assert len(lst) == len(tree) == len(model)
+            assert tree_is_balanced(tree)
+            history.append((model[:], lst, tree))
+        # Persistence: every earlier version still reads back unchanged.
+        for snapshot, lst_old, tree_old in history:
+            assert lst_old.to_list() == snapshot
+            assert tree_old.to_list() == snapshot
+            assert tree_is_balanced(tree_old)
+
+
 class TestBackendAgreement:
     def test_random_programs(self):
-        rng = random.Random(1234)
-        for _ in range(60):
-            model = list(range(rng.randint(0, 12)))
-            lst = ListEnv.from_values(model)
-            tree = TreeEnv.from_values(model)
-            history = [(model[:], lst, tree)]
-            for _ in range(40):
-                if rng.random() < 0.5 and model:
-                    k = rng.randint(0, len(model))
-                    keep_first = rng.random() < 0.5
-                    lst = lst.split_at(k)[0 if keep_first else 1]
-                    tree = tree.split_at(k)[0 if keep_first else 1]
-                    model = model[:k] if keep_first else model[k:]
-                else:
-                    kvec = _random_kvec(rng, len(model))
-                    w = rng.randint(100, 999)
-                    lst = lst.multi_insert(kvec, w)
-                    tree = tree.multi_insert(kvec, w)
-                    expected = []
-                    rest = model[:]
-                    for gap in kvec:
-                        expected.extend(rest[:gap])
-                        expected.append(w)
-                        rest = rest[gap:]
-                    model = expected + rest
-                assert lst.to_list() == model
-                assert tree.to_list() == model
-                assert len(lst) == len(tree) == len(model)
-                assert tree_is_balanced(tree)
-                history.append((model[:], lst, tree))
-            # Persistence: every earlier version still reads back unchanged.
-            for snapshot, lst_old, tree_old in history:
-                assert lst_old.to_list() == snapshot
-                assert tree_old.to_list() == snapshot
+        _check_agreement(random.Random(1234), 12, 60, 40, _random_kvec)
+
+    def test_random_programs_with_long_kvecs(self):
+        _check_agreement(random.Random(4321), 80, 40, 16, _long_kvec)
+
+    @pytest.mark.parametrize("size", (0, 1, 2, 3, 7, 100))
+    @pytest.mark.parametrize("copies", (1, 2, 5, 300))
+    def test_copies_at_one_position_stay_balanced(self, size, copies):
+        model = list(range(size))
+        for pos in sorted({0, size // 2, size}):
+            kvec = (pos,) + (0,) * (copies - 1)
+            tree = TreeEnv.from_values(model).multi_insert(kvec, "w")
+            assert tree.to_list() == model[:pos] + ["w"] * copies + model[pos:]
+            assert tree_is_balanced(tree)
 
 
 class TestTreeBalanceStress:
@@ -246,6 +285,32 @@ class TestAllocationCosts:
                 bound = (1 + len(kvec)) * (10 * math.log2(size) + 10)
                 assert allocs <= bound
 
+    @pytest.mark.parametrize("copies", (1, 2, 3, 100, 900))
+    def test_tree_copies_into_empty_one_cell_each(self, cells, copies):
+        env = TreeEnv.empty()
+        cells.built = 0
+        result = env.multi_insert((0,) * copies, "w")
+        assert cells.built == copies
+        assert tree_is_balanced(result)
+
+    @pytest.mark.parametrize("size", (1, 2, 3, 10, 600, 4096))
+    def test_tree_gap_one_insert_at_most_two_cells_per_element(self, cells, size):
+        # Every element is rebuilt once and gets one new neighbour.
+        allocs = self._insert_allocs(cells, TreeEnv, size, (1,) * size)
+        assert allocs <= 2 * size
+
     def test_list_insert_linear(self, cells):
         allocs = self._insert_allocs(cells, ListEnv, 1024, (512,))
         assert allocs == 513  # rebuilt prefix plus the inserted cell
+
+
+class TestTreeSharing:
+    def test_unreached_subtrees_are_shared(self):
+        env = TreeEnv.from_values(range(1000))
+        root = env._node
+        # Every position falls in the root's left half: the right subtree
+        # comes through as the same object.
+        assert root.left.size > 5
+        result = env.multi_insert((3, 1, 0, 1), "w")
+        assert result.to_list()[:9] == [0, 1, 2, "w", 3, "w", "w", 4, "w"]
+        assert result._node.right is root.right

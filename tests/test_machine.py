@@ -13,6 +13,7 @@ from ordlam.machine import (
     Pending,
     RULE_BETA,
     RULE_CLOSE,
+    RULE_SPINE,
     RULE_SPLIT,
     Spine,
     apply_value,
@@ -218,6 +219,54 @@ class TestDeepPrinting:
             e = Pair(Done(spine("f")), e)
         expected = "f (" * self.DEPTH + r"\z0. z0" + ")" * self.DEPTH
         assert print_surface(print_expr(e)) == expected
+
+
+class TestDeepMachine:
+    # A Pair chain nested far past the recursion limit, checked by walking
+    # it with a loop rather than comparing with == (which would recurse).
+    DEPTH = 100_000
+
+    def _chain(self, innermost):
+        e = innermost
+        for _ in range(self.DEPTH):
+            e = Pair(Done(spine("f")), e)
+        return e
+
+    def _descend(self, e, levels):
+        for _ in range(levels):
+            assert isinstance(e, Pair) and isinstance(e.fun, Done)
+            e = e.arg
+        return e
+
+    def test_step_rewrites_the_innermost_redex(self):
+        e = self._chain(Pending(OLam((0,), DOT), ListEnv.empty()))
+        after, rule = step(e)
+        assert rule == RULE_CLOSE
+        inner = self._descend(after, self.DEPTH)
+        assert isinstance(inner, Done) and isinstance(inner.value, Closure)
+        after, rule = step(after)
+        assert rule == RULE_SPINE
+        # The deepest pair collapsed into one spine; its parents remain.
+        inner = self._descend(after, self.DEPTH - 1)
+        assert isinstance(inner, Done) and inner.value.head == "f"
+        assert isinstance(inner.value.args.to_list()[0], Closure)
+
+    def test_step_on_a_chain_of_values_applies_the_deepest_pair(self):
+        after, rule = step(self._chain(Done(spine("x"))))
+        assert rule == RULE_SPINE
+        inner = self._descend(after, self.DEPTH - 1)
+        assert isinstance(inner, Done) and inner.value == spine("f", spine("x"))
+
+    def test_weight_of_pair_chain(self):
+        e = self._chain(Pending(OLam((0,), DOT), ListEnv.empty()))
+        assert weight(e) == 2 * self.DEPTH + 1
+
+    def test_weight_of_nested_spine(self):
+        v = spine("x")
+        for _ in range(self.DEPTH):
+            v = spine("f", v)
+        # Each one-argument spine weighs 1 + 2; the bare x weighs 2.
+        assert weight(Done(v)) == 3 * self.DEPTH + 2
 
 
 class TestMachine:
