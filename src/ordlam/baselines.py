@@ -13,14 +13,15 @@ Two classical evaluators to measure the ordered representation against:
 Both share the fuel discipline and print back to named terms so results
 can be compared across strategies. The closure machine's values are the
 ordered machine's spines plus its own DbClosure; spines, readback and
-the value walks come from ordlam.machine.
+the value walks come from ordlam.machine. Every walk over terms is an
+explicit-stack loop, so term depth is bounded by memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import InvariantError
 from .machine import (
@@ -31,11 +32,11 @@ from .machine import (
     Spine,
     _as_fuel,
     _normal_form,
-    _OutOfFuel,
     names_in_value,
     value_node_count,
 )
 from .named import App, FuelExhausted, Lam, NamedTerm, Var, fresh_names
+from .named import _cache_bottom_up
 
 
 class DbTerm:
@@ -67,7 +68,7 @@ class DApp(DbTerm):
 
     @cached_property
     def free_names(self) -> frozenset[str]:
-        return self.fun.free_names | self.arg.free_names
+        return _cache_bottom_up(self, "free_names", _free_names_here, DApp, DLam)
 
 
 @dataclass(frozen=True)
@@ -76,35 +77,61 @@ class DLam(DbTerm):
 
     @cached_property
     def free_names(self) -> frozenset[str]:
-        return self.body.free_names
+        return _cache_bottom_up(self, "free_names", _free_names_here, DApp, DLam)
+
+
+def _free_names_here(u: DbTerm) -> frozenset[str]:
+    if type(u) is DApp:
+        return u.fun.free_names | u.arg.free_names
+    return u.body.free_names if type(u) is DLam else u.free_names
+
+
+# Work items of the loops below, besides terms: None applies the second
+# result from the top to the top one; _BINDER wraps the top in a binder.
+_BINDER = ("binder",)
 
 
 def to_debruijn(m: NamedTerm) -> DbTerm:
     """Standard nameless conversion; free names are kept by name."""
-    return _to_db(m, ())
-
-
-def _to_db(m: NamedTerm, scope: tuple[str, ...]) -> DbTerm:
-    if isinstance(m, Var):
-        for i, name in enumerate(scope):
-            if name == m.name:
-                return BVar(i)
-        return FVar(m.name)
-    if isinstance(m, App):
-        return DApp(_to_db(m.fun, scope), _to_db(m.arg, scope))
-    assert isinstance(m, Lam)
-    return DLam(_to_db(m.body, (m.binder,) + scope))
+    scope: list[str] = []
+    work: list = [m]
+    out: list[DbTerm] = []
+    while work:
+        m = work.pop()
+        kind = type(m)
+        if kind is Var:
+            for i, name in enumerate(reversed(scope)):
+                if name == m.name:
+                    out.append(BVar(i))
+                    break
+            else:
+                out.append(FVar(m.name))
+        elif kind is App:
+            work += (None, m.arg, m.fun)
+        elif kind is Lam:
+            scope.append(m.binder)
+            work += (_BINDER, m.body)
+        elif m is None:
+            arg = out.pop()
+            out[-1] = DApp(out[-1], arg)
+        else:
+            scope.pop()
+            out[-1] = DLam(out[-1])
+    return out.pop()
 
 
 def locally_closed(t: DbTerm, depth: int = 0) -> bool:
     """Every bound index points at an enclosing binder."""
-    if isinstance(t, BVar):
-        return t.index < depth
-    if isinstance(t, FVar):
-        return True
-    if isinstance(t, DApp):
-        return locally_closed(t.fun, depth) and locally_closed(t.arg, depth)
-    return locally_closed(t.body, depth + 1)
+    stack = [(t, depth)]
+    while stack:
+        t, depth = stack.pop()
+        if type(t) is BVar and t.index >= depth:
+            return False
+        if type(t) is DApp:
+            stack += ((t.arg, depth), (t.fun, depth))
+        elif type(t) is DLam:
+            stack.append((t.body, depth + 1))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -246,25 +273,32 @@ def db_whnf(
     return eval_closures(to_debruijn(m), None, fuel)
 
 
-# db_print_value tasks.
-_TERM = 0  # (_TERM, de Bruijn term, scope start, environment)
+# _db_print tasks.
+_TERM = 0  # (_TERM, de Bruijn term, scope start, environment or _UNBOUND)
 _VALUE = 1  # (_VALUE, value)
 _APP = 2  # (_APP,): pop an argument and a function, push their application
 _LAM = 3  # (_LAM, binder): leave the binder's scope, wrap the body in it
 _APP_TASK = (_APP,)
+_UNBOUND = object()  # the environment of a term outside any closure
 
 
 def db_print_value(v: DbValue) -> NamedTerm:
-    """Print a value as a named term without reducing anything further.
+    """Print a value as a named term without reducing anything further."""
+    return _db_print((_VALUE, v), fresh_names(names_in_value(v)))
 
-    One explicit-stack loop, so depth never recurses. Binders draw fresh
-    names in pre-order, function part before argument part, spine
-    arguments left to right. The binder names in scope live in one list,
-    innermost last; a term task records where its closure's scope starts.
-    """
-    fresh = fresh_names(names_in_value(v))
+
+def from_debruijn(t: DbTerm, avoid: frozenset[str] = frozenset()) -> NamedTerm:
+    """Name the binders of a de Bruijn term with deterministic fresh names."""
+    return _db_print((_TERM, t, 0, _UNBOUND), fresh_names(t.free_names | avoid))
+
+
+def _db_print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
+    """Print one task's term or value. Binders draw fresh names in
+    pre-order, function part before argument part, spine arguments left
+    to right. The binder names in scope live in one list, innermost last;
+    a term task records where its closure's scope starts."""
     scope: list[str] = []
-    work: list[tuple] = [(_VALUE, v)]
+    work: list[tuple] = [task]
     out: list[NamedTerm] = []
     while work:
         task = work.pop()
@@ -275,6 +309,8 @@ def db_print_value(v: DbValue) -> NamedTerm:
                 depth = len(scope) - base
                 if t.index < depth:
                     out.append(Var(scope[-1 - t.index]))
+                elif env is _UNBOUND:
+                    raise InvariantError(f"unbound index {t.index} at depth {depth}")
                 else:
                     work.append((_VALUE, _env_lookup(env, t.index - depth)))
             elif isinstance(t, FVar):
@@ -336,69 +372,48 @@ db_value_node_count = value_node_count
 # eager beta-normal forms via substitution that reduces as it goes
 
 
-def _shift(t: DbTerm, by: int, cutoff: int = 0) -> DbTerm:
-    if isinstance(t, BVar):
-        return BVar(t.index + by) if t.index >= cutoff else t
-    if isinstance(t, FVar):
-        return t
-    if isinstance(t, DApp):
-        return DApp(_shift(t.fun, by, cutoff), _shift(t.arg, by, cutoff))
-    return DLam(_shift(t.body, by, cutoff + 1))
-
-
-def _hsub(t: DbTerm, index: int, s: DbTerm, fuel: Fuel) -> DbTerm:
+def _hsub(
+    t: DbTerm, index: int, s: Union[DbTerm, None, int], fuel: Fuel
+) -> Union[DbTerm, FuelExhausted]:
     """Substitute s (normal) for index in t (normal), reducing created
-    redexes on the spot so the result is normal again."""
-    if isinstance(t, BVar):
-        if t.index == index:
-            return _shift(s, index)
-        return BVar(t.index - 1) if t.index > index else t
-    if isinstance(t, FVar):
-        return t
-    if isinstance(t, DLam):
-        return DLam(_hsub(t.body, index + 1, s, fuel))
-    assert isinstance(t, DApp)
-    fun = _hsub(t.fun, index, s, fuel)
-    arg = _hsub(t.arg, index, s, fuel)
-    if isinstance(fun, DLam):
-        if not fuel.take():
-            raise _OutOfFuel
-        return _hsub(fun.body, 0, arg, fuel)
-    return DApp(fun, arg)
+    redexes on the spot so the result is normal again. With s None
+    nothing is substituted and t is brought to normal form the same way.
 
-
-def _db_normal_form(t: DbTerm, fuel: Fuel) -> DbTerm:
-    if isinstance(t, (BVar, FVar)):
-        return t
-    if isinstance(t, DLam):
-        return DLam(_db_normal_form(t.body, fuel))
-    assert isinstance(t, DApp)
-    fun = _db_normal_form(t.fun, fuel)
-    arg = _db_normal_form(t.arg, fuel)
-    if isinstance(fun, DLam):
-        if not fuel.take():
-            raise _OutOfFuel
-        return _hsub(fun.body, 0, arg, fuel)
-    return DApp(fun, arg)
-
-
-def from_debruijn(t: DbTerm, avoid: frozenset[str] = frozenset()) -> NamedTerm:
-    """Name the binders of a de Bruijn term with deterministic fresh names."""
-    fresh = fresh_names(t.free_names | avoid)
-    return _from_db(t, (), fresh)
-
-
-def _from_db(t: DbTerm, scope: tuple[str, ...], fresh) -> NamedTerm:
-    if isinstance(t, BVar):
-        if t.index >= len(scope):
-            raise InvariantError(f"unbound index {t.index} at depth {len(scope)}")
-        return Var(scope[t.index])
-    if isinstance(t, FVar):
-        return Var(t.name)
-    if isinstance(t, DApp):
-        return App(_from_db(t.fun, scope, fresh), _from_db(t.arg, scope, fresh))
-    binder = next(fresh)
-    return Lam(binder, _from_db(t.body, (binder,) + scope, fresh))
+    Tasks carry their own substitution. A task whose s is an int copies
+    its term with every index at or above `index` raised by s, moving a
+    substituted term under the binders above it. A contraction costs fuel.
+    """
+    work: list = [(t, index, s)]
+    out: list[DbTerm] = []
+    while work:
+        item = work.pop()
+        if item is None:
+            arg = out.pop()
+            fun = out[-1]
+            if type(fun) is not DLam:
+                out[-1] = DApp(fun, arg)
+            elif fuel.take():
+                out.pop()
+                work.append((fun.body, 0, arg))
+            else:
+                return FuelExhausted(fuel.spent)
+        elif item is _BINDER:
+            out[-1] = DLam(out[-1])
+        else:
+            t, index, s = item
+            if type(t) is DApp:
+                work += (None, (t.arg, index, s), (t.fun, index, s))
+            elif type(t) is DLam:
+                work += (_BINDER, (t.body, index + 1, s))
+            elif type(t) is not BVar or s is None or t.index < index:
+                out.append(t)
+            elif type(s) is int:
+                out.append(BVar(t.index + s))
+            elif t.index == index:
+                work.append((s, 0, index))
+            else:
+                out.append(BVar(t.index - 1))
+    return out.pop()
 
 
 def normalize_hsub(
@@ -406,8 +421,7 @@ def normalize_hsub(
 ) -> Union[NamedTerm, FuelExhausted]:
     """Eager full beta-normal form; every created redex is reduced immediately."""
     fuel = _as_fuel(fuel)
-    try:
-        nf = _db_normal_form(to_debruijn(m), fuel)
-    except _OutOfFuel:
-        return FuelExhausted(fuel.spent)
+    nf = _hsub(to_debruijn(m), 0, None, fuel)
+    if isinstance(nf, FuelExhausted):
+        return nf
     return from_debruijn(nf, m.free_names)

@@ -216,6 +216,8 @@ def run_comparison(
     repetitions: int = DEFAULT_REPETITIONS,
 ) -> list[BenchRecord]:
     """Run several strategies on one workload and gate on digest agreement."""
+    if not strategies:
+        raise ValueError("no strategies to compare")
     records = [
         run_config(BenchConfig(workload, size, strategy, fuel, repetitions))
         for strategy in strategies

@@ -8,15 +8,16 @@ random terms). eval and bench share bench's strategy table; eval's
 "ordered" strategy with --env list|tree is bench's ordered-list or
 ordered-tree.
 
-Exit codes: 0 success; 1 malformed input, a non-positive number or a
-term nested beyond the worker's recursion limit; 2 fuel exhausted; 3
-internal invariant breach (including benchmark digest mismatches and
-failed check obligations); 4 ordered input that is not a valid closed
-term.
+Exit codes: 0 success; 1 malformed input, a non-positive number
+(ORDLAM_FUEL included), an empty strategy list or a recursion limit
+reached; 2 fuel exhausted; 3 internal invariant breach (including
+benchmark digest mismatches and failed check obligations); 4 ordered
+input that is not a valid closed term.
 
 The ORDLAM_FUEL environment variable overrides the default fuel; an
-explicit --fuel flag wins over both. All commands run on a large-stack
-worker thread so deeply nested terms are safe to process.
+explicit --fuel flag wins over both. Commands run on the caller's
+thread: every walk over terms and values is an explicit-stack loop, so
+nesting depth is bounded by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -27,19 +28,11 @@ import sys
 from pathlib import Path
 
 from . import bench, machine
-from .deep import run_deep
 from .envseq import ListEnv
 from .errors import InvariantError
 from .gen import gen_terms
-from .machine import Fuel, Pending, machine_trace, print_expr, step, weight
-from .named import (
-    FuelExhausted,
-    ParseError,
-    alpha_eq,
-    parse_surface,
-    print_surface,
-    reduce_once_all,
-)
+from .machine import Fuel, Pending, print_expr, verify_trace
+from .named import FuelExhausted, ParseError, parse_surface, print_surface
 from .ordered import (
     OrderedSyntaxError,
     is_ordered,
@@ -65,9 +58,9 @@ def _resolve_fuel(flag_value) -> int:
         try:
             fuel = int(env_value)
         except ValueError:
-            raise SystemExit(f"ORDLAM_FUEL is not an integer: {env_value!r}")
+            raise ValueError(f"ORDLAM_FUEL is not an integer: {env_value!r}") from None
         if fuel < 1:
-            raise SystemExit("ORDLAM_FUEL must be positive")
+            raise ValueError("ORDLAM_FUEL must be positive")
         return fuel
     return DEFAULT_FUEL
 
@@ -134,69 +127,24 @@ def cmd_check(args) -> int:
     if term is None:
         return EXIT_BAD_INPUT
     fuel = Fuel(_resolve_fuel(args.fuel))
-    expr = Pending(parse_closed(term), ListEnv.empty())
-
-    preserved = weight_ok = single_beta = 0
-    total_beta = total_non_beta = steps = 0
-    failures = []
-    printed = print_expr(expr)
-    measure = weight(expr)
-    last = expr
-    for _, after, rule in machine_trace(expr, fuel):
-        steps += 1
-        printed_after = print_expr(after)
-        weight_after = weight(after)
-        if rule == machine.RULE_BETA:
-            total_beta += 1
-            if any(alpha_eq(printed_after, c) for c in reduce_once_all(printed)):
-                single_beta += 1
-            else:
-                failures.append(f"step {steps} ({rule}): not a single reduction")
-        else:
-            total_non_beta += 1
-            if alpha_eq(printed, printed_after):
-                preserved += 1
-            else:
-                failures.append(f"step {steps} ({rule}): printed term changed")
-            if weight_after > measure:
-                weight_ok += 1
-            else:
-                failures.append(f"step {steps} ({rule}): weight did not increase")
-        printed = printed_after
-        measure = weight_after
-        last = after
-
-    exhausted = step(last) is not None
-
-    def verdict(ok_count, total):
-        return "PASS" if ok_count == total else "FAIL"
-
-    print(f"steps: {steps}")
-    print(
-        f"non-beta steps preserve printed term: "
-        f"{verdict(preserved, total_non_beta)} ({preserved}/{total_non_beta})"
-    )
-    print(
-        f"beta steps take exactly one reduction: "
-        f"{verdict(single_beta, total_beta)} ({single_beta}/{total_beta})"
-    )
-    print(
-        f"weight strictly increases on non-beta steps: "
-        f"{verdict(weight_ok, total_non_beta)} ({weight_ok}/{total_non_beta})"
-    )
-    if exhausted:
-        print(f"fuel exhausted after {steps} steps")
+    r = verify_trace(Pending(parse_closed(term), ListEnv.empty()), fuel)
+    print(f"steps: {r.steps}")
+    for obligation, held, total in (
+        ("non-beta steps preserve printed term", r.preserved, r.non_beta),
+        ("beta steps take exactly one reduction", r.single_beta, r.beta),
+        ("weight strictly increases on non-beta steps", r.weight_increases, r.non_beta),
+    ):
+        print(f"{obligation}: {'PASS' if held == total else 'FAIL'} ({held}/{total})")
+    if r.exhausted:
+        print(f"fuel exhausted after {r.steps} steps")
     else:
-        print(f"final: {print_surface(print_expr(last))}")
-    overall = "PASS" if not failures else "FAIL"
-    print(f"RESULT: {overall}")
-    for failure in failures:
+        print(f"final: {print_surface(print_expr(r.last))}")
+    print(f"RESULT: {'FAIL' if r.failures else 'PASS'}")
+    for failure in r.failures:
         print(failure, file=sys.stderr)
-    if failures:
+    if r.failures:
         return EXIT_INVARIANT
-    if exhausted:
-        return EXIT_FUEL
-    return EXIT_OK
+    return EXIT_FUEL if r.exhausted else EXIT_OK
 
 
 def cmd_bench(args) -> int:
@@ -300,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run_deep(args.func, args)
+        return args.func(args)
     except InvariantError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -15,10 +15,11 @@ Evaluation dispatches six ways, each costing one fuel unit:
 * ``beta``   applying a closure multi-inserts the argument into the
   environment at the binder's positions and evaluates the body.
 
-The same dispatch drives both the big-step evaluator (an explicit-stack
-loop, so deep terms do not recurse) and the one-step rewriting machine
-used by the trace checker. Printing turns terms, values and machine
-expressions back into named terms, with one explicit-stack loop too.
+The same dispatch drives both the big-step evaluator and the one-step
+rewriting machine used by the trace checker (verify_trace). Printing
+turns terms, values and machine expressions back into named terms.
+Every walk here, readback included, is an explicit-stack loop, so term
+and value depth is bounded by memory, not by the recursion limit.
 
 Spines, the walks over values and readback to normal form are shared
 with the de Bruijn closure machine in baselines: a closure class takes
@@ -33,7 +34,8 @@ from typing import Iterator, Optional, Union
 
 from .envseq import ListEnv
 from .errors import InvariantError
-from .named import App, FuelExhausted, Lam, NamedTerm, Var, fresh_names
+from .named import App, FuelExhausted, Lam, NamedTerm, Var, alpha_eq, fresh_names
+from .named import reduce_once_all
 from .ordered import (
     Dot,
     Free,
@@ -436,34 +438,37 @@ def print_value(v: Value) -> NamedTerm:
 # full normalization by evaluation
 
 
-class _OutOfFuel(Exception):
-    pass
-
-
-def _readback(v: Value, apply, fuel: Fuel, fresh: Iterator[str]) -> NamedTerm:
-    if isinstance(v, Spine):
-        result: NamedTerm = Var(v.head)
-        for arg in v.args.to_list():
-            result = App(result, _readback(arg, apply, fuel, fresh))
-        return result
-    binder = next(fresh)
-    applied = apply(v, Spine(binder), fuel)
-    if isinstance(applied, FuelExhausted):
-        raise _OutOfFuel
-    return Lam(binder, _readback(applied, apply, fuel, fresh))
-
-
 def _normal_form(
     apply, v: Value, fuel: Union[int, Fuel], avoid: frozenset[str]
 ) -> Union[NamedTerm, FuelExhausted]:
     """Read a value back to a named beta-normal form, opening each closure
-    by applying it (with apply) to a fresh inert head."""
+    by applying it (with apply) to a fresh inert head. Closures are opened
+    in pre-order, spine arguments left to right."""
     fuel = _as_fuel(fuel)
     fresh = fresh_names(names_in_value(v) | avoid)
-    try:
-        return _readback(v, apply, fuel, fresh)
-    except _OutOfFuel:
-        return FuelExhausted(fuel.spent)
+    # Work items: a value to read back; None, to pop an argument and a
+    # function and push their application; or a binder name, to wrap the
+    # top result in that binder.
+    work: list = [v]
+    out: list[NamedTerm] = []
+    while work:
+        item = work.pop()
+        if item is None:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif type(item) is str:
+            out[-1] = Lam(item, out[-1])
+        elif type(item) is Spine:
+            out.append(Var(item.head))
+            for arg in reversed(item.args.to_list()):
+                work += (None, arg)
+        else:
+            binder = next(fresh)
+            applied = apply(item, Spine(binder), fuel)
+            if isinstance(applied, FuelExhausted):
+                return FuelExhausted(fuel.spent)
+            work += (binder, applied)
+    return out.pop()
 
 
 def readback_normal_form(
@@ -669,6 +674,59 @@ def _value_weight(values: list) -> int:
             total += 1 + 2 ** len(args)
             values.extend(args)
     return total
+
+
+# ---------------------------------------------------------------------------
+# verifying the machine's per-step obligations
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """What verify_trace saw: step counts, the steps meeting each
+    obligation, one line per failure, the last expression and whether
+    fuel ran out before it was stuck."""
+
+    steps: int
+    beta: int
+    non_beta: int
+    single_beta: int  # beta steps that are exactly one beta reduction
+    preserved: int  # non-beta steps that keep the printed term up to alpha
+    weight_increases: int  # non-beta steps that strictly increase the weight
+    failures: tuple[str, ...]
+    last: MachineExpr
+    exhausted: bool
+
+
+def verify_trace(e: MachineExpr, fuel: Union[int, Fuel] = DEFAULT_FUEL) -> CheckReport:
+    """Run the one-step machine from e, checking every step: a beta step
+    prints as one beta reduction of the term printed before it; any other
+    step keeps the printed term up to alpha and increases the weight."""
+    steps = beta = single_beta = preserved = weight_increases = 0
+    failures = []
+    printed, measure = print_expr(e), weight(e)
+    for _, after, rule in machine_trace(e, fuel):
+        steps += 1
+        printed_after, weight_after = print_expr(after), weight(after)
+        if rule == RULE_BETA:
+            beta += 1
+            if any(alpha_eq(printed_after, c) for c in reduce_once_all(printed)):
+                single_beta += 1
+            else:
+                failures.append(f"step {steps} ({rule}): not a single reduction")
+        else:
+            if alpha_eq(printed, printed_after):
+                preserved += 1
+            else:
+                failures.append(f"step {steps} ({rule}): printed term changed")
+            if weight_after > measure:
+                weight_increases += 1
+            else:
+                failures.append(f"step {steps} ({rule}): weight did not increase")
+        printed, measure, e = printed_after, weight_after, after
+    return CheckReport(
+        steps, beta, steps - beta, single_beta, preserved, weight_increases,
+        tuple(failures), e, step(e) is not None
+    )
 
 
 # ---------------------------------------------------------------------------

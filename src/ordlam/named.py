@@ -13,11 +13,15 @@ Surface grammar::
 Application is left-associative, ``λ`` is accepted as a synonym for
 ``\\``, identifiers match ``[A-Za-z_][A-Za-z0-9_']*`` and whitespace is
 insignificant.
+
+Every walk over terms is an explicit-stack loop, so term depth is bounded
+by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Union
@@ -49,11 +53,11 @@ class App(NamedTerm):
 
     @cached_property
     def free_names(self) -> frozenset[str]:
-        return self.fun.free_names | self.arg.free_names
+        return _cache_bottom_up(self, "free_names", _free_names_here)
 
     @cached_property
     def node_count(self) -> int:
-        return 1 + self.fun.node_count + self.arg.node_count
+        return _cache_bottom_up(self, "node_count", _node_count_here)
 
 
 @dataclass(frozen=True)
@@ -63,11 +67,41 @@ class Lam(NamedTerm):
 
     @cached_property
     def free_names(self) -> frozenset[str]:
-        return self.body.free_names - {self.binder}
+        return _cache_bottom_up(self, "free_names", _free_names_here)
 
     @cached_property
     def node_count(self) -> int:
-        return 1 + self.body.node_count
+        return _cache_bottom_up(self, "node_count", _node_count_here)
+
+
+def _cache_bottom_up(t, attr: str, here, app=App, lam=Lam):
+    """Cache attr on t and on every node below it that lacks it, children
+    first (app nodes have a fun and an arg, lam nodes a body); here(u)
+    computes u's value from its children's. Returns t's value."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if attr in u.__dict__:
+            continue
+        if type(u) is app and not (attr in u.fun.__dict__ and attr in u.arg.__dict__):
+            stack += (u, u.arg, u.fun)
+        elif type(u) is lam and attr not in u.body.__dict__:
+            stack += (u, u.body)
+        else:
+            u.__dict__[attr] = here(u)
+    return t.__dict__[attr]
+
+
+def _free_names_here(u: NamedTerm) -> frozenset[str]:
+    if type(u) is App:
+        return u.fun.free_names | u.arg.free_names
+    return u.body.free_names - {u.binder} if type(u) is Lam else frozenset((u.name,))
+
+
+def _node_count_here(u: NamedTerm) -> int:
+    if type(u) is App:
+        return 1 + u.fun.node_count + u.arg.node_count
+    return 1 + u.body.node_count if type(u) is Lam else 1
 
 
 @dataclass(frozen=True)
@@ -150,65 +184,6 @@ def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int, int]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Optional[tuple[str, str, int, int]]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        if tok is None:
-            if self.tokens:
-                _, text, line, col = self.tokens[-1]
-                return ParseError(message, line, col + len(text))
-            return ParseError(message, 1, 1)
-        return ParseError(message, tok[2], tok[3])
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int, int]:
-        tok = self.peek()
-        if tok is None or tok[0] != kind:
-            raise self.error(f"expected {what}")
-        self.pos += 1
-        return tok
-
-    def term(self) -> NamedTerm:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("expected a term")
-        if tok[0] == "lambda":
-            self.pos += 1
-            _, name, _, _ = self.expect("ident", "a binder name after the lambda")
-            self.expect("dot", "'.' after the binder")
-            return Lam(name, self.term())
-        result = self.atom()
-        if result is None:
-            raise self.error("expected a term")
-        while True:
-            nxt = self.atom()
-            if nxt is None:
-                return result
-            result = App(result, nxt)
-
-    def atom(self) -> Optional[NamedTerm]:
-        tok = self.peek()
-        if tok is None:
-            return None
-        if tok[0] == "ident":
-            self.pos += 1
-            return Var(tok[1])
-        if tok[0] == "lparen":
-            self.pos += 1
-            inner = self.term()
-            self.expect("rparen", "')'")
-            return inner
-        return None
-
-
 def parse_surface(src: str) -> NamedTerm:
     """Parse surface text into a named term.
 
@@ -217,12 +192,49 @@ def parse_surface(src: str) -> NamedTerm:
     tokens = _tokenize(src)
     if not tokens:
         raise ParseError("empty input", 1, 1)
-    parser = _Parser(tokens)
-    result = parser.term()
-    tok = parser.peek()
-    if tok is not None:
-        raise parser.error(f"unexpected {tok[1]!r} after the term")
-    return result
+    _, text, line, col = tokens[-1]
+    tokens.append(("end", "", line, col + len(text)))  # just past the last token
+    # The term being read is its binders (outermost first) over the
+    # application read so far (None before its first atom); each open
+    # parenthesis saves the enclosing term's pair on outer.
+    outer: list[tuple[list[str], Optional[NamedTerm]]] = []
+    binders: list[str] = []
+    app: Optional[NamedTerm] = None
+    pos = 0
+    while True:
+        kind, text, line, col = tokens[pos]
+        if kind == "ident":
+            app = Var(text) if app is None else App(app, Var(text))
+            pos += 1
+        elif kind == "lparen":
+            outer.append((binders, app))
+            binders, app = [], None
+            pos += 1
+        elif app is None:
+            if kind != "lambda":
+                raise ParseError("expected a term", line, col)
+            nxt = tokens[pos + 1]
+            if nxt[0] != "ident":
+                raise ParseError("expected a binder name after the lambda", *nxt[2:])
+            binders.append(nxt[1])
+            nxt = tokens[pos + 2]
+            if nxt[0] != "dot":
+                raise ParseError("expected '.' after the binder", *nxt[2:])
+            pos += 3
+        else:
+            # Anything but an atom ends the term.
+            term = app
+            for binder in reversed(binders):
+                term = Lam(binder, term)
+            if not outer:
+                if kind != "end":
+                    raise ParseError(f"unexpected {text!r} after the term", line, col)
+                return term
+            if kind != "rparen":
+                raise ParseError("expected ')'", line, col)
+            pos += 1
+            binders, app = outer.pop()
+            app = term if app is None else App(app, term)
 
 
 def print_surface(t: NamedTerm) -> str:
@@ -272,43 +284,31 @@ def print_surface(t: NamedTerm) -> str:
 
 def alpha_eq(t: NamedTerm, u: NamedTerm) -> bool:
     """True iff t and u differ only in bound-variable names."""
-    return _alpha_eq(t, u, {}, {}, 0)
+    return alpha_key(t) == alpha_key(u)
 
 
-def _alpha_eq(t, u, env_t, env_u, depth) -> bool:
-    if isinstance(t, Var) and isinstance(u, Var):
-        bt = env_t.get(t.name)
-        bu = env_u.get(u.name)
-        if bt is None and bu is None:
-            return t.name == u.name
-        return bt == bu
-    if isinstance(t, App) and isinstance(u, App):
-        return _alpha_eq(t.fun, u.fun, env_t, env_u, depth) and _alpha_eq(
-            t.arg, u.arg, env_t, env_u, depth
-        )
-    if isinstance(t, Lam) and isinstance(u, Lam):
-        env_t2 = dict(env_t)
-        env_u2 = dict(env_u)
-        env_t2[t.binder] = depth
-        env_u2[u.binder] = depth
-        return _alpha_eq(t.body, u.body, env_t2, env_u2, depth + 1)
-    return False
-
-
-def alpha_key(t: NamedTerm):
-    """Hashable key identical for alpha-equal terms (binders replaced by depth)."""
-    return _alpha_key(t, {}, 0)
-
-
-def _alpha_key(t, env, depth):
-    if isinstance(t, Var):
-        bound = env.get(t.name)
-        return ("b", bound) if bound is not None else ("f", t.name)
-    if isinstance(t, App):
-        return ("a", _alpha_key(t.fun, env, depth), _alpha_key(t.arg, env, depth))
-    env2 = dict(env)
-    env2[t.binder] = depth
-    return ("l", _alpha_key(t.body, env2, depth + 1))
+def alpha_key(t: NamedTerm) -> tuple:
+    """Hashable key identical exactly for alpha-equal terms: the pre-order
+    listing of "a" per application, "l" per binder, ("f", name) per free
+    variable and, per bound variable, the position of its binder's "l"."""
+    key: list = []
+    binders: dict[str, list[int]] = defaultdict(list)  # positions, by name
+    stack: list = [t]  # terms, and binder names whose scope ends
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            binders[t].pop()
+        elif type(t) is Var:
+            bound = binders[t.name]
+            key.append(bound[-1] if bound else ("f", t.name))
+        elif type(t) is App:
+            key.append("a")
+            stack += (t.arg, t.fun)
+        else:
+            binders[t.binder].append(len(key))
+            key.append("l")
+            stack += (t.binder, t.body)
+    return tuple(key)
 
 
 def fresh_names(avoid: frozenset[str] | set[str]) -> Iterator[str]:
@@ -326,63 +326,76 @@ def fresh_names(avoid: frozenset[str] | set[str]) -> Iterator[str]:
 
 
 def subst(t: NamedTerm, x: str, s: NamedTerm) -> NamedTerm:
-    """Capture-avoiding substitution of s for free occurrences of x in t."""
-    if x not in t.free_names:
-        return t
-    if isinstance(t, Var):
-        return s
-    if isinstance(t, App):
-        return App(subst(t.fun, x, s), subst(t.arg, x, s))
-    assert isinstance(t, Lam)
-    # x is free in t, so the binder differs from x.
-    if t.binder in s.free_names:
-        z = next(fresh_names(s.free_names | t.body.free_names | {x}))
-        renamed = subst(t.body, t.binder, Var(z))
-        return Lam(z, subst(renamed, x, s))
-    return Lam(t.binder, subst(t.body, x, s))
+    """Capture-avoiding substitution of s for free occurrences of x in t;
+    subterms without a free x are shared, not copied."""
+    # Work items: (term, x, s) to substitute; (x, s) to substitute into the
+    # top result; None to apply the second result from the top to the top
+    # one; a binder name to wrap the top result in it.
+    work: list = [(t, x, s)]
+    out: list[NamedTerm] = []
+    while work:
+        task = work.pop()
+        if task is None:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif type(task) is str:
+            out[-1] = Lam(task, out[-1])
+        elif len(task) == 2:
+            work.append((out.pop(), *task))
+        else:
+            t, x, s = task
+            if x not in t.free_names:
+                out.append(t)
+            elif type(t) is Var:
+                out.append(s)
+            elif type(t) is App:
+                work += (None, (t.arg, x, s), (t.fun, x, s))
+            elif t.binder in s.free_names:
+                # x is free in t, so the binder differs from x. Rename the
+                # binder apart from s, then substitute into the result.
+                z = next(fresh_names(s.free_names | t.body.free_names | {x}))
+                work += (z, (x, s), (t.body, t.binder, Var(z)))
+            else:
+                work += (t.binder, (t.body, x, s))
+    return out.pop()
+
+
+def _reducts(t: NamedTerm) -> Iterator[NamedTerm]:
+    """Each result of contracting one beta redex of t, redexes taken in
+    pre-order (leftmost-outermost first). A node's path is (parent, True
+    if in the parent's function part, the parent's path), None at the root;
+    a reduct is rebuilt along it."""
+    stack: list = [(t, None)]
+    while stack:
+        u, path = stack.pop()
+        if type(u) is App:
+            if type(u.fun) is Lam:
+                reduct = subst(u.fun.body, u.fun.binder, u.arg)
+                up = path
+                while up is not None:
+                    parent, in_fun, up = up
+                    if type(parent) is Lam:
+                        reduct = Lam(parent.binder, reduct)
+                    elif in_fun:
+                        reduct = App(reduct, parent.arg)
+                    else:
+                        reduct = App(parent.fun, reduct)
+                yield reduct
+            stack += ((u.arg, (u, False, path)), (u.fun, (u, True, path)))
+        elif type(u) is Lam:
+            stack.append((u.body, (u, False, path)))
 
 
 def reduce_once_all(t: NamedTerm) -> list[NamedTerm]:
     """All results of contracting exactly one beta redex, deduplicated up to alpha."""
     results: list[NamedTerm] = []
     seen = set()
-
-    def add(u: NamedTerm) -> None:
+    for u in _reducts(t):
         key = alpha_key(u)
         if key not in seen:
             seen.add(key)
             results.append(u)
-
-    def walk(u: NamedTerm, rebuild) -> None:
-        if isinstance(u, App):
-            if isinstance(u.fun, Lam):
-                add(rebuild(subst(u.fun.body, u.fun.binder, u.arg)))
-            walk(u.fun, lambda f: rebuild(App(f, u.arg)))
-            walk(u.arg, lambda a: rebuild(App(u.fun, a)))
-        elif isinstance(u, Lam):
-            walk(u.body, lambda b: rebuild(Lam(u.binder, b)))
-
-    walk(t, lambda v: v)
     return results
-
-
-def _reduce_normal_once(t: NamedTerm) -> Optional[NamedTerm]:
-    """Contract the leftmost-outermost redex, or None if t is beta-normal."""
-    if isinstance(t, Var):
-        return None
-    if isinstance(t, Lam):
-        body = _reduce_normal_once(t.body)
-        return Lam(t.binder, body) if body is not None else None
-    assert isinstance(t, App)
-    if isinstance(t.fun, Lam):
-        return subst(t.fun.body, t.fun.binder, t.arg)
-    fun = _reduce_normal_once(t.fun)
-    if fun is not None:
-        return App(fun, t.arg)
-    arg = _reduce_normal_once(t.arg)
-    if arg is not None:
-        return App(t.fun, arg)
-    return None
 
 
 def normalize(
@@ -397,15 +410,14 @@ def normalize(
     count run out: an intermediate term exceeding max_nodes, or
     cumulative traversal work exceeding max_work (each step costs about
     the current term size). Divergent terms can grow arbitrarily within
-    a few steps, so a pure step budget would not keep this total. A term
-    nested deeper than the recursion limit raises RecursionError.
+    a few steps, so a pure step budget would not keep this total.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     spent = 0
     work = 0
     while spent < fuel:
-        reduced = _reduce_normal_once(t)
+        reduced = next(_reducts(t), None)  # the leftmost-outermost reduct
         if reduced is None:
             return t
         t = reduced
@@ -418,16 +430,7 @@ def normalize(
 
 
 def is_normal(t: NamedTerm) -> bool:
-    return _reduce_normal_once(t) is None
-
-
-def _spine_view(t: NamedTerm) -> tuple[NamedTerm, list[NamedTerm]]:
-    args: list[NamedTerm] = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fun
-    args.reverse()
-    return t, args
+    return next(_reducts(t), None) is None
 
 
 def whnf_oracle(
@@ -445,13 +448,13 @@ def whnf_oracle(
         raise ValueError("fuel must be positive")
     spent = 0
     while spent < fuel:
-        head, args = _spine_view(t)
-        if not (isinstance(head, Lam) and args):
+        head = t
+        while isinstance(head, App):
+            head = head.fun
+        if not isinstance(head, Lam) or head is t:
             return t
-        reduced = subst(head.body, head.binder, args[0])
-        for arg in args[1:]:
-            reduced = App(reduced, arg)
-        t = reduced
+        # The head redex comes first in pre-order.
+        t = next(_reducts(t))
         spent += 1
         if t.node_count > max_nodes:
             return FuelExhausted(spent)

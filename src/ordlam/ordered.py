@@ -13,6 +13,9 @@ unique ordered term plus the left-to-right list of context-variable
 occurrences that the dots stand for. It needs no renaming: a binder
 that shadows a context name claims every occurrence of that name in its
 body, and an application's split is its translated function part's fv.
+
+Every walk over terms, the translation and the text reader included, is
+an explicit-stack loop, so term depth is bounded by memory.
 """
 
 from __future__ import annotations
@@ -134,25 +137,36 @@ def to_ordered(m: NamedTerm, gamma: frozenset[str] = frozenset()) -> ParseResult
 
 
 def _translate(m: NamedTerm, bound: set[str], occ: list[str]) -> OrderedTerm:
-    """Translate m, appending the names its unbound dots stand for to occ."""
-    if isinstance(m, Var):
-        if m.name in bound:
-            occ.append(m.name)
-            return DOT
-        return Free(m.name)
-    if isinstance(m, App):
-        fun = _translate(m.fun, bound, occ)
-        return OApp(fun, fun.fv, _translate(m.arg, bound, occ))
-    assert isinstance(m, Lam)
-    binder = m.binder
-    shadows = binder in bound
-    bound.add(binder)
-    start = len(occ)
-    body = _translate(m.body, bound, occ)
-    if not shadows:
-        bound.discard(binder)
-    kvec, occ[start:] = _strip_occurrences(occ[start:], binder)
-    return OLam(kvec, body)
+    """Translate m, appending the names its unbound dots stand for to occ
+    (subterms go left to right, so occ fills in the order of the dots)."""
+    # Work items: a named term; None, to apply the second result from the
+    # top to the top one; (binder, shadows, start), to close a binder.
+    work: list = [m]
+    out: list[OrderedTerm] = []
+    while work:
+        m = work.pop()
+        kind = type(m)
+        if kind is Var:
+            if m.name in bound:
+                occ.append(m.name)
+                out.append(DOT)
+            else:
+                out.append(Free(m.name))
+        elif kind is App:
+            work += (None, m.arg, m.fun)
+        elif kind is Lam:
+            work += ((m.binder, m.binder in bound, len(occ)), m.body)
+            bound.add(m.binder)
+        elif m is None:
+            arg = out.pop()
+            out[-1] = OApp(out[-1], out[-1].fv, arg)
+        else:
+            binder, shadows, start = m
+            if not shadows:
+                bound.discard(binder)
+            kvec, occ[start:] = _strip_occurrences(occ[start:], binder)
+            out[-1] = OLam(kvec, out[-1])
+    return out.pop()
 
 
 def _strip_occurrences(
@@ -225,44 +239,58 @@ def read_ordered(src: str) -> OrderedTerm:
     tokens = _tokenize_ordered(src)
     if not tokens:
         raise OrderedSyntaxError("empty input")
-    term, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        raise OrderedSyntaxError(f"trailing input from token {pos}: {tokens[pos]!r}")
-    return term
-
-
-def _read(tokens: list[str], pos: int) -> tuple[OrderedTerm, int]:
-    if pos >= len(tokens):
-        raise OrderedSyntaxError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == ".":
-        return DOT, pos + 1
-    if tok == ")":
-        raise OrderedSyntaxError("unexpected ')'")
-    if tok != "(":
-        if not _IDENT.fullmatch(tok):
+    forms: list[list] = []  # ["app", split, function or None] or ["lam", kvec]
+    pos = 0
+    while True:
+        if pos >= len(tokens):
+            raise OrderedSyntaxError("unexpected end of input")
+        tok = tokens[pos]
+        if tok == "(":
+            if pos + 1 >= len(tokens):
+                raise OrderedSyntaxError("unexpected end of input after '('")
+            head = tokens[pos + 1]
+            if head == "app":
+                split, pos = _read_int(tokens, pos + 2)
+                forms.append(["app", split, None])
+                continue
+            if head != "lam":
+                raise OrderedSyntaxError(
+                    f"expected 'app' or 'lam' after '(', got {head!r}"
+                )
+            pos = _expect(tokens, pos + 2, "(")
+            kvec = []
+            while pos < len(tokens) and tokens[pos] != ")":
+                k, pos = _read_int(tokens, pos)
+                kvec.append(k)
+            pos = _expect(tokens, pos, ")")
+            forms.append(["lam", tuple(kvec)])
+            continue
+        if tok == ".":
+            term = DOT
+        elif tok == ")":
+            raise OrderedSyntaxError("unexpected ')'")
+        elif not _IDENT.fullmatch(tok):
             raise OrderedSyntaxError(f"bad free-variable name {tok!r}")
-        return Free(tok), pos + 1
-    if pos + 1 >= len(tokens):
-        raise OrderedSyntaxError("unexpected end of input after '('")
-    head = tokens[pos + 1]
-    if head == "app":
-        split, pos = _read_int(tokens, pos + 2)
-        fun, pos = _read(tokens, pos)
-        arg, pos = _read(tokens, pos)
-        pos = _expect(tokens, pos, ")")
-        return OApp(fun, split, arg), pos
-    if head == "lam":
-        pos = _expect(tokens, pos + 2, "(")
-        kvec = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            k, pos = _read_int(tokens, pos)
-            kvec.append(k)
-        pos = _expect(tokens, pos, ")")
-        body, pos = _read(tokens, pos)
-        pos = _expect(tokens, pos, ")")
-        return OLam(tuple(kvec), body), pos
-    raise OrderedSyntaxError(f"expected 'app' or 'lam' after '(', got {head!r}")
+        else:
+            term = Free(tok)
+        pos += 1
+        # Close every form this term completes; an application whose
+        # function this is reads its argument next.
+        while forms and not (forms[-1][0] == "app" and forms[-1][2] is None):
+            form = forms.pop()
+            pos = _expect(tokens, pos, ")")
+            if form[0] == "app":
+                term = OApp(form[2], form[1], term)
+            else:
+                term = OLam(form[1], term)
+        if forms:
+            forms[-1][2] = term
+        elif pos == len(tokens):
+            return term
+        else:
+            raise OrderedSyntaxError(
+                f"trailing input from token {pos}: {tokens[pos]!r}"
+            )
 
 
 def _read_int(tokens: list[str], pos: int) -> tuple[int, int]:

@@ -7,7 +7,6 @@ lines. Budgets and tolerances are pinned here, not configurable.
 import pytest
 
 from ordlam import baselines, bench, machine
-from ordlam.deep import run_deep
 from ordlam.envseq import ListEnv, TreeEnv
 from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
@@ -16,14 +15,11 @@ from ordlam.machine import (
     EMPTY_ARGS,
     Fuel,
     Pending,
-    RULE_BETA,
     Spine,
     evaluate,
-    machine_trace,
-    print_expr,
     print_ordered,
     print_value,
-    weight,
+    verify_trace,
     whnf,
 )
 from ordlam.named import (
@@ -32,7 +28,6 @@ from ordlam.named import (
     normalize,
     parse_surface,
     print_surface,
-    reduce_once_all,
 )
 from ordlam.ordered import DOT, OApp, OLam, parse_closed
 from ordlam.workloads import build_workload
@@ -139,27 +134,13 @@ def trace_obligations():
         "weight_increases": 0,
     }
     for term in terms:
+        r = verify_trace(Pending(parse_closed(term), ListEnv.empty()), 4000)
         stats["terms"] += 1
-        expr = Pending(parse_closed(term), ListEnv.empty())
-        printed = print_expr(expr)
-        measure = weight(expr)
-        for _, after, rule in machine_trace(expr, 4000):
-            printed_after = print_expr(after)
-            weight_after = weight(after)
-            if rule == RULE_BETA:
-                stats["beta"] += 1
-                if any(
-                    alpha_eq(printed_after, c) for c in reduce_once_all(printed)
-                ):
-                    stats["beta_single_step"] += 1
-            else:
-                stats["non_beta"] += 1
-                if alpha_eq(printed, printed_after):
-                    stats["non_beta_preserved"] += 1
-                if weight_after > measure:
-                    stats["weight_increases"] += 1
-            printed = printed_after
-            measure = weight_after
+        stats["non_beta"] += r.non_beta
+        stats["non_beta_preserved"] += r.preserved
+        stats["beta"] += r.beta
+        stats["beta_single_step"] += r.single_beta
+        stats["weight_increases"] += r.weight_increases
     return stats
 
 
@@ -300,5 +281,5 @@ def test_criterion_9_eager_normalization_is_slowest():
                 wins += 1
         return wins
 
-    wins = run_deep(sweeps)
+    wins = sweeps()
     report(9, wins >= 9, f"eager normalizer slowest in {wins}/10 sweeps")

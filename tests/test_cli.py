@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ordlam
 from ordlam import cli
 from ordlam.cli import main
 from ordlam.named import alpha_eq, parse_surface
@@ -84,6 +89,19 @@ class TestEval:
         f = write(tmp_path, "t.lam", r"(\x. x x) (\x. x x)")
         assert main(["eval", f, "--fuel", "75"]) == 2
         assert "after 75 steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "ORDLAM_FUEL is not an integer: 'abc'"),
+            ("0", "ORDLAM_FUEL must be positive"),
+        ],
+    )
+    def test_bad_env_var_fuel_exit_1(self, tmp_path, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("ORDLAM_FUEL", value)
+        f = write(tmp_path, "t.lam", "a")
+        assert main(["eval", f]) == 1
+        assert capsys.readouterr().err == message + "\n"
 
 
 class TestConvert:
@@ -243,6 +261,26 @@ class TestBench:
         assert code == 1
 
 
+    def test_empty_strategy_list_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "bench",
+                "--workload",
+                "church-add",
+                "--size",
+                "3",
+                "--strategies",
+                ",",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "no strategies to compare\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestGen:
     def test_gen_writes_parseable_terms(self, tmp_path, capsys):
         out = tmp_path / "corpus"
@@ -299,3 +337,73 @@ class TestErrors:
         monkeypatch.setattr(cli, "cmd_eval", too_deep)
         assert main(["eval", write(tmp_path, "t.lam", "a")]) == 1
         assert capsys.readouterr().err == "input nested too deeply to process\n"
+
+
+class TestFreshInterpreter:
+    """Commands in a new interpreter, on its main thread at the default
+    recursion limit, on a numeral nested far past that limit."""
+
+    DEPTH = 20_000
+
+    def run(self, *args):
+        src = str(Path(ordlam.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "ordlam.cli", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    def numeral_text(self, s, z):
+        return f"\\{s}. \\{z}. " + f"{s} (" * (self.DEPTH - 1) + f"{s} {z}" + ")" * (
+            self.DEPTH - 1
+        )
+
+    @pytest.fixture
+    def numeral(self, tmp_path):
+        return write(tmp_path, "numeral.lam", self.numeral_text("s", "z"))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--strategy", "ordered", "--env", "list"],
+            ["--strategy", "ordered", "--env", "tree"],
+            ["--strategy", "closures"],
+            ["--strategy", "beta-normal"],
+        ],
+        ids=lambda flags: "-".join(flags[1::2]),
+    )
+    def test_eval_normal_form(self, numeral, flags):
+        result = self.run("eval", numeral, "--print", "nf", *flags)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == self.numeral_text("z0", "z1") + "\n"
+
+    def test_convert_round_trip(self, numeral, tmp_path):
+        to_ordered = self.run("convert", numeral, "--to", "ordered")
+        assert (to_ordered.returncode, to_ordered.stderr) == (0, "")
+        kvec = " ".join(["0"] * self.DEPTH)
+        body = "(app 1 . " * self.DEPTH + "." + ")" * self.DEPTH
+        assert to_ordered.stdout == f"(lam ({kvec}) (lam ({self.DEPTH}) {body}))\n"
+        ordered_file = write(tmp_path, "numeral.ord", to_ordered.stdout)
+        to_named = self.run("convert", ordered_file, "--to", "named")
+        assert (to_named.returncode, to_named.stderr) == (0, "")
+        assert to_named.stdout == self.numeral_text("z0", "z1") + "\n"
+
+    def test_check(self, tmp_path):
+        # The identity applied to the numeral: four non-beta steps and a beta.
+        f = write(tmp_path, "t.lam", f"(\\n. n) ({self.numeral_text('s', 'z')})")
+        result = self.run("check", f)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == (
+            "steps: 5\n"
+            "non-beta steps preserve printed term: PASS (4/4)\n"
+            "beta steps take exactly one reduction: PASS (1/1)\n"
+            "weight strictly increases on non-beta steps: PASS (4/4)\n"
+            f"final: {self.numeral_text('z0', 'z1')}\n"
+            "RESULT: PASS\n"
+        )

@@ -1,5 +1,6 @@
 import pytest
 
+from ordlam import machine
 from ordlam.envseq import ListEnv, TreeEnv
 from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
@@ -15,6 +16,7 @@ from ordlam.machine import (
     RULE_CLOSE,
     RULE_SPINE,
     RULE_SPLIT,
+    RULE_VAR,
     Spine,
     apply_value,
     evaluate,
@@ -26,11 +28,14 @@ from ordlam.machine import (
     run_machine,
     step,
     value_node_count,
+    verify_trace,
     weight,
     whnf,
 )
 from ordlam.named import (
+    App,
     FuelExhausted,
+    Lam,
     Var,
     alpha_eq,
     normalize,
@@ -407,3 +412,54 @@ class TestNormalizeByEvaluation:
 
     def test_divergence_reported(self):
         assert isinstance(normalize_by_evaluation(OMEGA, fuel=500), FuelExhausted)
+
+    @pytest.mark.parametrize("backend", [ListEnv, TreeEnv], ids=["list", "tree"])
+    def test_numeral_deeper_than_the_recursion_limit(self, backend):
+        # Evaluation under both binders and readback of the 100,000-deep
+        # spine, on the test thread; the printed text is compared, since
+        # == on deep named terms would recurse.
+        depth = 100_000
+        body = Var("z")
+        for _ in range(depth):
+            body = App(Var("s"), body)
+        result = normalize_by_evaluation(Lam("s", Lam("z", body)), 10**6, backend)
+        expected = r"\z0. \z1. " + "z0 (" * (depth - 1) + "z0 z1" + ")" * (depth - 1)
+        assert print_surface(result) == expected
+
+
+class TestVerifyTrace:
+    def test_obligations_hold_on_s_applied(self):
+        r = verify_trace(Pending(parse_closed(MOTIVATING), ListEnv.empty()))
+        assert r.failures == () and not r.exhausted
+        assert r.steps == r.beta + r.non_beta and r.beta > 0
+        assert r.single_beta == r.beta
+        assert r.preserved == r.weight_increases == r.non_beta
+        assert print_surface(print_expr(r.last)) == "a b f"
+
+    def test_fuel_runs_out(self):
+        r = verify_trace(Pending(parse_closed(OMEGA), ListEnv.empty()), 100)
+        assert r.steps == 100 and r.exhausted and r.failures == ()
+
+    @pytest.mark.parametrize(
+        "source, rewritten, rule, failure",
+        [
+            ("a", Done(spine("q")), RULE_SPLIT, "step 1 (split): printed term changed"),
+            (r"(\x. x) a", Done(spine("q")), RULE_BETA, "step 1 (beta): not a single reduction"),
+            ("a", None, RULE_VAR, "step 1 (var): weight did not increase"),
+        ],
+    )
+    def test_each_broken_obligation_is_reported(
+        self, monkeypatch, source, rewritten, rule, failure
+    ):
+        # A faulty step that rewrites anything pending in one go; None
+        # stands for "leave the expression as it is".
+        def faulty_step(e):
+            if isinstance(e, Done):
+                return None
+            return (e if rewritten is None else rewritten), rule
+
+        monkeypatch.setattr(machine, "step", faulty_step)
+        expr = Pending(parse_closed(parse_surface(source)), ListEnv.empty())
+        r = verify_trace(expr, 1)
+        assert r.steps == 1
+        assert r.failures == (failure,)

@@ -9,6 +9,7 @@ from ordlam.named import (
     ParseError,
     Var,
     alpha_eq,
+    alpha_key,
     is_normal,
     normalize,
     parse_surface,
@@ -243,8 +244,69 @@ class TestNormalize:
 
 @pytest.mark.parametrize("oracle", [normalize, whnf_oracle])
 def test_depth_limit_is_not_reported_as_divergence(oracle):
-    with pytest.raises(RecursionError):
-        oracle(deeper_than_the_recursion_limit())
+    # Past the recursion limit the oracles still reach the normal form
+    # (here also the weak head normal form): never FuelExhausted.
+    t = deeper_than_the_recursion_limit()
+    assert print_surface(oracle(t)) == print_surface(t.arg)
+
+
+class TestDeepTerms:
+    # Nested far past the recursion limit and handled on the test thread.
+    # Results are compared as printed text or alpha keys, since == on deep
+    # named terms would itself recurse.
+    DEPTH = 100_000
+
+    def chain(self, innermost, head="s"):
+        """head (head (... innermost)), DEPTH applications deep."""
+        t = innermost
+        for _ in range(self.DEPTH):
+            t = App(Var(head), t)
+        return t
+
+    def chain_text(self, innermost, head="s"):
+        return f"{head} (" * (self.DEPTH - 1) + f"{head} {innermost}" + ")" * (
+            self.DEPTH - 1
+        )
+
+    def test_parse_surface(self):
+        text = r"\s. \z. " + self.chain_text("z")
+        assert print_surface(parse_surface(text)) == text
+        assert alpha_key(parse_surface(text)) == alpha_key(church(self.DEPTH))
+
+    def test_parse_error_past_deep_nesting(self):
+        with pytest.raises(ParseError) as exc:
+            parse_surface("(" * self.DEPTH + "x")
+        assert str(exc.value) == f"1:{self.DEPTH + 2}: expected ')'"
+
+    def test_free_names_and_node_count(self):
+        numeral = church(self.DEPTH)
+        assert numeral.body.body.free_names == {"s", "z"}
+        assert numeral.free_names == frozenset()
+        assert numeral.node_count == 2 * self.DEPTH + 3
+
+    def test_alpha_eq(self):
+        same = Lam("f", Lam("x", self.chain(Var("x"), "f")))
+        other = Lam("f", Lam("x", self.chain(Var("f"), "f")))
+        assert alpha_eq(church(self.DEPTH), same)
+        assert not alpha_eq(church(self.DEPTH), other)
+
+    def test_subst_renames_a_capturing_binder(self):
+        t = Lam("s", self.chain(Var("x")))
+        result = subst(t, "x", Var("s"))
+        assert print_surface(result) == r"\z0. " + self.chain_text("s", "z0")
+
+    def test_reduce_once_all_and_normalize(self):
+        t = self.chain(App(Lam("x", Var("x")), Var("a")), "f")
+        (reduct,) = reduce_once_all(t)
+        expected = self.chain_text("a", "f")
+        assert print_surface(reduct) == expected
+        assert print_surface(normalize(t, max_nodes=10**6)) == expected
+        assert is_normal(reduct)
+
+    def test_whnf_oracle(self):
+        t = App(Lam("x", Lam("y", Var("x"))), self.chain(Var("z")))
+        result = whnf_oracle(t, max_nodes=10**6)
+        assert print_surface(result) == r"\y. " + self.chain_text("z")
 
 
 class TestWhnfOracle:

@@ -322,3 +322,24 @@ class TestDeepTerms:
         assert ordered_free_names(t) == {"a"}
         expected = "".join(reversed(prefixes)) + "." + "".join(suffixes)
         assert write_ordered(t) == expected
+        assert write_ordered(read_ordered(expected)) == expected
+
+    def test_read_error_past_deep_nesting(self):
+        depth = 100_000
+        with pytest.raises(OrderedSyntaxError, match="unexpected end of input"):
+            read_ordered("(app 0 a " * depth)
+
+    def test_translation_handles_depth_beyond_the_recursion_limit(self):
+        # \s. \z. s (s (... z)), built bottom-up; in the context {s, z}
+        # its body becomes nested dots standing for s ... s z.
+        depth = 100_000
+        body = Var("z")
+        for _ in range(depth):
+            body = App(Var("s"), body)
+        dots = "(app 1 . " * depth + "." + ")" * depth
+        result = to_ordered(body, frozenset({"s", "z"}))
+        assert result.vars == ("s",) * depth + ("z",)
+        assert write_ordered(result.term) == dots
+        kvec = " ".join(["0"] * depth)
+        numeral = parse_closed(Lam("s", Lam("z", body)))
+        assert write_ordered(numeral) == f"(lam ({kvec}) (lam ({depth}) {dots}))"
