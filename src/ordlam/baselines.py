@@ -19,6 +19,7 @@ explicit-stack loop, so term depth is bounded by memory.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Union
@@ -87,35 +88,35 @@ def _free_names_here(u: DbTerm) -> frozenset[str]:
 
 
 # Work items of the loops below, besides terms: None applies the second
-# result from the top to the top one; _BINDER wraps the top in a binder.
+# result from the top to the top one; _BINDER (in to_debruijn, the
+# binder's name) wraps the top in a binder.
 _BINDER = ("binder",)
 
 
 def to_debruijn(m: NamedTerm) -> DbTerm:
     """Standard nameless conversion; free names are kept by name."""
-    scope: list[str] = []
+    levels: dict[str, list[int]] = defaultdict(list)  # binder levels, by name
+    depth = 0  # binders in scope
     work: list = [m]
     out: list[DbTerm] = []
     while work:
         m = work.pop()
         kind = type(m)
         if kind is Var:
-            for i, name in enumerate(reversed(scope)):
-                if name == m.name:
-                    out.append(BVar(i))
-                    break
-            else:
-                out.append(FVar(m.name))
+            bound = levels.get(m.name)
+            out.append(BVar(depth - 1 - bound[-1]) if bound else FVar(m.name))
         elif kind is App:
             work += (None, m.arg, m.fun)
         elif kind is Lam:
-            scope.append(m.binder)
-            work += (_BINDER, m.body)
+            levels[m.binder].append(depth)
+            depth += 1
+            work += (m.binder, m.body)
         elif m is None:
             arg = out.pop()
             out[-1] = DApp(out[-1], arg)
         else:
-            scope.pop()
+            levels[m].pop()
+            depth -= 1
             out[-1] = DLam(out[-1])
     return out.pop()
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import baselines, machine
-from .envseq import ListEnv, TreeEnv
+from .envseq import BACKENDS
 from .errors import InvariantError
 from .machine import DEFAULT_FUEL, Fuel
 from .named import FuelExhausted, NamedTerm, print_surface
@@ -69,9 +69,11 @@ def _ordered(backend) -> Strategy:
     )
 
 
+# The ordered machine's strategy name on each environment backend.
+ORDERED_STRATEGIES = {name: f"ordered-{name}" for name in BACKENDS}
+
 STRATEGIES = {
-    "ordered-list": _ordered(ListEnv),
-    "ordered-tree": _ordered(TreeEnv),
+    **{s: _ordered(BACKENDS[name]) for name, s in ORDERED_STRATEGIES.items()},
     "closures": Strategy(
         lambda m, fuel: baselines.db_whnf(m, fuel),
         lambda v, fuel, avoid: baselines.db_readback_normal_form(v, fuel, avoid),
@@ -123,11 +125,8 @@ class BenchRecord:
 
     @property
     def env_backend(self) -> str:
-        if self.config.strategy == "ordered-list":
-            return "list"
-        if self.config.strategy == "ordered-tree":
-            return "tree"
-        return "-"
+        strategy = self.config.strategy
+        return next((b for b, s in ORDERED_STRATEGIES.items() if s == strategy), "-")
 
     def as_dict(self) -> dict:
         return {

@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import bench, machine
-from .envseq import ListEnv
+from .envseq import BACKENDS, ListEnv
 from .errors import InvariantError
 from .gen import gen_terms
 from .machine import Fuel, Pending, print_expr, verify_trace
@@ -81,7 +81,8 @@ def cmd_eval(args) -> int:
     term = _parse_file(args.file)
     if term is None:
         return EXIT_BAD_INPUT
-    name = f"ordered-{args.env}" if args.strategy == "ordered" else args.strategy
+    ordered = args.strategy == "ordered"
+    name = bench.ORDERED_STRATEGIES[args.env] if ordered else args.strategy
     strategy = bench.STRATEGIES[name]
     fuel = Fuel(_resolve_fuel(args.fuel))
     result = strategy.whnf(term, fuel)
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("ordered", "closures", "beta-normal"),
         default="ordered",
     )
-    p_eval.add_argument("--env", choices=("list", "tree"), default="list")
+    p_eval.add_argument("--env", choices=tuple(BACKENDS), default="list")
     p_eval.add_argument("--fuel", type=int, default=None)
     p_eval.add_argument("--print", choices=("whnf", "nf"), default="whnf")
     p_eval.set_defaults(func=cmd_eval)

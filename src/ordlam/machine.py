@@ -34,8 +34,8 @@ from typing import Iterator, Optional, Union
 
 from .envseq import ListEnv
 from .errors import InvariantError
-from .named import App, FuelExhausted, Lam, NamedTerm, Var, alpha_eq, fresh_names
-from .named import reduce_once_all
+from .named import App, FuelExhausted, Lam, NamedTerm, Var, alpha_key, fresh_names
+from .named import reduct_keys
 from .ordered import (
     Dot,
     Free,
@@ -703,18 +703,20 @@ def verify_trace(e: MachineExpr, fuel: Union[int, Fuel] = DEFAULT_FUEL) -> Check
     step keeps the printed term up to alpha and increases the weight."""
     steps = beta = single_beta = preserved = weight_increases = 0
     failures = []
-    printed, measure = print_expr(e), weight(e)
+    printed = print_expr(e)
+    key, measure = alpha_key(printed), weight(e)
     for _, after, rule in machine_trace(e, fuel):
         steps += 1
-        printed_after, weight_after = print_expr(after), weight(after)
+        printed_after = print_expr(after)
+        key_after, weight_after = alpha_key(printed_after), weight(after)
         if rule == RULE_BETA:
             beta += 1
-            if any(alpha_eq(printed_after, c) for c in reduce_once_all(printed)):
+            if key_after in reduct_keys(printed):
                 single_beta += 1
             else:
                 failures.append(f"step {steps} ({rule}): not a single reduction")
         else:
-            if alpha_eq(printed, printed_after):
+            if key_after == key:
                 preserved += 1
             else:
                 failures.append(f"step {steps} ({rule}): printed term changed")
@@ -722,7 +724,7 @@ def verify_trace(e: MachineExpr, fuel: Union[int, Fuel] = DEFAULT_FUEL) -> Check
                 weight_increases += 1
             else:
                 failures.append(f"step {steps} ({rule}): weight did not increase")
-        printed, measure, e = printed_after, weight_after, after
+        printed, key, measure, e = printed_after, key_after, weight_after, after
     return CheckReport(
         steps, beta, steps - beta, single_beta, preserved, weight_increases,
         tuple(failures), e, step(e) is not None

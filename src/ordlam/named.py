@@ -136,64 +136,53 @@ class ParseError(ValueError):
         self.col = col
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+_IDENT_START = "A-Za-z_"
+_IDENT_REST = "A-Za-z0-9_'"
+_IDENT = re.compile(f"[{_IDENT_START}][{_IDENT_REST}]*")
+
+# A token is a punctuation character or an identifier; whitespace
+# separates tokens. _NO_TOKEN finds a character no token can start with:
+# one outside all three classes, or an identifier character that can
+# neither start an identifier nor continue the one before it. (Matching
+# "(?:\s+|TOKEN)*" finds it too, but keeps a backtracking entry per token.)
+_TOKEN = re.compile(r"[\\λ.()]|" + _IDENT.pattern)
+_NO_TOKEN = re.compile(
+    rf"[^\s\\λ.(){_IDENT_REST}]"
+    rf"|(?<![{_IDENT_REST}])(?![{_IDENT_START}])[{_IDENT_REST}]"
+)
+# Tokens that are not identifiers; "" is the end marker.
+_PUNCTUATION = frozenset(("\\", "λ", ".", "(", ")", ""))
 
 
-def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in "\\λ":
-            tokens.append(("lambda", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == ".":
-            tokens.append(("dot", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "(":
-            tokens.append(("lparen", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == ")":
-            tokens.append(("rparen", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT.match(src, i)
-        if m:
-            tokens.append(("ident", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    return tokens
+def _error_at(src: str, offset: int, message: str) -> ParseError:
+    """The error for the character at offset: lines split only at \\n, and
+    the column counts code points since the previous \\n, from 1."""
+    line_start = src.rfind("\n", 0, offset) + 1
+    line = src.count("\n", 0, line_start) + 1
+    return ParseError(message, line, offset - line_start + 1)
+
+
+def _token_error(src: str, i: int, message: str) -> ParseError:
+    """The error at token i of src, or just past the last token when src
+    has only i tokens (the end marker)."""
+    matches = list(_TOKEN.finditer(src))
+    offset = matches[i].start() if i < len(matches) else matches[-1].end()
+    return _error_at(src, offset, message)
 
 
 def parse_surface(src: str) -> NamedTerm:
     """Parse surface text into a named term.
 
-    Raises ParseError (with line/column) on malformed or empty input.
+    Raises ParseError (with line/column) on malformed or empty input. An
+    unexpected character is reported even after an earlier syntax error.
     """
-    tokens = _tokenize(src)
+    bad = _NO_TOKEN.search(src)
+    if bad:
+        raise _error_at(src, bad.start(), f"unexpected character {bad.group()!r}")
+    tokens = _TOKEN.findall(src)
     if not tokens:
         raise ParseError("empty input", 1, 1)
-    _, text, line, col = tokens[-1]
-    tokens.append(("end", "", line, col + len(text)))  # just past the last token
+    tokens.append("")
     # The term being read is its binders (outermost first) over the
     # application read so far (None before its first atom); each open
     # parenthesis saves the enclosing term's pair on outer.
@@ -202,24 +191,24 @@ def parse_surface(src: str) -> NamedTerm:
     app: Optional[NamedTerm] = None
     pos = 0
     while True:
-        kind, text, line, col = tokens[pos]
-        if kind == "ident":
-            app = Var(text) if app is None else App(app, Var(text))
+        token = tokens[pos]
+        if token not in _PUNCTUATION:
+            app = Var(token) if app is None else App(app, Var(token))
             pos += 1
-        elif kind == "lparen":
+        elif token == "(":
             outer.append((binders, app))
             binders, app = [], None
             pos += 1
         elif app is None:
-            if kind != "lambda":
-                raise ParseError("expected a term", line, col)
-            nxt = tokens[pos + 1]
-            if nxt[0] != "ident":
-                raise ParseError("expected a binder name after the lambda", *nxt[2:])
-            binders.append(nxt[1])
-            nxt = tokens[pos + 2]
-            if nxt[0] != "dot":
-                raise ParseError("expected '.' after the binder", *nxt[2:])
+            if token != "\\" and token != "λ":
+                raise _token_error(src, pos, "expected a term")
+            name = tokens[pos + 1]
+            if name in _PUNCTUATION:
+                message = "expected a binder name after the lambda"
+                raise _token_error(src, pos + 1, message)
+            binders.append(name)
+            if tokens[pos + 2] != ".":
+                raise _token_error(src, pos + 2, "expected '.' after the binder")
             pos += 3
         else:
             # Anything but an atom ends the term.
@@ -227,11 +216,11 @@ def parse_surface(src: str) -> NamedTerm:
             for binder in reversed(binders):
                 term = Lam(binder, term)
             if not outer:
-                if kind != "end":
-                    raise ParseError(f"unexpected {text!r} after the term", line, col)
+                if token:
+                    raise _token_error(src, pos, f"unexpected {token!r} after the term")
                 return term
-            if kind != "rparen":
-                raise ParseError("expected ')'", line, col)
+            if token != ")":
+                raise _token_error(src, pos, "expected ')'")
             pos += 1
             binders, app = outer.pop()
             app = term if app is None else App(app, term)
@@ -398,19 +387,23 @@ def reduce_once_all(t: NamedTerm) -> list[NamedTerm]:
     return results
 
 
+def reduct_keys(t: NamedTerm) -> set[tuple]:
+    """The alpha_keys of all results of contracting exactly one beta redex."""
+    return {alpha_key(u) for u in _reducts(t)}
+
+
 def normalize(
     t: NamedTerm,
     fuel: int = DEFAULT_FUEL,
     max_nodes: int = DEFAULT_NODE_CEILING,
-    max_work: int = DEFAULT_WORK_CEILING,
 ) -> Union[NamedTerm, FuelExhausted]:
     """Normal-order reduction to beta-normal form within a step budget.
 
     Also gives up (as FuelExhausted) when resources other than the step
     count run out: an intermediate term exceeding max_nodes, or
-    cumulative traversal work exceeding max_work (each step costs about
-    the current term size). Divergent terms can grow arbitrarily within
-    a few steps, so a pure step budget would not keep this total.
+    cumulative traversal work (about steps times term size) exceeding
+    DEFAULT_WORK_CEILING. Divergent terms can grow arbitrarily within a
+    few steps, so a pure step budget would not keep this total.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -424,7 +417,7 @@ def normalize(
         spent += 1
         size = t.node_count
         work += size
-        if size > max_nodes or work > max_work:
+        if size > max_nodes or work > DEFAULT_WORK_CEILING:
             return FuelExhausted(spent)
     return FuelExhausted(spent)
 

@@ -76,6 +76,31 @@ class TestToDebruijn:
         for term in gen_terms(52, 100, 40, 0.3):
             assert alpha_eq(from_debruijn(to_debruijn(term)), term)
 
+    def test_nested_binders_with_shadowing(self):
+        # \x0. ... \x(n-1). x0 ... x(n-1) free, where every third binder
+        # reuses the name of the binder two levels out and shadows it.
+        n = 8000
+        names = [f"x{i - 2}" if i % 3 == 2 else f"x{i}" for i in range(n)]
+        body = Var(names[0])
+        for name in names[1:]:
+            body = App(body, Var(name))
+        term = App(body, Var("free"))
+        for name in reversed(names):
+            term = Lam(name, term)
+        db = to_debruijn(term)
+        for _ in range(n):
+            db = db.body
+        args = []
+        while type(db) is DApp:
+            args.append(db.arg)
+            db = db.fun
+        args.append(db)
+        args.reverse()
+        assert args[-1] == FVar("free")
+        # Each occurrence names the innermost binder of its name.
+        innermost = {name: level for level, name in enumerate(names)}
+        assert args[:-1] == [BVar(n - 1 - innermost[name]) for name in names]
+
 
 class TestEvalClosures:
     def test_motivating_term(self):

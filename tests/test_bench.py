@@ -163,6 +163,16 @@ class TestRunComparison:
         for row, obj in zip(rows, parsed):
             assert row == {k: str(v) for k, v in obj.items()}
 
+    def test_strategy_order_and_env_backends(self):
+        # The ordered strategies come from envseq.BACKENDS, in its order.
+        records = run_comparison("church-add", 3, STRATEGIES, 1_000_000, 1)
+        assert [(r.config.strategy, r.env_backend) for r in records] == [
+            ("ordered-list", "list"),
+            ("ordered-tree", "tree"),
+            ("closures", "-"),
+            ("beta-normal", "-"),
+        ]
+
     def test_failed_records_marked_not_fatal(self):
         records = run_comparison("church-exp", 2**14, ("ordered-list",), 500, 1)
         assert records[0].status == STATUS_FUEL

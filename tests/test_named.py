@@ -80,6 +80,70 @@ class TestParse:
             parse_surface("\\x.")
 
 
+# (text, message, line, column); lines split only at \n, columns count
+# code points from 1, and the end sits just past the last token.
+PARSE_ERRORS = [
+    ("", "empty input", 1, 1),
+    (" \n\t ", "empty input", 1, 1),
+    ("a b\n  ?", "unexpected character '?'", 2, 3),
+    ("a ) é", "unexpected character 'é'", 1, 5),
+    ("a\r\n\r\n  é", "unexpected character 'é'", 3, 3),
+    ("a 9", "unexpected character '9'", 1, 3),
+    ("a 'b", "unexpected character \"'\"", 1, 3),
+    ("x = y", "unexpected character '='", 1, 3),
+    ("€", "unexpected character '€'", 1, 1),
+    ("a\r\n)", "unexpected ')' after the term", 2, 1),
+    ("\tx )", "unexpected ')' after the term", 1, 4),
+    ("x\t\t)", "unexpected ')' after the term", 1, 4),
+    ("a\x85)", "unexpected ')' after the term", 1, 3),
+    ("a\x0b\x0c)", "unexpected ')' after the term", 1, 4),
+    ("a9' )", "unexpected ')' after the term", 1, 5),
+    ("a .", "unexpected '.' after the term", 1, 3),
+    ("x))", "unexpected ')' after the term", 1, 2),
+    ("\\x.\xa0)", "expected a term", 1, 5),
+    ("\\x.", "expected a term", 1, 4),
+    ("()", "expected a term", 1, 2),
+    (") a", "expected a term", 1, 1),
+    ("(\\x.)", "expected a term", 1, 5),
+    ("\\", "expected a binder name after the lambda", 1, 2),
+    ("λ", "expected a binder name after the lambda", 1, 2),
+    ("\\.", "expected a binder name after the lambda", 1, 2),
+    ("λ(x", "expected a binder name after the lambda", 1, 2),
+    ("\\x . \\y . \\", "expected a binder name after the lambda", 1, 12),
+    ("\\x", "expected '.' after the binder", 1, 3),
+    ("\\x y", "expected '.' after the binder", 1, 4),
+    ("(a b", "expected ')'", 1, 5),
+    ("(a b\n", "expected ')'", 1, 5),
+    ("(((x", "expected ')'", 1, 5),
+    ("a (\\x. x", "expected ')'", 1, 9),
+    ("x\n\n  (y\n   λ", "expected ')'", 4, 4),
+]
+
+
+@pytest.mark.parametrize(("text", "message", "line", "col"), PARSE_ERRORS)
+def test_parse_error_position(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_surface(text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (
+        f"{line}:{col}: {message}",
+        line,
+        col,
+    )
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        ("\\x. a\xa0b\u3000c", Lam("x", App(App(Var("a"), Var("b")), Var("c")))),
+        ("\x85a\r\n", Var("a")),
+        ("a9'", Var("a9'")),
+        ("a9 b_'", App(Var("a9"), Var("b_'"))),
+    ],
+)
+def test_unicode_spaces_and_identifier_characters(text, expected):
+    assert parse_surface(text) == expected
+
+
 class TestPrint:
     def test_variable(self):
         assert print_surface(Var("x")) == "x"
