@@ -6,7 +6,7 @@ one-step machine while verifying its per-step obligations), bench
 (compare strategies on synthetic workloads), gen (emit a corpus of
 random terms). eval and bench share bench's strategy table; eval's
 "ordered" strategy with --env list|tree is bench's ordered-list or
-ordered-tree.
+ordered-tree (the default).
 
 Exit codes: 0 success; 1 malformed input, a non-positive number
 (ORDLAM_FUEL included), an empty strategy list or a recursion limit
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("ordered", "closures", "beta-normal"),
         default="ordered",
     )
-    p_eval.add_argument("--env", choices=tuple(BACKENDS), default="list")
+    p_eval.add_argument("--env", choices=tuple(BACKENDS), default="tree")
     p_eval.add_argument("--fuel", type=int, default=None)
     p_eval.add_argument("--print", choices=("whnf", "nf"), default="whnf")
     p_eval.set_defaults(func=cmd_eval)

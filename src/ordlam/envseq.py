@@ -9,11 +9,17 @@ Two observationally equal backends:
 
 * ListEnv: a shared-tail linked list; split and insert rebuild the
   prefix (linear in the split position).
-* TreeEnv: a weight-balanced binary tree (one element per node,
-  weight ratio 3, single/double rotations); a split is logarithmic in
+* TreeEnv: a short cons prefix, the left finger, in front of a
+  weight-balanced binary tree (one element per node, weight ratio 3,
+  single/double rotations). Evaluation nearly always splits off a
+  prefix of one or two elements, so the finger serves those splits in
+  O(1) cells each, and one logarithmic split of the tree refills it
+  with a run of O(log n) elements (the one-ended idea of Hinze and
+  Paterson's finger trees, JFP 2006). Any other split is logarithmic in
   the length, and a multi-insert of m positions into n elements is one
   pass over the tree that rebuilds only the paths the positions reach,
-  O(m log(n/m + 1)) node builds.
+  O(m log(n/m + 1)) node builds, plus the finger up to the last
+  position inside it.
 
 Elements are always held by reference, never copied. Every backend cell
 is built through the module's _Cons or _Node class, which the tests
@@ -23,7 +29,7 @@ timing anything. The module holds no mutable state.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Any, Iterable, Optional
 
@@ -40,6 +46,25 @@ class _Cons:
     def __init__(self, head: Any, tail: Optional["_Cons"]):
         self.head = head
         self.tail = tail
+
+
+def _insert_cells(cell: Optional[_Cons], kvec, total: int, value) -> Optional[_Cons]:
+    """The chain from cell with value inserted after each gap of kvec.
+
+    The first total = sum(kvec) cells are copied; the chain past them is
+    shared.
+    """
+    prefix = []
+    for _ in range(total):
+        prefix.append(cell.head)
+        cell = cell.tail
+    consumed = total
+    for gap in reversed(kvec):
+        cell = _Cons(value, cell)
+        for v in reversed(prefix[consumed - gap : consumed]):
+            cell = _Cons(v, cell)
+        consumed -= gap
+    return cell
 
 
 class ListEnv:
@@ -112,17 +137,7 @@ class ListEnv:
             )
         if not kvec:
             return self
-        cell = self._cell
-        prefix = []
-        for _ in range(total):
-            prefix.append(cell.head)
-            cell = cell.tail
-        consumed = total
-        for gap in reversed(kvec):
-            cell = _Cons(value, cell)
-            for v in reversed(prefix[consumed - gap : consumed]):
-                cell = _Cons(v, cell)
-            consumed -= gap
+        cell = _insert_cells(self._cell, kvec, total, value)
         return ListEnv(cell, self._length + len(kvec))
 
     def __repr__(self) -> str:
@@ -265,13 +280,69 @@ def _insert_all(
     )
 
 
+def _values(node: Optional[_Node], out: list) -> list:
+    """Append the values of node's tree to out, in order (explicit stack)."""
+    stack = []
+    while node is not None or stack:
+        while node is not None:
+            stack.append(node)
+            node = node.left
+        node = stack.pop()
+        out.append(node.value)
+        node = node.right
+    return out
+
+
+def _heads(cell: Optional[_Cons], out: list) -> list:
+    """Append the heads of the chain from cell to out."""
+    while cell is not None:
+        out.append(cell.head)
+        cell = cell.tail
+    return out
+
+
+def _run_length(size: int) -> int:
+    """How many elements a finger refill takes off a tree of size elements.
+
+    It is the bit length of size // 4, about log2(size) - 1, so one
+    logarithmic split pays for about as many constant-time ones. A tree
+    of fewer than eight elements yields a run of at most one, which no
+    split is short enough to use, so tiny environments never refill.
+    """
+    return (size >> 2).bit_length()
+
+
 class TreeEnv:
-    """Persistent sequence as a weight-balanced tree."""
+    """Persistent sequence as a short cons prefix (the left finger) in
+    front of a weight-balanced tree.
 
-    __slots__ = ("_node",)
+    The finger holds the first _flen elements as a chain of exactly that
+    many _Cons cells ending in None; the tree under _node holds the
+    rest; _length caches the total. A split at k costs:
 
-    def __init__(self, node: Optional[_Node]):
+    * k new cells when k lies inside the finger, as on ListEnv (at the
+      finger's end, none: the finger itself is the prefix);
+    * one _split of a run of _run_length(tree size) elements off the
+      tree's left end, when k passes the finger by less than that run:
+      the rest keeps the remainder of the run as its finger, so one
+      O(log n) split pays for the constant-time splits that follow;
+    * otherwise one _split of the tree, O(log n), with the finger shared.
+
+    A multi-insert rebuilds the finger up to its last position inside
+    it, as ListEnv does, and inserts the other positions into the tree
+    in one pass; a finger that would outgrow _run_length of the result
+    is folded into the tree first, so no finger grows past O(log n).
+    """
+
+    __slots__ = ("_finger", "_flen", "_node", "_length")
+
+    def __init__(
+        self, finger: Optional[_Cons], flen: int, node: Optional[_Node], length: int
+    ):
+        self._finger = finger
+        self._flen = flen
         self._node = node
+        self._length = length
 
     @classmethod
     def empty(cls) -> "TreeEnv":
@@ -279,78 +350,127 @@ class TreeEnv:
 
     @classmethod
     def singleton(cls, value: Any) -> "TreeEnv":
-        return cls(_node(None, value, None))
+        return cls(None, 0, _node(None, value, None), 1)
 
     @classmethod
     def from_values(cls, values: Iterable[Any]) -> "TreeEnv":
         values = list(values)
-        return cls(_build(values, 0, len(values)))
+        return cls(None, 0, _build(values, 0, len(values)), len(values))
 
     def __len__(self) -> int:
-        return _size(self._node)
+        return self._length
 
     def to_list(self) -> list[Any]:
-        out = []
-        stack = []
-        node = self._node
-        while node is not None or stack:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            out.append(node.value)
-            node = node.right
-        return out
+        return _values(self._node, _heads(self._finger, []))
 
     def sole(self) -> Any:
         """The element of a singleton sequence."""
-        if _size(self._node) != 1:
-            raise InvariantError(f"sole() on sequence of length {len(self)}")
+        if self._length != 1:
+            raise InvariantError(f"sole() on sequence of length {self._length}")
+        if self._flen:
+            return self._finger.head
         return self._node.value
 
     def split_at(self, k: int) -> tuple["TreeEnv", "TreeEnv"]:
-        if not 0 <= k <= len(self):
-            raise InvariantError(
-                f"split position {k} outside sequence of length {len(self)}"
-            )
+        n = self._length
+        if not 0 <= k <= n:
+            raise InvariantError(f"split position {k} outside sequence of length {n}")
         if k == 0:
             return _TREE_EMPTY, self
-        if k == len(self):
+        if k == n:
             return self, _TREE_EMPTY
-        a, b = _split(self._node, k)
-        return TreeEnv(a), TreeEnv(b)
+        flen = self._flen
+        finger = self._finger
+        node = self._node
+        if k < flen:
+            # Copy the first k cells front to back; each new cell's tail is
+            # set before the chain is shared.
+            cell = finger
+            first = last = _Cons(cell.head, None)
+            for _ in range(k - 1):
+                cell = cell.tail
+                last.tail = _Cons(cell.head, None)
+                last = last.tail
+            return (
+                TreeEnv(first, k, None, k),
+                TreeEnv(cell.tail, flen - k, node, n - k),
+            )
+        if k == flen:
+            return TreeEnv(finger, flen, None, flen), TreeEnv(None, 0, node, n - flen)
+        j = k - flen
+        run = _run_length(node.size)
+        if j < run:
+            # Refill: take a run off the tree's left end; the part past
+            # the split becomes the rest's finger.
+            a, b = _split(node, run)
+            values = _values(a, [])
+            cell = None
+            for i in range(run - 1, j - 1, -1):
+                cell = _Cons(values[i], cell)
+            return (
+                TreeEnv(finger, flen, _build(values, 0, j), k),
+                TreeEnv(cell, run - j, b, n - k),
+            )
+        a, b = _split(node, j)
+        return TreeEnv(finger, flen, a, k), TreeEnv(None, 0, b, n - k)
 
     def multi_insert(self, kvec: tuple[int, ...], value: Any) -> "TreeEnv":
         positions = list(accumulate(kvec))
         total = positions[-1] if positions else 0
-        if total > len(self):
+        n = self._length
+        if total > n:
             raise InvariantError(
-                f"insert positions need {total} elements, sequence has {len(self)}"
+                f"insert positions need {total} elements, sequence has {n}"
             )
         if not kvec:
             return self
-        return TreeEnv(_insert_all(self._node, positions, 0, len(positions), 0, value))
+        m = len(positions)
+        flen = self._flen
+        node = self._node
+        # Positions before the finger's end land in it; a position on the
+        # seam goes to the front of the tree.
+        inside = bisect_left(positions, flen) if flen else 0
+        if inside == 0:
+            finger = self._finger
+        elif flen + inside > _run_length(n + m):
+            # Fold the finger into the tree, which then takes every position.
+            values = _heads(self._finger, [])
+            node = _join(_build(values, 0, flen - 1), values[-1], node)
+            finger, flen, inside = None, 0, 0
+        else:
+            finger = _insert_cells(
+                self._finger, kvec[:inside], positions[inside - 1], value
+            )
+        if inside < m:
+            node = _insert_all(node, positions, inside, m, flen, value)
+        return TreeEnv(finger, flen + inside, node, n + m)
 
     def __repr__(self) -> str:
         return f"TreeEnv({self.to_list()!r})"
 
 
-_TREE_EMPTY = TreeEnv(None)
+_TREE_EMPTY = TreeEnv(None, 0, None, 0)
 
 
 def tree_is_balanced(env: TreeEnv) -> bool:
-    """Check the weight-balance criterion at every node (test helper)."""
-
-    def check(node: Optional[_Node]) -> bool:
+    """Check a TreeEnv's shape (test helper): the finger has exactly
+    _flen cells, the cached length is the finger plus the tree, and every
+    tree node has a correct size and meets the weight-balance criterion."""
+    cells = len(_heads(env._finger, []))
+    if cells != env._flen or env._length != cells + _size(env._node):
+        return False
+    stack = [env._node]
+    while stack:
+        node = stack.pop()
         if node is None:
-            return True
+            continue
         if node.size != _size(node.left) + _size(node.right) + 1:
             return False
         if not _balanced_sizes(_size(node.left), _size(node.right)):
             return False
-        return check(node.left) and check(node.right)
-
-    return check(env._node)
+        stack.append(node.left)
+        stack.append(node.right)
+    return True
 
 
 BACKENDS = {"list": ListEnv, "tree": TreeEnv}

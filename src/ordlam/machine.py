@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .envseq import ListEnv
+from .envseq import TreeEnv
 from .errors import InvariantError
 from .named import App, FuelExhausted, Lam, NamedTerm, Var, alpha_key, fresh_names
 from .named import reduct_keys
@@ -133,12 +133,7 @@ class Spine:
         self.args = args
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Spine)
-            and self.head == other.head
-            and len(self.args) == len(other.args)
-            and self.args.to_list() == other.args.to_list()
-        )
+        return _equal(self, other)
 
     __hash__ = None
 
@@ -166,12 +161,7 @@ class Closure:
         self.env = env
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Closure)
-            and self.kvec == other.kvec
-            and self.body == other.body
-            and self.env.to_list() == other.env.to_list()
-        )
+        return _equal(self, other)
 
     __hash__ = None
 
@@ -190,6 +180,41 @@ class Closure:
 
 
 Value = Union[Spine, Closure]
+
+
+def _equal(a, b) -> bool:
+    """Structural equality of values and machine expressions, by an
+    explicit-stack walk so any depth compares. Environments compare
+    observationally, whatever the backend; other objects met on the way
+    (such as de Bruijn closures) compare with their own ==."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is Spine:
+            if a.head != b.head or len(a.args) != len(b.args):
+                return False
+            stack.extend(zip(a.args.to_list(), b.args.to_list()))
+        elif kind is Closure:
+            if a.kvec != b.kvec or a.body != b.body or len(a.env) != len(b.env):
+                return False
+            stack.extend(zip(a.env.to_list(), b.env.to_list()))
+        elif kind is Pending:
+            if a.term != b.term or len(a.env) != len(b.env):
+                return False
+            stack.extend(zip(a.env.to_list(), b.env.to_list()))
+        elif kind is Done:
+            stack.append((a.value, b.value))
+        elif kind is Pair:
+            stack.append((a.arg, b.arg))
+            stack.append((a.fun, b.fun))
+        elif a != b:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +308,10 @@ def apply_value(
 def whnf(
     m: NamedTerm,
     fuel: Union[int, Fuel] = DEFAULT_FUEL,
-    backend=ListEnv,
+    backend=TreeEnv,
 ) -> Union[Value, FuelExhausted]:
-    """Translate a named term and evaluate it in the empty environment."""
+    """Translate a named term and evaluate it in the empty environment of
+    the given backend (the tree by default)."""
     return evaluate(parse_closed(m), backend.empty(), fuel)
 
 
@@ -485,7 +511,7 @@ def readback_normal_form(
 def normalize_by_evaluation(
     m: NamedTerm,
     fuel: Union[int, Fuel] = DEFAULT_FUEL,
-    backend=ListEnv,
+    backend=TreeEnv,
 ) -> Union[NamedTerm, FuelExhausted]:
     """Beta-normal form of a named term via evaluation plus readback."""
     fuel = _as_fuel(fuel)
@@ -502,6 +528,11 @@ def normalize_by_evaluation(
 class MachineExpr:
     """Base class for machine expressions (Pending / Done / Pair)."""
 
+    def __eq__(self, other):
+        return _equal(self, other)
+
+    __hash__ = None
+
 
 @dataclass(frozen=True, eq=False)
 class Pending(MachineExpr):
@@ -517,23 +548,13 @@ class Pending(MachineExpr):
                 f"term has {self.term.fv} unbound dots"
             )
 
-    def __eq__(self, other):
-        # Environments compare observationally, whatever the backend.
-        return (
-            isinstance(other, Pending)
-            and self.term == other.term
-            and self.env.to_list() == other.env.to_list()
-        )
 
-    __hash__ = None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Done(MachineExpr):
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pair(MachineExpr):
     """An application of one machine expression to another."""
 

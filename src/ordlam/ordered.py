@@ -27,18 +27,53 @@ from .named import _IDENT, App, Lam, NamedTerm, Var
 
 
 class OrderedTerm:
-    """Base class for ordered preterms (Free / Dot / OApp / OLam)."""
+    """Base class for ordered preterms (Free / Dot / OApp / OLam).
+
+    Terms compare and hash structurally through their pre-order key, so
+    equality and hashing take any depth.
+    """
 
     fv: int
 
+    def __eq__(self, other):
+        if not isinstance(other, OrderedTerm):
+            return NotImplemented
+        return _key(self) == _key(other)
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(_key(self))
+
+
+def _key(t: OrderedTerm) -> tuple:
+    """The pre-order sequence of node labels: a name for Free, None for a
+    dot, the split for OApp and the kvec for OLam. Each label's type fixes
+    its node's arity, so the sequence determines the term."""
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is OApp:
+            out.append(t.split)
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif kind is OLam:
+            out.append(t.kvec)
+            stack.append(t.body)
+        elif kind is Free:
+            out.append(t.name)
+        else:
+            out.append(None)
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
 class Free(OrderedTerm):
     name: str
     fv: int = field(init=False, default=0, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dot(OrderedTerm):
     fv: int = field(init=False, default=1, repr=False, compare=False)
 
@@ -46,7 +81,7 @@ class Dot(OrderedTerm):
 DOT = Dot()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OApp(OrderedTerm):
     fun: OrderedTerm
     split: int
@@ -59,7 +94,7 @@ class OApp(OrderedTerm):
         object.__setattr__(self, "fv", self.fun.fv + self.arg.fv)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OLam(OrderedTerm):
     kvec: tuple[int, ...]
     body: OrderedTerm

@@ -108,7 +108,7 @@ class TestMultiInsert:
         assert out[0] is marker and out[3] is marker
 
 
-def _random_kvec(rng, length):
+def _random_kvec(rng, length, _flen):
     n = rng.randint(0, 3)
     kvec = []
     remaining = length
@@ -119,7 +119,7 @@ def _random_kvec(rng, length):
     return tuple(kvec)
 
 
-def _long_kvec(rng, length):
+def _long_kvec(rng, length, _flen):
     """Dozens of positions: runs of gap 0 and gap 1 and random gaps, with
     positions at both ends of the sequence."""
     kvec = [0] * rng.randint(0, 3)
@@ -139,9 +139,39 @@ def _long_kvec(rng, length):
     return tuple(kvec)
 
 
-def _check_agreement(rng, max_len, programs, steps, draw_kvec):
+def _finger_kvec(rng, length, flen):
+    """Positions that end inside the tree's finger, exactly on its end, or
+    past it (so some positions fall inside the finger and some in the tree)."""
+    shape = rng.randrange(3)
+    if shape == 0:
+        end = rng.randint(0, max(flen - 1, 0))
+    elif shape == 1:
+        end = flen
+    else:
+        end = rng.randint(flen, length)
+    positions = sorted(rng.randint(0, end) for _ in range(rng.randint(0, 6)))
+    positions.append(end)
+    return tuple(b - a for a, b in zip([0] + positions, positions))
+
+
+def _uniform_k(rng, length):
+    return rng.randint(0, length)
+
+
+def _short_k(rng, length):
+    """Mostly the short prefixes evaluation takes, now and then any."""
+    if rng.random() < 0.1:
+        return rng.randint(0, length)
+    return min(rng.choice((0, 1, 1, 1, 2, 3)), length)
+
+
+def _check_agreement(
+    rng, max_len, programs, steps, draw_kvec, draw_k=_uniform_k, keep_first_share=0.5
+):
     """Run random split/insert programs on both backends against a list
-    model; the tree stays balanced and every version persists."""
+    model; the tree stays balanced and every version persists. Returns
+    how many tree versions had a non-empty finger."""
+    with_finger = 0
     for _ in range(programs):
         model = list(range(rng.randint(0, max_len)))
         lst = ListEnv.from_values(model)
@@ -149,13 +179,13 @@ def _check_agreement(rng, max_len, programs, steps, draw_kvec):
         history = [(model[:], lst, tree)]
         for _ in range(steps):
             if rng.random() < 0.5 and model:
-                k = rng.randint(0, len(model))
-                keep_first = rng.random() < 0.5
+                k = draw_k(rng, len(model))
+                keep_first = rng.random() < keep_first_share
                 lst = lst.split_at(k)[0 if keep_first else 1]
                 tree = tree.split_at(k)[0 if keep_first else 1]
                 model = model[:k] if keep_first else model[k:]
             else:
-                kvec = draw_kvec(rng, len(model))
+                kvec = draw_kvec(rng, len(model), tree._flen)
                 w = rng.randint(100, 999)
                 lst = lst.multi_insert(kvec, w)
                 tree = tree.multi_insert(kvec, w)
@@ -170,12 +200,14 @@ def _check_agreement(rng, max_len, programs, steps, draw_kvec):
             assert tree.to_list() == model
             assert len(lst) == len(tree) == len(model)
             assert tree_is_balanced(tree)
+            with_finger += tree._flen > 0
             history.append((model[:], lst, tree))
         # Persistence: every earlier version still reads back unchanged.
         for snapshot, lst_old, tree_old in history:
             assert lst_old.to_list() == snapshot
             assert tree_old.to_list() == snapshot
             assert tree_is_balanced(tree_old)
+    return with_finger
 
 
 class TestBackendAgreement:
@@ -184,6 +216,14 @@ class TestBackendAgreement:
 
     def test_random_programs_with_long_kvecs(self):
         _check_agreement(random.Random(4321), 80, 40, 16, _long_kvec)
+
+    def test_short_splits_and_inserts_at_the_finger(self):
+        # Short splits that keep the rest refill the tree's finger; the
+        # inserts then land inside it, across its end and exactly on it.
+        with_finger = _check_agreement(
+            random.Random(2468), 300, 40, 60, _finger_kvec, _short_k, 0.2
+        )
+        assert with_finger > 500
 
     @pytest.mark.parametrize("size", (0, 1, 2, 3, 7, 100))
     @pytest.mark.parametrize("copies", (1, 2, 5, 300))
@@ -220,7 +260,7 @@ class TestTreeBalanceStress:
                 env = env.split_at(k)[0 if side else 1]
                 model = model[:k] if side else model[k:]
             else:
-                kvec = _random_kvec(rng, len(model))
+                kvec = _random_kvec(rng, len(model), 0)
                 env = env.multi_insert(kvec, -1)
                 rebuilt = []
                 rest = model
@@ -278,6 +318,26 @@ class TestAllocationCosts:
             allocs = self._split_allocs(cells, TreeEnv, size)
             assert allocs <= 8 * math.log2(size) + 8
 
+    @pytest.mark.parametrize("size", (1024, 4096, 16384))
+    def test_tree_successive_short_splits_constant_amortized(self, cells, size):
+        # Evaluation peels one element at a time off the front of a long
+        # environment; the finger makes each peel O(1) cells amortized.
+        env = TreeEnv.from_values(range(size))
+        cells.built = 0
+        for i in range(size - 1):
+            first, env = env.split_at(1)
+            assert first.sole() == i
+        assert env.sole() == size - 1
+        assert cells.built <= 4 * size
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_tiny_tree_never_takes_a_finger(self, size):
+        env = TreeEnv.from_values(range(size))
+        for k in range(size + 1):
+            for part in env.split_at(k):
+                assert part._flen == 0
+                assert part.multi_insert((0, 1)[: len(part) + 1], "w")._flen == 0
+
     def test_tree_insert_logarithmic_per_position(self, cells):
         for size in (1024, 4096, 16384):
             for kvec in [(size // 2,), (size // 4, size // 4), (0, 1, 2, 3)]:
@@ -302,6 +362,21 @@ class TestAllocationCosts:
     def test_list_insert_linear(self, cells):
         allocs = self._insert_allocs(cells, ListEnv, 1024, (512,))
         assert allocs == 513  # rebuilt prefix plus the inserted cell
+
+
+class TestTreeShapeCheck:
+    def test_finger_cells_must_match_stored_length(self):
+        node = envseq._node(None, "b", None)
+        good = TreeEnv(envseq._Cons("a", None), 1, node, 2)
+        assert tree_is_balanced(good) and good.to_list() == ["a", "b"]
+        assert not tree_is_balanced(TreeEnv(envseq._Cons("a", None), 2, node, 3))
+        assert not tree_is_balanced(TreeEnv(envseq._Cons("a", None), 1, node, 3))
+
+    def test_deep_unbalanced_tree_is_rejected_without_recursion(self):
+        node = None
+        for i in range(100_000):
+            node = envseq._node(node, i, None)
+        assert not tree_is_balanced(TreeEnv(None, 0, node, 100_000))
 
 
 class TestTreeSharing:

@@ -226,6 +226,47 @@ class TestDeepPrinting:
         assert print_surface(print_expr(e)) == expected
 
 
+class TestDeepEquality:
+    # == on values and machine expressions walks with an explicit stack;
+    # each pair of inputs is built bottom-up, far past the recursion limit.
+    DEPTH = 100_000
+
+    def _spine(self, innermost="x"):
+        v = spine(innermost)
+        for _ in range(self.DEPTH):
+            v = spine("f", v)
+        return v
+
+    def _numeral(self):
+        body = DOT
+        for _ in range(self.DEPTH):
+            body = OApp(DOT, 1, body)
+        return OLam((0,) * self.DEPTH, OLam((self.DEPTH,), body))
+
+    def test_nested_spines(self):
+        assert self._spine() == self._spine()
+        assert self._spine() != self._spine("y")
+
+    def test_closures_compare_bodies_and_environments(self):
+        numeral = self._numeral()
+        closure = Closure(numeral.kvec, numeral.body, ListEnv.empty())
+        assert closure == Closure(numeral.kvec, self._numeral().body, TreeEnv.empty())
+        body = OApp(DOT, 1, DOT)
+        holding = Closure((0,), body, ListEnv.from_values([self._spine()]))
+        assert holding == Closure((0,), body, TreeEnv.from_values([self._spine()]))
+        assert holding != Closure((0,), body, ListEnv.from_values([self._spine("y")]))
+
+    def test_pending_and_pair_chains(self):
+        def chain(backend):
+            e = Pending(self._numeral(), backend.empty())
+            for _ in range(self.DEPTH):
+                e = Pair(Done(spine("f")), e)
+            return e
+
+        assert chain(ListEnv) == chain(TreeEnv)
+        assert chain(ListEnv) != Pair(Done(spine("f")), chain(ListEnv))
+
+
 class TestDeepMachine:
     # A Pair chain nested far past the recursion limit, checked by walking
     # it with a loop rather than comparing with == (which would recurse).

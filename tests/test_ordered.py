@@ -324,6 +324,22 @@ class TestDeepTerms:
         assert write_ordered(t) == expected
         assert write_ordered(read_ordered(expected)) == expected
 
+    def test_equality_and_hash_handle_depth_beyond_the_recursion_limit(self):
+        depth = 100_000
+
+        def numeral(leaf, split=1):
+            body = leaf
+            for _ in range(depth):
+                body = OApp(DOT, split, body)
+            return OLam((0,) * depth, OLam((depth,), body))
+
+        a, b = numeral(DOT), numeral(DOT)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "found"}[b] == "found"
+        assert a != numeral(Free("z"))
+        assert OApp(DOT, 1, a) != OApp(DOT, 0, b)
+        assert a != "not a term"
+
     def test_read_error_past_deep_nesting(self):
         depth = 100_000
         with pytest.raises(OrderedSyntaxError, match="unexpected end of input"):
