@@ -2,7 +2,7 @@
 
 Two classical evaluators to measure the ordered representation against:
 
-* eval_closures: the textbook call-by-value machine over de Bruijn
+* db_whnf / db_apply: the textbook call-by-value machine over de Bruijn
   terms. Its closures capture the whole environment in scope, not just
   the entries the body mentions, which is exactly the space behaviour
   the exact-environment evaluator avoids.
@@ -11,10 +11,15 @@ Two classical evaluators to measure the ordered representation against:
   ever built.
 
 Both share the fuel discipline and print back to named terms so results
-can be compared across strategies. The closure machine's values are the
-ordered machine's spines plus its own DbClosure; spines, readback and
-the value walks come from ordlam.machine. Every walk over terms is an
-explicit-stack loop, so term depth is bounded by memory.
+can be compared across strategies. The closure machine differs from the
+ordered one only in its environment discipline: its loop, _db_run, has
+machine._run's configuration and frames; its scope-wide environments are
+chains of the envseq cons cells that also hold spine arguments; its
+values are the ordered machine's spines plus its own DbClosure, which
+compares through machine._equal; and readback and the value walks come
+from ordlam.machine. What is left here is de Bruijn specific: the
+terms, to_debruijn, index lookup, printing and _hsub. Every walk over
+terms is an explicit-stack loop, so term depth is bounded by memory.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
+from .envseq import _Cons, _heads
 from .errors import InvariantError
 from .machine import (
     _FRAME_APPLY,
@@ -32,6 +38,7 @@ from .machine import (
     Fuel,
     Spine,
     _as_fuel,
+    _equal,
     _normal_form,
     names_in_value,
     value_node_count,
@@ -41,10 +48,45 @@ from .named import _cache_bottom_up
 
 
 class DbTerm:
-    """Base class for de Bruijn terms (BVar / FVar / DApp / DLam)."""
+    """Base class for de Bruijn terms (BVar / FVar / DApp / DLam).
+
+    Terms compare and hash structurally through their pre-order key, so
+    equality and hashing take any depth.
+    """
+
+    def __eq__(self, other):
+        if not isinstance(other, DbTerm):
+            return NotImplemented
+        return _key(self) == _key(other)
+
+    def __hash__(self):
+        return hash(_key(self))
 
 
-@dataclass(frozen=True)
+def _key(t: DbTerm) -> tuple:
+    """The pre-order sequence of node labels: the index for BVar, a name
+    for FVar, None for DApp and () for DLam. Each label's type fixes its
+    node's arity, so the sequence determines the term."""
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is DApp:
+            out.append(None)
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif kind is DLam:
+            out.append(())
+            stack.append(t.body)
+        elif kind is BVar:
+            out.append(t.index)
+        else:
+            out.append(t.name)
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
 class BVar(DbTerm):
     index: int
 
@@ -53,7 +95,7 @@ class BVar(DbTerm):
         return frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FVar(DbTerm):
     name: str
 
@@ -62,7 +104,7 @@ class FVar(DbTerm):
         return frozenset((self.name,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DApp(DbTerm):
     fun: DbTerm
     arg: DbTerm
@@ -72,7 +114,7 @@ class DApp(DbTerm):
         return _cache_bottom_up(self, "free_names", _free_names_here, DApp, DLam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DLam(DbTerm):
     body: DbTerm
 
@@ -139,39 +181,20 @@ def locally_closed(t: DbTerm, depth: int = 0) -> bool:
 # call-by-value closures over whole environments
 
 
-class _EnvCell:
-    __slots__ = ("value", "rest")
-
-    def __init__(self, value, rest):
-        self.value = value
-        self.rest = rest
-
-
-def _env_cons(value, env: Optional[_EnvCell]) -> _EnvCell:
-    return _EnvCell(value, env)
-
-
-def _env_lookup(env: Optional[_EnvCell], index: int):
+def _env_lookup(env: Optional[_Cons], index: int):
     cell = env
     for _ in range(index):
         if cell is None:
             break
-        cell = cell.rest
+        cell = cell.tail
     if cell is None:
         raise InvariantError(f"environment too short for index {index}")
-    return cell.value
-
-
-def env_to_list(env: Optional[_EnvCell]) -> list:
-    out = []
-    while env is not None:
-        out.append(env.value)
-        env = env.rest
-    return out
+    return cell.head
 
 
 class DbClosure:
-    """A binder body with the whole environment that was in scope.
+    """A binder body with the whole environment that was in scope, a
+    chain of envseq cons cells, innermost binder's value first.
 
     Deliberately imprecise: entries the body never mentions are retained
     anyway.
@@ -179,27 +202,23 @@ class DbClosure:
 
     __slots__ = ("body", "env")
 
-    def __init__(self, body: DbTerm, env: Optional[_EnvCell]):
+    def __init__(self, body: DbTerm, env: Optional[_Cons]):
         self.body = body
         self.env = env
 
     def __eq__(self, other):
-        return (
-            isinstance(other, DbClosure)
-            and self.body == other.body
-            and env_to_list(self.env) == env_to_list(other.env)
-        )
+        return _equal(self, other)
 
     __hash__ = None
 
     def __repr__(self):
-        return f"DbClosure({self.body!r}, {env_to_list(self.env)!r})"
+        return f"DbClosure({self.body!r}, {self.captured()!r})"
 
     # The value-walk protocol of machine.Closure.
 
     def captured(self) -> list:
         """Every value of the scope-wide environment."""
-        return env_to_list(self.env)
+        return _heads(self.env, [])
 
     def body_names(self) -> frozenset[str]:
         """Names free in the closure's body."""
@@ -209,37 +228,44 @@ class DbClosure:
 DbValue = Union[Spine, DbClosure]
 
 
-def eval_closures(
-    t: DbTerm,
-    env: Optional[_EnvCell] = None,
-    fuel: Union[int, Fuel] = DEFAULT_FUEL,
-) -> Union[DbValue, FuelExhausted]:
-    """Call-by-value evaluation with scope-wide closure environments."""
-    fuel = _as_fuel(fuel)
-    control = (t, env)
-    is_value = False
-    stack: list = []
+def _db_run(control, is_value: bool, stack: list, fuel: Fuel):
+    # machine._run's loop over de Bruijn terms: the same configuration
+    # and frames, with index lookup in place of split and a cons onto
+    # the whole environment in place of multi-insert.
+    remaining = fuel.remaining
+    spent = fuel.spent
+
+    def _sync():
+        fuel.remaining = remaining
+        fuel.spent = spent
+
     while True:
         if not is_value:
-            term, cur = control
-            if not fuel.take():
-                return FuelExhausted(fuel.spent)
-            if isinstance(term, DApp):
-                stack.append((_FRAME_ARG, term.arg, cur))
-                control = (term.fun, cur)
-            elif isinstance(term, DLam):
-                control = DbClosure(term.body, cur)
+            term, env = control
+            if remaining == 0:
+                _sync()
+                return FuelExhausted(spent)
+            remaining -= 1
+            spent += 1
+            kind = type(term)
+            if kind is DApp:
+                stack.append((_FRAME_ARG, term.arg, env))
+                control = (term.fun, env)
+            elif kind is BVar:
+                control = _env_lookup(env, term.index)
                 is_value = True
-            elif isinstance(term, BVar):
-                control = _env_lookup(cur, term.index)
+            elif kind is DLam:
+                control = DbClosure(term.body, env)
                 is_value = True
-            elif isinstance(term, FVar):
+            elif kind is FVar:
                 control = Spine(term.name)
                 is_value = True
             else:
+                _sync()
                 raise TypeError(f"not a de Bruijn term: {term!r}")
         else:
             if not stack:
+                _sync()
                 return control
             frame = stack.pop()
             if frame[0] == _FRAME_ARG:
@@ -248,30 +274,30 @@ def eval_closures(
                 is_value = False
             else:
                 fun = frame[1]
-                if not fuel.take():
-                    return FuelExhausted(fuel.spent)
-                if isinstance(fun, Spine):
+                if remaining == 0:
+                    _sync()
+                    return FuelExhausted(spent)
+                remaining -= 1
+                spent += 1
+                if type(fun) is Spine:
                     control = Spine(fun.head, fun.args.append(control))
                 else:
-                    control = (fun.body, _env_cons(control, fun.env))
+                    control = (fun.body, _Cons(control, fun.env))
                     is_value = False
 
 
 def db_apply(
     v: DbValue, w: DbValue, fuel: Union[int, Fuel] = DEFAULT_FUEL
 ) -> Union[DbValue, FuelExhausted]:
-    fuel = _as_fuel(fuel)
-    if not fuel.take():
-        return FuelExhausted(fuel.spent)
-    if isinstance(v, Spine):
-        return Spine(v.head, v.args.append(w))
-    return eval_closures(v.body, _env_cons(w, v.env), fuel)
+    """Apply one value to another (spine append or closure entry)."""
+    return _db_run(w, True, [(_FRAME_APPLY, v)], _as_fuel(fuel))
 
 
 def db_whnf(
     m: NamedTerm, fuel: Union[int, Fuel] = DEFAULT_FUEL
 ) -> Union[DbValue, FuelExhausted]:
-    return eval_closures(to_debruijn(m), None, fuel)
+    """Translate a named term and evaluate it in the empty environment."""
+    return _db_run((to_debruijn(m), None), False, [], _as_fuel(fuel))
 
 
 # _db_print tasks.

@@ -166,8 +166,9 @@ def cmd_bench(args) -> int:
     if base.suffix in (".csv", ".json"):
         base = base.with_suffix("")
     base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
+    # Appended, not substituted: "exp.v1" and "exp.v2" stay distinct.
+    csv_path = base.with_name(base.name + ".csv")
+    json_path = base.with_name(base.name + ".json")
     csv_path.write_text(bench.records_to_csv(records), encoding="utf-8")
     json_path.write_text(bench.records_to_json(records), encoding="utf-8")
     for record in records:
@@ -182,9 +183,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    terms = gen_terms(args.seed, args.count, args.max_size, args.typed_bias)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    terms = gen_terms(args.seed, args.count, args.max_size, args.typed_bias)
     for i, term in enumerate(terms):
         (out_dir / f"term_{i:04d}.lam").write_text(
             print_surface(term) + "\n", encoding="utf-8"

@@ -24,7 +24,11 @@ Two observationally equal backends:
 Elements are always held by reference, never copied. Every backend cell
 is built through the module's _Cons or _Node class, which the tests
 replace with counting subclasses to check asymptotic costs without
-timing anything. The module holds no mutable state.
+timing anything. _Cons also holds the machine's spine arguments and the
+de Bruijn closure machine's scope-wide environments (read back with
+_heads); those modules import the class by name, so a counting
+subclass swapped in here counts only environment cells. The module
+holds no mutable state.
 """
 
 from __future__ import annotations

@@ -40,6 +40,8 @@ def gen_terms(
         raise ValueError("count must be at least 1")
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
+    if not 0.0 <= typed_bias <= 1.0:
+        raise ValueError("typed_bias must be between 0 and 1")
     rng = random.Random(seed)
     terms = []
     for _ in range(count):

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .envseq import TreeEnv
+from .envseq import TreeEnv, _Cons, _heads
 from .errors import InvariantError
 from .named import App, FuelExhausted, Lam, NamedTerm, Var, alpha_key, fresh_names
 from .named import reduct_keys
@@ -87,35 +87,24 @@ def _as_fuel(fuel: Union[int, Fuel]) -> Fuel:
 # values
 
 
-class _SnocCell:
-    __slots__ = ("value", "prev")
-
-    def __init__(self, value, prev):
-        self.value = value
-        self.prev = prev
-
-
 class ArgStack:
-    """Persistent argument list with O(1) shared append (stored reversed)."""
+    """Persistent argument list with O(1) shared append: a chain of
+    envseq cons cells, last argument first."""
 
     __slots__ = ("_cell", "_length")
 
-    def __init__(self, cell: Optional[_SnocCell], length: int):
+    def __init__(self, cell: Optional[_Cons], length: int):
         self._cell = cell
         self._length = length
 
     def append(self, value) -> "ArgStack":
-        return ArgStack(_SnocCell(value, self._cell), self._length + 1)
+        return ArgStack(_Cons(value, self._cell), self._length + 1)
 
     def __len__(self) -> int:
         return self._length
 
     def to_list(self) -> list:
-        out = []
-        cell = self._cell
-        while cell is not None:
-            out.append(cell.value)
-            cell = cell.prev
+        out = _heads(self._cell, [])
         out.reverse()
         return out
 
@@ -185,8 +174,9 @@ Value = Union[Spine, Closure]
 def _equal(a, b) -> bool:
     """Structural equality of values and machine expressions, by an
     explicit-stack walk so any depth compares. Environments compare
-    observationally, whatever the backend; other objects met on the way
-    (such as de Bruijn closures) compare with their own ==."""
+    observationally, whatever the backend. A closure of either machine
+    compares through the value-walk protocol: its kvec (if it has one),
+    its body, then its captured() values pairwise."""
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
@@ -199,10 +189,6 @@ def _equal(a, b) -> bool:
             if a.head != b.head or len(a.args) != len(b.args):
                 return False
             stack.extend(zip(a.args.to_list(), b.args.to_list()))
-        elif kind is Closure:
-            if a.kvec != b.kvec or a.body != b.body or len(a.env) != len(b.env):
-                return False
-            stack.extend(zip(a.env.to_list(), b.env.to_list()))
         elif kind is Pending:
             if a.term != b.term or len(a.env) != len(b.env):
                 return False
@@ -212,6 +198,13 @@ def _equal(a, b) -> bool:
         elif kind is Pair:
             stack.append((a.arg, b.arg))
             stack.append((a.fun, b.fun))
+        elif hasattr(kind, "captured"):
+            if getattr(a, "kvec", None) != getattr(b, "kvec", None) or a.body != b.body:
+                return False
+            values_a, values_b = a.captured(), b.captured()
+            if len(values_a) != len(values_b):
+                return False
+            stack.extend(zip(values_a, values_b))
         elif a != b:
             return False
     return True

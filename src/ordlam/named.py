@@ -28,12 +28,45 @@ from typing import Iterator, Optional, Union
 
 
 class NamedTerm:
-    """Base class for named lambda terms (Var / App / Lam)."""
+    """Base class for named lambda terms (Var / App / Lam).
+
+    Terms compare and hash structurally (not up to alpha) through their
+    pre-order key, so equality and hashing take any depth.
+    """
 
     __match_args__ = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, NamedTerm):
+            return NotImplemented
+        return _key(self) == _key(other)
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(_key(self))
+
+
+def _key(t: NamedTerm) -> tuple:
+    """The pre-order sequence of node labels: a name for Var, None for App
+    and a 1-tuple of the binder for Lam. Each label's type fixes its
+    node's arity, so the sequence determines the term."""
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is App:
+            out.append(None)
+            stack.append(t.arg)
+            stack.append(t.fun)
+        elif kind is Lam:
+            out.append((t.binder,))
+            stack.append(t.body)
+        else:
+            out.append(t.name)
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
 class Var(NamedTerm):
     name: str
 
@@ -46,7 +79,7 @@ class Var(NamedTerm):
         return 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App(NamedTerm):
     fun: NamedTerm
     arg: NamedTerm
@@ -60,7 +93,7 @@ class App(NamedTerm):
         return _cache_bottom_up(self, "node_count", _node_count_here)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lam(NamedTerm):
     binder: str
     body: NamedTerm

@@ -8,7 +8,6 @@ from ordlam.baselines import (
     DbClosure,
     DLam,
     FVar,
-    _env_cons,
     db_normalize_by_evaluation,
     db_print_value,
     db_value_node_count,
@@ -18,6 +17,7 @@ from ordlam.baselines import (
     normalize_hsub,
     to_debruijn,
 )
+from ordlam.envseq import _Cons
 from ordlam.gen import gen_terms
 from ordlam.machine import EMPTY_ARGS, Spine, value_node_count, whnf
 from ordlam.named import (
@@ -172,14 +172,14 @@ class TestDeepDbPrinting:
         body = DApp(BVar(self.DEPTH + 1), BVar(self.DEPTH))
         for _ in range(self.DEPTH):
             body = DLam(body)
-        v = DbClosure(body, _env_cons(Spine("y"), None))
+        v = DbClosure(body, _Cons(Spine("y"), None))
         expected = "".join(f"\\z{i}. " for i in range(self.DEPTH + 1)) + "y z0"
         assert print_surface(db_print_value(v)) == expected
 
 
 class TestDeepDbTerms:
     # \s. \z. s (s (... z)) and friends, nested far past the recursion
-    # limit and handled on the test thread; compared as printed text.
+    # limit and handled on the test thread.
     DEPTH = 100_000
 
     def numeral(self):
@@ -211,6 +211,30 @@ class TestDeepDbTerms:
     def test_db_normalize_by_evaluation(self):
         result = db_normalize_by_evaluation(self.numeral(), 10**6)
         assert print_surface(result) == self.numeral_text("z0", "z1")
+
+    def test_term_equality_and_hash(self):
+        a, b = to_debruijn(self.numeral()), to_debruijn(self.numeral())
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "found"}[b] == "found"
+        assert a != DLam(DLam(DApp(BVar(0), a.body.body.arg)))
+        assert DLam(BVar(0)) != DLam(FVar("x")) and BVar(0) != BVar(1)
+        assert a != "not a term"
+
+    def test_whnf_values_compare(self):
+        # Each whnf is a closure whose body is the numeral's inner binder.
+        a, b = db_whnf(self.numeral()), db_whnf(self.numeral())
+        assert a is not b and a == b
+        body = Var("z")
+        for _ in range(self.DEPTH):
+            body = App(Var("s"), body)
+        assert a != db_whnf(Lam("z", Lam("s", body)))
+        # Whole environments compare value by value.
+        y = Spine("y")
+        env = _Cons(y, None)
+        assert DbClosure(BVar(1), env) == DbClosure(BVar(1), _Cons(Spine("y"), None))
+        assert DbClosure(BVar(1), env) != DbClosure(BVar(1), _Cons(Spine("w"), None))
+        assert DbClosure(BVar(1), env) != DbClosure(BVar(1), _Cons(y, env))
+        assert DbClosure(BVar(0), None) != whnf(Lam("x", Var("x")))
 
 
 class TestNormalizeHsub:

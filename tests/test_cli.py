@@ -260,6 +260,17 @@ class TestBench:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "out, stem",
+        [("exp.v1", "exp.v1"), ("exp.v2.csv", "exp.v2"), ("exp.json", "exp")],
+    )
+    def test_out_suffix_is_appended_to_the_full_name(self, tmp_path, out, stem):
+        argv = ["bench", "--workload", "church-add", "--size", "3", "--reps", "1"]
+        assert main(argv + ["--out", str(tmp_path / "runs" / out)]) == 0
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+            stem + ".csv",
+            stem + ".json",
+        ]
 
     def test_empty_strategy_list_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -329,6 +340,14 @@ class TestErrors:
         assert main([arg.format(**paths) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("bias", ["7", "-0.5", "1.01", "nan"])
+    def test_typed_bias_outside_unit_interval_exit_1(self, tmp_path, capsys, bias):
+        out = tmp_path / "out"
+        argv = ["gen", "--seed", "1", "--count", "3", "--max-size", "10"]
+        assert main(argv + ["--typed-bias", bias, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "typed_bias must be between 0 and 1\n"
+        assert not out.exists()
 
     def test_recursion_limit_exit_1(self, tmp_path, capsys, monkeypatch):
         def too_deep(args):

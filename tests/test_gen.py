@@ -41,3 +41,10 @@ def test_typed_terms_all_normalize():
 def test_count_must_be_positive():
     with pytest.raises(ValueError):
         gen_terms(1, 0, 10)
+
+
+@pytest.mark.parametrize("bias", [-0.01, 1.01, 7, float("nan"), float("inf")])
+def test_typed_bias_must_lie_in_the_unit_interval(bias):
+    with pytest.raises(ValueError, match="typed_bias"):
+        gen_terms(1, 5, 10, bias)
+

@@ -401,13 +401,13 @@ class TestArgSharing:
         extended = base.append(spine("c"))
         assert base.to_list() == extended.to_list()[:2]
         # The old list is a structural tail of the new one, not a copy.
-        assert extended._cell.prev is base._cell
+        assert extended._cell.tail is base._cell
 
     def test_spine_application_shares_argument_prefix(self):
         s0 = spine("x")
         s1 = apply_value(s0, spine("a"))
         s2 = apply_value(s1, spine("b"))
-        assert s2.args._cell.prev is s1.args._cell
+        assert s2.args._cell.tail is s1.args._cell
 
 
 class TestNodeCount:

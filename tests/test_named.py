@@ -316,8 +316,8 @@ def test_depth_limit_is_not_reported_as_divergence(oracle):
 
 class TestDeepTerms:
     # Nested far past the recursion limit and handled on the test thread.
-    # Results are compared as printed text or alpha keys, since == on deep
-    # named terms would itself recurse.
+    # Results are compared as printed text or alpha keys, so that each
+    # walk is checked on its own; == and hash() have their own test.
     DEPTH = 100_000
 
     def chain(self, innermost, head="s"):
@@ -353,6 +353,16 @@ class TestDeepTerms:
         other = Lam("f", Lam("x", self.chain(Var("f"), "f")))
         assert alpha_eq(church(self.DEPTH), same)
         assert not alpha_eq(church(self.DEPTH), other)
+
+    def test_equality_and_hash(self):
+        a, b = church(self.DEPTH), church(self.DEPTH)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "found"}[b] == "found"
+        assert a != Lam("s", Lam("z", self.chain(Var("s"))))
+        assert a != Lam("s", Lam("y", self.chain(Var("z"))))
+        assert Lam("x", Var("x")) != Lam("y", Var("x"))
+        assert App(Var("x"), Var("y")) != App(Var("y"), Var("x"))
+        assert a != "not a term"
 
     def test_subst_renames_a_capturing_binder(self):
         t = Lam("s", self.chain(Var("x")))
