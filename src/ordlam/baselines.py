@@ -18,8 +18,9 @@ chains of the envseq cons cells that also hold spine arguments; its
 values are the ordered machine's spines plus its own DbClosure, which
 compares through machine._equal; and readback and the value walks come
 from ordlam.machine. What is left here is de Bruijn specific: the
-terms, to_debruijn, index lookup, printing and _hsub. Every walk over
-terms is an explicit-stack loop, so term depth is bounded by memory.
+terms (whose ==, hash() and repr() come from named.Term), to_debruijn,
+index lookup, printing and _hsub. Every walk over terms is an
+explicit-stack loop, so term depth is bounded by memory.
 """
 
 from __future__ import annotations
@@ -44,49 +45,17 @@ from .machine import (
     value_node_count,
 )
 from .named import App, FuelExhausted, Lam, NamedTerm, Var, fresh_names
-from .named import _cache_bottom_up
+from .named import Term, _cache_bottom_up
 
 
-class DbTerm:
+class DbTerm(Term):
     """Base class for de Bruijn terms (BVar / FVar / DApp / DLam).
 
-    Terms compare and hash structurally through their pre-order key, so
-    equality and hashing take any depth.
+    Terms compare and hash structurally, as every Term.
     """
 
-    def __eq__(self, other):
-        if not isinstance(other, DbTerm):
-            return NotImplemented
-        return _key(self) == _key(other)
 
-    def __hash__(self):
-        return hash(_key(self))
-
-
-def _key(t: DbTerm) -> tuple:
-    """The pre-order sequence of node labels: the index for BVar, a name
-    for FVar, None for DApp and () for DLam. Each label's type fixes its
-    node's arity, so the sequence determines the term."""
-    out = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        kind = type(t)
-        if kind is DApp:
-            out.append(None)
-            stack.append(t.arg)
-            stack.append(t.fun)
-        elif kind is DLam:
-            out.append(())
-            stack.append(t.body)
-        elif kind is BVar:
-            out.append(t.index)
-        else:
-            out.append(t.name)
-    return tuple(out)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BVar(DbTerm):
     index: int
 
@@ -95,7 +64,7 @@ class BVar(DbTerm):
         return frozenset()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FVar(DbTerm):
     name: str
 
@@ -104,7 +73,7 @@ class FVar(DbTerm):
         return frozenset((self.name,))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class DApp(DbTerm):
     fun: DbTerm
     arg: DbTerm
@@ -114,7 +83,7 @@ class DApp(DbTerm):
         return _cache_bottom_up(self, "free_names", _free_names_here, DApp, DLam)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class DLam(DbTerm):
     body: DbTerm
 

@@ -188,22 +188,13 @@ def run_config(config: BenchConfig) -> BenchRecord:
         outcome = run_strategy(config.strategy, term, config.fuel)
         times.append(time.perf_counter_ns() - started)
     assert outcome is not None
-    if not outcome.ok:
-        return BenchRecord(
-            config,
-            int(statistics.median(times)),
-            outcome.steps,
-            outcome.peak_live_nodes,
-            "",
-            STATUS_FUEL,
-        )
     return BenchRecord(
         config,
         int(statistics.median(times)),
         outcome.steps,
         outcome.peak_live_nodes,
-        digest_term(outcome.normal_form),
-        STATUS_OK,
+        digest_term(outcome.normal_form) if outcome.ok else "",
+        STATUS_OK if outcome.ok else STATUS_FUEL,
     )
 
 

@@ -15,8 +15,11 @@ Evaluation dispatches six ways, each costing one fuel unit:
 * ``beta``   applying a closure multi-inserts the argument into the
   environment at the binder's positions and evaluates the body.
 
-The same dispatch drives both the big-step evaluator and the one-step
-rewriting machine used by the trace checker (verify_trace). Printing
+The six rules are written twice: once in the big-step evaluator's loop
+(_run) and once in step, the one-step rewriting machine used by the
+trace checker (verify_trace). The test
+test_small_step_count_matches_big_step_fuel ties the two together: both
+take the same number of steps on the same term. Printing
 turns terms, values and machine expressions back into named terms.
 Every walk here, readback included, is an explicit-stack loop, so term
 and value depth is bounded by memory, not by the recursion limit.
@@ -280,14 +283,19 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
                     is_value = False
 
 
-def evaluate(
-    t: OrderedTerm, env, fuel: Union[int, Fuel] = DEFAULT_FUEL
-) -> Union[Value, FuelExhausted]:
-    """Evaluate an ordered term in an exact environment to a value."""
+def _check_exact(t: OrderedTerm, env) -> None:
+    """Raise InvariantError unless env has one entry per unbound dot of t."""
     if len(env) != t.fv:
         raise InvariantError(
             f"environment has {len(env)} entries, term has {t.fv} unbound dots"
         )
+
+
+def evaluate(
+    t: OrderedTerm, env, fuel: Union[int, Fuel] = DEFAULT_FUEL
+) -> Union[Value, FuelExhausted]:
+    """Evaluate an ordered term in an exact environment to a value."""
+    _check_exact(t, env)
     return _run((t, env), False, [], _as_fuel(fuel))
 
 
@@ -437,10 +445,7 @@ def print_ordered(t: OrderedTerm, env: list) -> NamedTerm:
     Binders get deterministic fresh names avoiding everything visible in
     the term or the environment.
     """
-    if len(env) != t.fv:
-        raise InvariantError(
-            f"environment has {len(env)} entries, term has {t.fv} unbound dots"
-        )
+    _check_exact(t, env)
     avoid = set(ordered_free_names(t))
     for v in env:
         avoid |= names_in_value(v)
@@ -535,11 +540,7 @@ class Pending(MachineExpr):
     env: object
 
     def __post_init__(self):
-        if len(self.env) != self.term.fv:
-            raise InvariantError(
-                f"environment has {len(self.env)} entries, "
-                f"term has {self.term.fv} unbound dots"
-            )
+        _check_exact(self.term, self.env)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,8 +14,10 @@ Application is left-associative, ``λ`` is accepted as a synonym for
 ``\\``, identifiers match ``[A-Za-z_][A-Za-z0-9_']*`` and whitespace is
 insignificant.
 
-Every walk over terms is an explicit-stack loop, so term depth is bounded
-by memory, not by the recursion limit.
+Term is the base class of all three term families (named here, ordered
+and de Bruijn); its ==, hash() and repr() read one walk of each node's
+constructor fields. Every walk over terms is an explicit-stack loop, so
+term depth is bounded by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -27,46 +29,74 @@ from functools import cached_property
 from typing import Iterator, Optional, Union
 
 
-class NamedTerm:
-    """Base class for named lambda terms (Var / App / Lam).
+class Term:
+    """Base class of the three term families: named (NamedTerm), ordered
+    (ordered.OrderedTerm) and de Bruijn (baselines.DbTerm).
 
-    Terms compare and hash structurally (not up to alpha) through their
-    pre-order key, so equality and hashing take any depth.
+    A term's constructor fields are the ones its dataclass lists in
+    __match_args__. Terms compare and hash structurally, and repr() gives
+    the dataclass text Cls(field=value, ...); all three read one
+    explicit-stack walk of those fields (_fields), so any depth works.
+    Terms of different classes, families included, are never equal.
     """
 
     __match_args__ = ()
 
     def __eq__(self, other):
-        if not isinstance(other, NamedTerm):
+        if not isinstance(other, Term):
             return NotImplemented
-        return _key(self) == _key(other)
+        return _fields(self) == _fields(other)
 
     def __hash__(self):
-        return hash(_key(self))
+        return hash(_fields(self))
+
+    def __repr__(self):
+        parts = []
+        labels = []  # per open node, the labels of its fields to come, last first
+        for item in _fields(self):
+            if labels:
+                parts.append(labels[-1].pop())
+            if isinstance(item, type):
+                parts.append(f"{item.__qualname__}(")
+                names = [f", {name}=" for name in reversed(item.__match_args__)]
+                if names:
+                    names[-1] = names[-1][2:]  # the first field has no comma
+                labels.append(names)
+            else:
+                parts.append(repr(item))
+            while labels and not labels[-1]:
+                labels.pop()
+                parts.append(")")
+        return "".join(parts)
 
 
-def _key(t: NamedTerm) -> tuple:
-    """The pre-order sequence of node labels: a name for Var, None for App
-    and a 1-tuple of the binder for Lam. Each label's type fixes its
-    node's arity, so the sequence determines the term."""
+def _fields(t: Term) -> tuple:
+    """The pre-order sequence of t's nodes: each node's class, then the
+    values of its constructor fields in order, a term value replaced by
+    its own sequence. Each class fixes its number of fields, so the
+    sequence determines the term."""
     out = []
     stack = [t]
     while stack:
-        t = stack.pop()
-        kind = type(t)
-        if kind is App:
-            out.append(None)
-            stack.append(t.arg)
-            stack.append(t.fun)
-        elif kind is Lam:
-            out.append((t.binder,))
-            stack.append(t.body)
+        item = stack.pop()
+        if isinstance(item, Term):
+            kind = type(item)
+            out.append(kind)
+            for name in reversed(kind.__match_args__):
+                stack.append(getattr(item, name))
         else:
-            out.append(t.name)
+            out.append(item)
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+class NamedTerm(Term):
+    """Base class for named lambda terms (Var / App / Lam).
+
+    Terms compare and hash structurally (not up to alpha), as every Term.
+    """
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(NamedTerm):
     name: str
 
@@ -79,7 +109,7 @@ class Var(NamedTerm):
         return 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class App(NamedTerm):
     fun: NamedTerm
     arg: NamedTerm
@@ -93,7 +123,7 @@ class App(NamedTerm):
         return _cache_bottom_up(self, "node_count", _node_count_here)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lam(NamedTerm):
     binder: str
     body: NamedTerm

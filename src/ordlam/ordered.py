@@ -15,7 +15,8 @@ that shadows a context name claims every occurrence of that name in its
 body, and an application's split is its translated function part's fv.
 
 Every walk over terms, the translation and the text reader included, is
-an explicit-stack loop, so term depth is bounded by memory.
+an explicit-stack loop, so term depth is bounded by memory; ==, hash()
+and repr() come from the shared base class, named.Term.
 """
 
 from __future__ import annotations
@@ -23,70 +24,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .named import _IDENT, App, Lam, NamedTerm, Var
+from .named import _IDENT, App, Lam, NamedTerm, Term, Var
 
 
-class OrderedTerm:
+class OrderedTerm(Term):
     """Base class for ordered preterms (Free / Dot / OApp / OLam).
 
-    Terms compare and hash structurally through their pre-order key, so
-    equality and hashing take any depth.
+    Terms compare and hash structurally, as every Term; fv is derived,
+    not a constructor field, so it takes no part.
     """
 
     fv: int
 
-    def __eq__(self, other):
-        if not isinstance(other, OrderedTerm):
-            return NotImplemented
-        return _key(self) == _key(other)
 
-    def __hash__(self):
-        return hash(_key(self))
-
-
-def _key(t: OrderedTerm) -> tuple:
-    """The pre-order sequence of node labels: a name for Free, None for a
-    dot, the split for OApp and the kvec for OLam. Each label's type fixes
-    its node's arity, so the sequence determines the term."""
-    out = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        kind = type(t)
-        if kind is OApp:
-            out.append(t.split)
-            stack.append(t.arg)
-            stack.append(t.fun)
-        elif kind is OLam:
-            out.append(t.kvec)
-            stack.append(t.body)
-        elif kind is Free:
-            out.append(t.name)
-        else:
-            out.append(None)
-    return tuple(out)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Free(OrderedTerm):
     name: str
-    fv: int = field(init=False, default=0, repr=False, compare=False)
+    fv: int = field(init=False, default=0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Dot(OrderedTerm):
-    fv: int = field(init=False, default=1, repr=False, compare=False)
+    fv: int = field(init=False, default=1)
 
 
 DOT = Dot()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class OApp(OrderedTerm):
     fun: OrderedTerm
     split: int
     arg: OrderedTerm
-    fv: int = field(init=False, repr=False, compare=False)
+    fv: int = field(init=False)
 
     def __post_init__(self):
         if self.split < 0:
@@ -94,11 +64,11 @@ class OApp(OrderedTerm):
         object.__setattr__(self, "fv", self.fun.fv + self.arg.fv)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class OLam(OrderedTerm):
     kvec: tuple[int, ...]
     body: OrderedTerm
-    fv: int = field(init=False, repr=False, compare=False)
+    fv: int = field(init=False)
 
     def __post_init__(self):
         kvec = tuple(self.kvec)
@@ -232,7 +202,8 @@ def parse_closed(m: NamedTerm) -> OrderedTerm:
 
 
 # ---------------------------------------------------------------------------
-# text format: `x` | `.` | `(app SPLIT FUN ARG)` | `(lam (K1 ... Kn) BODY)`
+# text format: `x` | `.` | `(app SPLIT FUN ARG)` | `(lam (K1 ... Kn) BODY)`,
+# SPLIT and each K a run of ASCII decimal digits
 
 
 class OrderedSyntaxError(ValueError):
@@ -331,13 +302,16 @@ def read_ordered(src: str) -> OrderedTerm:
 def _read_int(tokens: list[str], pos: int) -> tuple[int, int]:
     if pos >= len(tokens):
         raise OrderedSyntaxError("unexpected end of input, expected an integer")
-    try:
-        value = int(tokens[pos])
-    except ValueError:
-        raise OrderedSyntaxError(f"expected an integer, got {tokens[pos]!r}") from None
-    if value < 0:
-        raise OrderedSyntaxError(f"expected a non-negative integer, got {value}")
-    return value, pos + 1
+    token = tokens[pos]
+    # ASCII digits only: int() would also take a sign, underscores and
+    # non-ASCII digits. It still refuses a run longer than the
+    # interpreter's integer digit limit.
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token), pos + 1
+        except ValueError:
+            pass
+    raise OrderedSyntaxError(f"expected a non-negative integer, got {token!r}")
 
 
 def _expect(tokens: list[str], pos: int, tok: str) -> int:

@@ -31,6 +31,7 @@ from ordlam.named import (
     print_surface,
     reduce_once_all,
 )
+from ordlam.ordered import Free, parse_closed
 
 S_NAMED = parse_surface(r"\x.\y.\z. x z (y z)")
 MOTIVATING = parse_surface(r"(\x.\y. a b y) g f")
@@ -219,6 +220,31 @@ class TestDeepDbTerms:
         assert a != DLam(DLam(DApp(BVar(0), a.body.body.arg)))
         assert DLam(BVar(0)) != DLam(FVar("x")) and BVar(0) != BVar(1)
         assert a != "not a term"
+
+    def test_term_repr(self):
+        text = repr(to_debruijn(self.numeral()))
+        link = "DApp(fun=BVar(index=1), arg="
+        start = "DLam(body=DLam(body=" + link
+        end = "BVar(index=0)" + ")" * (self.DEPTH + 2)
+        assert text.startswith(start) and text.endswith(end)
+        assert len(text) == len(start) + (self.DEPTH - 1) * len(link) + len(end)
+        # The dataclass-generated text, pinned for a small term.
+        assert repr(to_debruijn(parse_surface(r"(\x. \y. a x y) b"))) == (
+            "DApp(fun=DLam(body=DLam(body=DApp(fun=DApp(fun=FVar(name='a'), "
+            "arg=BVar(index=1)), arg=BVar(index=0)))), arg=FVar(name='b'))"
+        )
+
+    def test_terms_of_the_three_families(self):
+        # Never equal across families, even where the printed name agrees.
+        named, ordered, db = Var("x"), Free("x"), FVar("x")
+        assert named != ordered and ordered != db and db != named
+        assert ordered != named and db != ordered and named != db
+        assert len({named, ordered, db}) == 3
+        # Equal terms built separately hash alike in every family.
+        source = r"(\x. \y. a x y) b"
+        for convert in (lambda m: m, parse_closed, to_debruijn):
+            a, b = convert(parse_surface(source)), convert(parse_surface(source))
+            assert a is not b and a == b and hash(a) == hash(b)
 
     def test_whnf_values_compare(self):
         # Each whnf is a closure whose body is the numeral's inner binder.

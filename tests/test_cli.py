@@ -148,6 +148,13 @@ class TestConvert:
         assert main(["convert", f, "--to", "named"]) == 1
         assert capsys.readouterr().out == ""
 
+    def test_signed_split_exit_1(self, tmp_path, capsys):
+        f = write(tmp_path, "bad.ord", "(app +0 x y)")
+        assert main(["convert", f, "--to", "named"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{f}: expected a non-negative integer, got '+0'\n"
+
     def test_malformed_named_exit_1(self, tmp_path, capsys):
         f = write(tmp_path, "bad.lam", "a (b")
         assert main(["convert", f, "--to", "ordered"]) == 1

@@ -82,10 +82,14 @@ class TestEvaluate:
         assert evaluate(Free("a"), ListEnv.empty()) == spine("a")
 
     def test_environment_arity_enforced(self):
-        with pytest.raises(InvariantError):
+        too_long = "^environment has 1 entries, term has 0 unbound dots$"
+        too_short = "^environment has 0 entries, term has 1 unbound dots$"
+        with pytest.raises(InvariantError, match=too_long):
             evaluate(Free("a"), ListEnv.singleton(spine("v")))
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match=too_short):
             evaluate(DOT, ListEnv.empty())
+        with pytest.raises(InvariantError, match=too_short):
+            Pending(DOT, ListEnv.empty())
 
     def test_closure_exactness_enforced(self):
         with pytest.raises(InvariantError):
@@ -184,7 +188,8 @@ class TestPrinting:
         assert alpha_eq(printed, parse_surface(r"(\u. u) z0"))
 
     def test_length_mismatch_is_internal_error(self):
-        with pytest.raises(InvariantError):
+        message = "^environment has 0 entries, term has 1 unbound dots$"
+        with pytest.raises(InvariantError, match=message):
             print_ordered(DOT, [])
 
     def test_pending_prints_as_its_term(self):
@@ -224,6 +229,18 @@ class TestDeepPrinting:
             e = Pair(Done(spine("f")), e)
         expected = "f (" * self.DEPTH + r"\z0. z0" + ")" * self.DEPTH
         assert print_surface(print_expr(e)) == expected
+
+    def test_closure_over_a_deep_body_repr(self):
+        # The weak head normal form of a numeral is a closure holding the
+        # numeral's inner binder; its repr() shows that term's repr().
+        depth = 3000
+        body = Var("z")
+        for _ in range(depth):
+            body = App(Var("s"), body)
+        numeral = Lam("s", Lam("z", body))
+        text = repr(whnf(numeral))
+        assert text.startswith("Closure((0, 0, ")
+        assert text == f"Closure({(0,) * depth!r}, {parse_closed(numeral).body!r}, [])"
 
 
 class TestDeepEquality:

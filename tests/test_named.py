@@ -364,6 +364,20 @@ class TestDeepTerms:
         assert App(Var("x"), Var("y")) != App(Var("y"), Var("x"))
         assert a != "not a term"
 
+    def test_repr(self):
+        text = repr(church(self.DEPTH))
+        link = "App(fun=Var(name='s'), arg="
+        start = "Lam(binder='s', body=Lam(binder='z', body=" + link
+        end = "Var(name='z')" + ")" * (self.DEPTH + 2)
+        assert text.startswith(start) and text.endswith(end)
+        assert len(text) == len(start) + (self.DEPTH - 1) * len(link) + len(end)
+        # The dataclass-generated text, pinned for a small term.
+        assert repr(parse_surface(r"(\x. \y. a x y) b")) == (
+            "App(fun=Lam(binder='x', body=Lam(binder='y', body=App(fun=App("
+            "fun=Var(name='a'), arg=Var(name='x')), arg=Var(name='y')))), "
+            "arg=Var(name='b'))"
+        )
+
     def test_subst_renames_a_capturing_binder(self):
         t = Lam("s", self.chain(Var("x")))
         result = subst(t, "x", Var("s"))

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from ordlam.gen import gen_terms
@@ -292,6 +294,22 @@ class TestTextFormat:
         with pytest.raises(OrderedSyntaxError):
             read_ordered(bad)
 
+    @pytest.mark.parametrize("number", ["+0", "0_0", "1_0", "\u0660", "-1"])
+    @pytest.mark.parametrize("form", ["(app {} x y)", "(lam (0 {}) (app 1 . .))"])
+    def test_integers_are_ascii_digits_only(self, form, number):
+        # int() would read each of these (the Arabic-Indic zero included).
+        with pytest.raises(OrderedSyntaxError) as exc:
+            read_ordered(form.format(number))
+        assert str(exc.value) == f"expected a non-negative integer, got {number!r}"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() has no digit limit",
+    )
+    def test_integer_past_the_digit_limit(self):
+        with pytest.raises(OrderedSyntaxError, match="^expected a non-negative integer"):
+            read_ordered(f"(app {'1' * (sys.get_int_max_str_digits() + 1)} x y)")
+
     @pytest.mark.parametrize("name", ["é", "xé", "x-y", "2x"])
     def test_names_the_surface_syntax_rejects_are_rejected(self, name):
         with pytest.raises(OrderedSyntaxError):
@@ -339,6 +357,25 @@ class TestDeepTerms:
         assert a != numeral(Free("z"))
         assert OApp(DOT, 1, a) != OApp(DOT, 0, b)
         assert a != "not a term"
+
+    def test_repr(self):
+        depth = 100_000
+        body = Var("z")
+        for _ in range(depth):
+            body = App(Var("s"), body)
+        text = repr(parse_closed(Lam("s", Lam("z", body))))
+        link = "OApp(fun=Dot(), split=1, arg="
+        start = f"OLam(kvec=({'0, ' * (depth - 1)}0), body=OLam(kvec=({depth},), body="
+        end = "Dot()" + ")" * (depth + 2)
+        assert text.startswith(start + link) and text.endswith(end)
+        assert len(text) == len(start) + depth * len(link) + len(end)
+        # The dataclass-generated text, pinned for a small term.
+        assert repr(parse_closed(parse_surface(r"(\x. \y. a x y) b"))) == (
+            "OApp(fun=OLam(kvec=(0,), body=OLam(kvec=(1,), body=OApp(fun=OApp("
+            "fun=Free(name='a'), split=0, arg=Dot()), split=1, arg=Dot()))), "
+            "split=0, arg=Free(name='b'))"
+        )
+        assert repr(OLam((), Free("a"))) == "OLam(kvec=(), body=Free(name='a'))"
 
     def test_read_error_past_deep_nesting(self):
         depth = 100_000
