@@ -15,12 +15,13 @@ Evaluation dispatches six ways, each costing one fuel unit:
 * ``beta``   applying a closure multi-inserts the argument into the
   environment at the binder's positions and evaluates the body.
 
-The six rules are written twice: once in the big-step evaluator's loop
-(_run) and once in step, the one-step rewriting machine used by the
-trace checker (verify_trace). The test
-test_small_step_count_matches_big_step_fuel ties the two together: both
-take the same number of steps on the same term. Printing
-turns terms, values and machine expressions back into named terms.
+The six rules are written once, in the big-step evaluator's loop
+(_run). The one-step machine that the trace checker (verify_trace)
+steps is that loop refocused: step decomposes a machine expression into
+_run's configuration (control, is_value, stack), runs one rule on one
+unit of fuel, and plugs the configuration where _run stops back into
+an expression. Printing turns terms, values and machine expressions
+back into named terms.
 Every walk here, readback included, is an explicit-stack loop, so term
 and value depth is bounded by memory, not by the recursion limit.
 
@@ -222,7 +223,9 @@ _FRAME_APPLY = 1  # argument value arrived; apply the stored function value
 
 def _run(control, is_value: bool, stack: list, fuel: Fuel):
     # The hot loop: fuel bookkeeping is inlined and types matched exactly,
-    # in dispatch-frequency order.
+    # in dispatch-frequency order. Out of fuel, it leaves its configuration
+    # on the caller's stack (the popped apply frame, then (control,
+    # is_value)) for step to plug back.
     remaining = fuel.remaining
     spent = fuel.spent
 
@@ -235,6 +238,7 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
             term, env = control
             if remaining == 0:
                 _sync()
+                stack.append((control, False))
                 return FuelExhausted(spent)
             remaining -= 1
             spent += 1
@@ -273,6 +277,7 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
                 fun = frame[1]
                 if remaining == 0:
                     _sync()
+                    stack += (frame, (control, True))
                     return FuelExhausted(spent)
                 remaining -= 1
                 spent += 1
@@ -430,12 +435,10 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
                 work.append((_TERM, e.term, values, 0, len(values)))
             elif isinstance(e, Done):
                 work.append((_VALUE, e.value))
-            elif isinstance(e, Pair):
+            else:  # a Pair: print_expr has decomposed the whole expression
                 work.append(_APP_TASK)
                 work.append((_EXPR, e.arg))
                 work.append((_EXPR, e.fun))
-            else:
-                raise TypeError(f"not a machine expression: {e!r}")
     return out.pop()
 
 
@@ -520,7 +523,7 @@ def normalize_by_evaluation(
 
 
 # ---------------------------------------------------------------------------
-# the one-step rewriting machine
+# the one-step machine: _run refocused
 
 
 class MachineExpr:
@@ -556,52 +559,74 @@ class Pair(MachineExpr):
     arg: MachineExpr
 
 
+_TERM_RULES = {OApp: RULE_SPLIT, Dot: RULE_BOUND, OLam: RULE_CLOSE, Free: RULE_VAR}
+
+
+def _decompose(e: MachineExpr) -> tuple[object, bool, list]:
+    """_run's configuration (control, is_value, stack) for an expression.
+
+    Pair(Done(f), e) is an apply frame holding f, any other
+    Pair(e, Pending(t, env)) an argument frame, and the Pending or Done at
+    the bottom the control. No other shape is reachable from a Pending,
+    so any other raises TypeError.
+    """
+    stack: list = []
+    while isinstance(e, Pair):
+        if isinstance(e.fun, Done):
+            stack.append((_FRAME_APPLY, e.fun.value))
+            e = e.arg
+        elif isinstance(e.arg, Pending):
+            stack.append((_FRAME_ARG, e.arg.term, e.arg.env))
+            e = e.fun
+        else:
+            raise TypeError(f"unevaluated function applied to a {type(e.arg).__name__}")
+    if isinstance(e, Pending):
+        return (e.term, e.env), False, stack
+    if isinstance(e, Done):
+        return e.value, True, stack
+    raise TypeError(f"not a machine expression: {type(e).__name__}")
+
+
+def _plug(control, is_value: bool, stack: list) -> MachineExpr:
+    """The expression of a configuration; the inverse of _decompose."""
+    e = Done(control) if is_value else Pending(*control)
+    for frame in reversed(stack):
+        if frame[0] == _FRAME_APPLY:
+            e = Pair(Done(frame[1]), e)
+        else:
+            e = Pair(e, Pending(frame[1], frame[2]))
+    return e
+
+
+def _parts(e: MachineExpr) -> tuple[list, list]:
+    """The pending (term, env) parts and the values of an expression, read
+    off its decomposition."""
+    control, is_value, stack = _decompose(e)
+    pending = [frame[1:] for frame in stack if frame[0] == _FRAME_ARG]
+    values = [frame[1] for frame in stack if frame[0] == _FRAME_APPLY]
+    (values if is_value else pending).append(control)
+    return pending, values
+
+
 def step(e: MachineExpr) -> Optional[tuple[MachineExpr, str]]:
     """One rule application at the leftmost-outermost reducible position.
 
     Returns the rewritten expression and the rule tag, or None when the
-    expression is fully evaluated (stuck). Only a Done expression is
-    stuck, so the walk descends pairs, function part first, to the first
-    part that is not Done, and rebuilds the pairs above it on the way out.
+    expression is fully evaluated (stuck). The rule is _run's: decompose,
+    run on one unit of fuel, plug back. The tag follows the pending term's
+    class, or the function value's on top of the stack.
     """
-    path: list[tuple[Pair, bool]] = []
-    while isinstance(e, Pair):
-        if not isinstance(e.fun, Done):
-            path.append((e, True))
-            e = e.fun
-        elif not isinstance(e.arg, Done):
-            path.append((e, False))
-            e = e.arg
-        else:
-            break
-    if isinstance(e, Done):
-        return None
-    if isinstance(e, Pending):
-        term, env = e.term, e.env
-        if isinstance(term, OApp):
-            env_fun, env_arg = env.split_at(term.split)
-            rewritten = Pair(Pending(term.fun, env_fun), Pending(term.arg, env_arg))
-            rule = RULE_SPLIT
-        elif isinstance(term, OLam):
-            rewritten, rule = Done(Closure(term.kvec, term.body, env)), RULE_CLOSE
-        elif isinstance(term, Dot):
-            rewritten, rule = Done(env.sole()), RULE_BOUND
-        elif isinstance(term, Free):
-            rewritten, rule = Done(Spine(term.name)), RULE_VAR
-        else:
-            raise TypeError(f"not an ordered term: {term!r}")
+    control, is_value, stack = _decompose(e)
+    if not is_value:
+        rule = _TERM_RULES.get(type(control[0]))
+    elif stack:
+        rule = RULE_SPINE if type(stack[-1][1]) is Spine else RULE_BETA
     else:
-        assert isinstance(e, Pair)
-        fun = e.fun.value
-        arg = e.arg.value
-        if isinstance(fun, Spine):
-            rewritten, rule = Done(Spine(fun.head, fun.args.append(arg))), RULE_SPINE
-        else:
-            rewritten = Pending(fun.body, fun.env.multi_insert(fun.kvec, arg))
-            rule = RULE_BETA
-    for pair, in_fun in reversed(path):
-        rewritten = Pair(rewritten, pair.arg) if in_fun else Pair(pair.fun, rewritten)
-    return rewritten, rule
+        return None
+    result = _run(control, is_value, stack, Fuel(1))
+    # Out of fuel, _run left its configuration on the stack; else it emptied it.
+    control, is_value = stack.pop() if stack else (result, True)
+    return _plug(control, is_value, stack), rule
 
 
 def machine_trace(
@@ -611,9 +636,7 @@ def machine_trace(
     fuel = _as_fuel(fuel)
     while True:
         result = step(e)
-        if result is None:
-            return
-        if not fuel.take():
+        if result is None or not fuel.take():
             return
         after, rule = result
         yield e, after, rule
@@ -633,24 +656,14 @@ def run_machine(
 
 def print_expr(e: MachineExpr) -> NamedTerm:
     """Print a machine expression (pairs print as applications)."""
-    return _print((_EXPR, e), fresh_names(_names_in_expr(e)))
-
-
-def _names_in_expr(e: MachineExpr) -> set[str]:
+    pending, values = _parts(e)
     names: set[str] = set()
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Pending):
-            names |= ordered_free_names(e.term)
-            for v in e.env.to_list():
-                names |= names_in_value(v)
-        elif isinstance(e, Done):
-            names |= names_in_value(e.value)
-        else:
-            stack.append(e.arg)
-            stack.append(e.fun)
-    return names
+    for term, env in pending:
+        names |= ordered_free_names(term)
+        values += env.to_list()
+    for v in values:
+        names |= names_in_value(v)
+    return _print((_EXPR, e), fresh_names(names))
 
 
 def weight(e: MachineExpr) -> int:
@@ -660,27 +673,9 @@ def weight(e: MachineExpr) -> int:
     arguments' weights, a pair the sum of its parts. Arbitrary-precision
     arithmetic matters: spines make the exponential term grow fast.
     """
-    total = 0
-    values: list = []
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Pending):
-            total += 1
-        elif isinstance(e, Done):
-            values.append(e.value)
-        elif isinstance(e, Pair):
-            stack.append(e.arg)
-            stack.append(e.fun)
-        else:
-            raise TypeError(f"not a machine expression: {e!r}")
-    return total + _value_weight(values)
-
-
-def _value_weight(values: list) -> int:
-    """Summed weight of the values, walking spine arguments with a stack."""
-    total = 0
-    while values:
+    pending, values = _parts(e)
+    total = len(pending)
+    while values:  # spine arguments join the walk
         v = values.pop()
         if isinstance(v, Closure):
             total += 2

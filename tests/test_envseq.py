@@ -9,7 +9,7 @@ from ordlam.envseq import BACKENDS, ListEnv, TreeEnv, tree_is_balanced
 from ordlam.errors import InvariantError
 
 
-@pytest.fixture(params=["list", "tree"], ids=["list", "tree"])
+@pytest.fixture(params=list(BACKENDS))
 def backend(request):
     return BACKENDS[request.param]
 

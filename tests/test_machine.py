@@ -1,10 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from ordlam import machine
-from ordlam.envseq import ListEnv, TreeEnv
+from ordlam.envseq import BACKENDS, ListEnv, TreeEnv
 from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
 from ordlam.machine import (
+    DEFAULT_FUEL,
     EMPTY_ARGS,
     Closure,
     Done,
@@ -13,11 +16,14 @@ from ordlam.machine import (
     Pair,
     Pending,
     RULE_BETA,
+    RULE_BOUND,
     RULE_CLOSE,
     RULE_SPINE,
     RULE_SPLIT,
     RULE_VAR,
     Spine,
+    _decompose,
+    _plug,
     apply_value,
     evaluate,
     machine_trace,
@@ -49,6 +55,23 @@ S_NAMED = parse_surface(r"\x.\y.\z. x z (y z)")
 S_BODY3 = OApp(OApp(DOT, 1, DOT), 2, OApp(DOT, 1, DOT))
 OMEGA = parse_surface(r"(\x. x x) (\x. x x)")
 MOTIVATING = parse_surface(r"(\x.\y. a b y) g f")
+
+# step reaches each backend's split_at and multi_insert through the
+# evaluator's loop, so the machine tests run on every backend in BACKENDS:
+# on the list through the module's backend fixture, which keeps their
+# test ids, and on the others through a subclass with OnOtherBackends.
+OTHER_BACKENDS = {name: env for name, env in BACKENDS.items() if env is not ListEnv}
+
+
+@pytest.fixture
+def backend():
+    return ListEnv
+
+
+class OnOtherBackends:
+    @pytest.fixture(params=list(OTHER_BACKENDS.values()), ids=list(OTHER_BACKENDS))
+    def backend(self, request):
+        return request.param
 
 
 def spine(name, *args):
@@ -301,8 +324,8 @@ class TestDeepMachine:
             e = e.arg
         return e
 
-    def test_step_rewrites_the_innermost_redex(self):
-        e = self._chain(Pending(OLam((0,), DOT), ListEnv.empty()))
+    def test_step_rewrites_the_innermost_redex(self, backend):
+        e = self._chain(Pending(OLam((0,), DOT), backend.empty()))
         after, rule = step(e)
         assert rule == RULE_CLOSE
         inner = self._descend(after, self.DEPTH)
@@ -320,8 +343,8 @@ class TestDeepMachine:
         inner = self._descend(after, self.DEPTH - 1)
         assert isinstance(inner, Done) and inner.value == spine("f", spine("x"))
 
-    def test_weight_of_pair_chain(self):
-        e = self._chain(Pending(OLam((0,), DOT), ListEnv.empty()))
+    def test_weight_of_pair_chain(self, backend):
+        e = self._chain(Pending(OLam((0,), DOT), backend.empty()))
         assert weight(e) == 2 * self.DEPTH + 1
 
     def test_weight_of_nested_spine(self):
@@ -332,40 +355,46 @@ class TestDeepMachine:
         assert weight(Done(v)) == 3 * self.DEPTH + 2
 
 
+class TestDeepMachineOnOtherBackends(OnOtherBackends, TestDeepMachine):
+    # These two build no environment, so they run once, above.
+    test_step_on_a_chain_of_values_applies_the_deepest_pair = None
+    test_weight_of_nested_spine = None
+
+
 class TestMachine:
-    def test_close_rule(self):
-        e = Pending(parse_closed(S_NAMED), ListEnv.empty())
+    def test_close_rule(self, backend):
+        e = Pending(parse_closed(S_NAMED), backend.empty())
         after, rule = step(e)
         assert rule == RULE_CLOSE
         assert isinstance(after, Done)
         assert isinstance(after.value, Closure)
 
-    def test_split_rule(self):
+    def test_split_rule(self, backend):
         t = OApp(Free("a"), 0, Free("b"))
-        after, rule = step(Pending(t, ListEnv.empty()))
+        after, rule = step(Pending(t, backend.empty()))
         assert rule == RULE_SPLIT
         assert after == Pair(
-            Pending(Free("a"), ListEnv.empty()), Pending(Free("b"), ListEnv.empty())
+            Pending(Free("a"), backend.empty()), Pending(Free("b"), backend.empty())
         )
 
     def test_stuck_on_done(self):
         assert step(Done(spine("x"))) is None
 
-    def test_trace_reaches_big_step_result(self):
+    def test_trace_reaches_big_step_result(self, backend):
         from ordlam.named import App as NApp
 
         t = NApp(NApp(NApp(S_NAMED, Var("g")), Var("f")), Var("n"))
-        final, steps = run_machine(Pending(parse_closed(t), ListEnv.empty()))
+        final, steps = run_machine(Pending(parse_closed(t), backend.empty()))
         assert isinstance(final, Done)
         assert final.value == whnf(t)
         assert steps > 0
 
-    def test_small_step_count_matches_big_step_fuel(self):
+    def test_small_step_count_matches_big_step_fuel(self, backend):
         for term in gen_terms(21, 60, 40, 0.5):
             fuel = Fuel(2000)
-            big = evaluate(parse_closed(term), ListEnv.empty(), fuel)
+            big = evaluate(parse_closed(term), backend.empty(), fuel)
             final, steps = run_machine(
-                Pending(parse_closed(term), ListEnv.empty()), 2000
+                Pending(parse_closed(term), backend.empty()), 2000
             )
             if isinstance(big, FuelExhausted):
                 assert steps == 2000
@@ -374,8 +403,8 @@ class TestMachine:
                 assert final.value == big
                 assert steps == fuel.spent
 
-    def test_non_beta_steps_preserve_printed_term(self):
-        e = Pending(parse_closed(MOTIVATING), ListEnv.empty())
+    def test_non_beta_steps_preserve_printed_term(self, backend):
+        e = Pending(parse_closed(MOTIVATING), backend.empty())
         for before, after, rule in machine_trace(e, 1000):
             printed_before = print_expr(before)
             printed_after = print_expr(after)
@@ -386,11 +415,81 @@ class TestMachine:
                 candidates = reduce_once_all(printed_before)
                 assert any(alpha_eq(printed_after, c) for c in candidates)
 
-    def test_weight_increases_on_non_beta_steps(self):
-        e = Pending(parse_closed(MOTIVATING), ListEnv.empty())
+    def test_weight_increases_on_non_beta_steps(self, backend):
+        e = Pending(parse_closed(MOTIVATING), backend.empty())
         for before, after, rule in machine_trace(e, 1000):
             if rule in NON_BETA_RULES:
                 assert weight(after) > weight(before)
+
+
+class TestMachineOnOtherBackends(OnOtherBackends, TestMachine):
+    test_stuck_on_done = None  # builds no environment, so it runs once, above
+
+
+class TestRefocusing:
+    # step is the evaluator's loop run on one unit of fuel: it decomposes
+    # an expression into the loop's configuration and plugs the result.
+    DEPTH = 100_000
+
+    def _traced(self):
+        for seed in range(1002, 1008):
+            for term in gen_terms(seed, 30, 40, 0.5):
+                for env in BACKENDS.values():
+                    yield from machine_trace(Pending(parse_closed(term), env.empty()), 200)
+
+    def test_plug_inverts_decompose_along_traces(self):
+        for before, after, _ in self._traced():
+            assert _plug(*_decompose(before)) == before
+            assert _plug(*_decompose(after)) == after
+
+    def test_plug_inverts_decompose_on_a_deep_chain(self):
+        e = Pending(OLam((0,), DOT), ListEnv.empty())
+        for _ in range(self.DEPTH):
+            e = Pair(Done(spine("f")), e)
+        control, is_value, stack = _decompose(e)
+        assert len(stack) == self.DEPTH and not is_value
+        assert _plug(control, is_value, stack) == e
+
+    def test_unreachable_shapes_raise_type_error(self):
+        # A pending function part with an evaluated argument never arises
+        # from a Pending: the loop evaluates the function part first.
+        e = Pair(Pending(Free("a"), ListEnv.empty()), Done(spine("b")))
+        with pytest.raises(TypeError, match="^unevaluated function applied to a Done$"):
+            step(e)
+        for _ in range(self.DEPTH):
+            e = Pair(Done(spine("f")), e)
+        for walk in (step, weight, print_expr):
+            with pytest.raises(TypeError, match="^unevaluated function applied to a Done$"):
+                walk(e)
+        nested = Pair(Pending(Free("a"), ListEnv.empty()), Pair(Done(spine("b")), e))
+        with pytest.raises(TypeError, match="^unevaluated function applied to a Pair$"):
+            step(nested)
+
+    def test_rule_counts_sum_to_big_step_fuel(self):
+        all_rules = Counter()
+        for term in gen_terms(21, 60, 40, 0.5):
+            fuel = Fuel(2000)
+            evaluate(parse_closed(term), ListEnv.empty(), fuel)
+            e = Pending(parse_closed(term), ListEnv.empty())
+            rules = Counter(rule for _, _, rule in machine_trace(e, 2000))
+            assert sum(rules.values()) == fuel.spent
+            all_rules += rules
+        six = {RULE_VAR, RULE_BOUND, RULE_SPLIT, RULE_CLOSE, RULE_SPINE, RULE_BETA}
+        assert set(all_rules) == six
+
+    @pytest.mark.parametrize("env", BACKENDS.values(), ids=BACKENDS)
+    def test_exhaustion_at_every_budget_below_the_step_count(self, env):
+        t = parse_closed(MOTIVATING)
+        full = Fuel(DEFAULT_FUEL)
+        evaluate(t, env.empty(), full)
+        assert full.spent > 10
+        for k in range(1, full.spent):
+            fuel = Fuel(k)
+            assert evaluate(t, env.empty(), fuel) == FuelExhausted(k)
+            assert (fuel.remaining, fuel.spent) == (0, k)
+            # The paused configuration goes back on the loop's own stack.
+            assert not hasattr(fuel, "__dict__")
+        assert evaluate(t, env.empty(), Fuel(full.spent)) == whnf(MOTIVATING)
 
 
 class TestWeight:
