@@ -26,7 +26,6 @@ explicit-stack loop, so term depth is bounded by memory.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
@@ -45,47 +44,62 @@ from .machine import (
     value_node_count,
 )
 from .named import App, FuelExhausted, Lam, NamedTerm, Var, fresh_names
-from .named import Term, _cache_bottom_up
+from .named import Term, _cache_bottom_up, _set, _union
 
 
 class DbTerm(Term):
     """Base class for de Bruijn terms (BVar / FVar / DApp / DLam).
 
-    Terms compare and hash structurally, as every Term.
+    Terms compare and hash structurally, as every Term. Each node keeps
+    a __dict__ slot for its cached free_names.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, repr=False)
+
 class BVar(DbTerm):
-    index: int
+    __slots__ = ("index", "__dict__")
+    __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
         return frozenset()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class FVar(DbTerm):
-    name: str
+    __slots__ = ("name", "__dict__")
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
         return frozenset((self.name,))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class DApp(DbTerm):
-    fun: DbTerm
-    arg: DbTerm
+    __slots__ = ("fun", "arg", "__dict__")
+    __match_args__ = ("fun", "arg")
+
+    def __init__(self, fun: DbTerm, arg: DbTerm):
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
         return _cache_bottom_up(self, "free_names", _free_names_here, DApp, DLam)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class DLam(DbTerm):
-    body: DbTerm
+    __slots__ = ("body", "__dict__")
+    __match_args__ = ("body",)
+
+    def __init__(self, body: DbTerm):
+        _set(self, "body", body)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
@@ -94,7 +108,7 @@ class DLam(DbTerm):
 
 def _free_names_here(u: DbTerm) -> frozenset[str]:
     if type(u) is DApp:
-        return u.fun.free_names | u.arg.free_names
+        return _union(u.fun.free_names, u.arg.free_names)
     return u.body.free_names if type(u) is DLam else u.free_names
 
 

@@ -33,14 +33,27 @@ class Term:
     """Base class of the three term families: named (NamedTerm), ordered
     (ordered.OrderedTerm) and de Bruijn (baselines.DbTerm).
 
-    A term's constructor fields are the ones its dataclass lists in
-    __match_args__. Terms compare and hash structurally, and repr() gives
-    the dataclass text Cls(field=value, ...); all three read one
-    explicit-stack walk of those fields (_fields), so any depth works.
-    Terms of different classes, families included, are never equal.
+    A term's constructor fields are the ones its class lists in
+    __match_args__, in constructor order. Terms are immutable: assigning
+    or deleting any attribute raises AttributeError, so constructors
+    write their slots through object.__setattr__. Terms compare and hash
+    structurally, and repr() gives the constructor text
+    Cls(field=value, ...); all three read one explicit-stack walk of
+    those fields (_fields), so any depth works. Terms of different
+    classes, families included, are never equal.
     """
 
+    __slots__ = ()
     __match_args__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other):
         if not isinstance(other, Term):
@@ -70,6 +83,10 @@ class Term:
         return "".join(parts)
 
 
+# Writes a slot past Term.__setattr__; constructors use it.
+_set = object.__setattr__
+
+
 def _fields(t: Term) -> tuple:
     """The pre-order sequence of t's nodes: each node's class, then the
     values of its constructor fields in order, a term value replaced by
@@ -93,12 +110,19 @@ class NamedTerm(Term):
     """Base class for named lambda terms (Var / App / Lam).
 
     Terms compare and hash structurally (not up to alpha), as every Term.
+    Each node keeps a __dict__ slot for its cached free_names and
+    node_count.
     """
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, repr=False)
+
 class Var(NamedTerm):
-    name: str
+    __slots__ = ("name", "__dict__")
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
@@ -109,10 +133,13 @@ class Var(NamedTerm):
         return 1
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class App(NamedTerm):
-    fun: NamedTerm
-    arg: NamedTerm
+    __slots__ = ("fun", "arg", "__dict__")
+    __match_args__ = ("fun", "arg")
+
+    def __init__(self, fun: NamedTerm, arg: NamedTerm):
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
@@ -123,10 +150,13 @@ class App(NamedTerm):
         return _cache_bottom_up(self, "node_count", _node_count_here)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Lam(NamedTerm):
-    binder: str
-    body: NamedTerm
+    __slots__ = ("binder", "body", "__dict__")
+    __match_args__ = ("binder", "body")
+
+    def __init__(self, binder: str, body: NamedTerm):
+        _set(self, "binder", binder)
+        _set(self, "body", body)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
@@ -156,9 +186,21 @@ def _cache_bottom_up(t, attr: str, here, app=App, lam=Lam):
 
 
 def _free_names_here(u: NamedTerm) -> frozenset[str]:
+    """u's free names from its children's; a child's set that already is
+    the answer is returned itself, not copied."""
     if type(u) is App:
-        return u.fun.free_names | u.arg.free_names
-    return u.body.free_names - {u.binder} if type(u) is Lam else frozenset((u.name,))
+        return _union(u.fun.free_names, u.arg.free_names)
+    if type(u) is Lam:
+        body = u.body.free_names
+        return body - {u.binder} if u.binder in body else body
+    return frozenset((u.name,))
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, as a or b itself when one contains the other."""
+    if b <= a:
+        return a
+    return b if a <= b else a | b
 
 
 def _node_count_here(u: NamedTerm) -> int:
@@ -238,6 +280,7 @@ def parse_surface(src: str) -> NamedTerm:
 
     Raises ParseError (with line/column) on malformed or empty input. An
     unexpected character is reported even after an earlier syntax error.
+    All occurrences of a name share one Var node.
     """
     bad = _NO_TOKEN.search(src)
     if bad:
@@ -252,11 +295,15 @@ def parse_surface(src: str) -> NamedTerm:
     outer: list[tuple[list[str], Optional[NamedTerm]]] = []
     binders: list[str] = []
     app: Optional[NamedTerm] = None
+    variables: dict[str, Var] = {}  # one shared leaf per name
     pos = 0
     while True:
         token = tokens[pos]
         if token not in _PUNCTUATION:
-            app = Var(token) if app is None else App(app, Var(token))
+            var = variables.get(token)
+            if var is None:
+                var = variables[token] = Var(token)
+            app = var if app is None else App(app, var)
             pos += 1
         elif token == "(":
             outer.append((binders, app))

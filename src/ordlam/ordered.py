@@ -15,16 +15,17 @@ that shadows a context name claims every occurrence of that name in its
 body, and an application's split is its translated function part's fv.
 
 Every walk over terms, the translation and the text reader included, is
-an explicit-stack loop, so term depth is bounded by memory; ==, hash()
-and repr() come from the shared base class, named.Term.
+an explicit-stack loop, so term depth is bounded by memory. Term nodes
+are slotted classes without a __dict__; immutability, ==, hash() and
+repr() come from the shared base class, named.Term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
-from .named import _IDENT, App, Lam, NamedTerm, Term, Var
+from .named import _IDENT, App, Lam, NamedTerm, Term, Var, _set
 
 
 class OrderedTerm(Term):
@@ -34,49 +35,52 @@ class OrderedTerm(Term):
     not a constructor field, so it takes no part.
     """
 
+    __slots__ = ()
     fv: int
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Free(OrderedTerm):
-    name: str
-    fv: int = field(init=False, default=0)
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+    fv = 0
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Dot(OrderedTerm):
-    fv: int = field(init=False, default=1)
+    __slots__ = ()
+    fv = 1
 
 
 DOT = Dot()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class OApp(OrderedTerm):
-    fun: OrderedTerm
-    split: int
-    arg: OrderedTerm
-    fv: int = field(init=False)
+    __slots__ = ("fun", "split", "arg", "fv")
+    __match_args__ = ("fun", "split", "arg")
 
-    def __post_init__(self):
-        if self.split < 0:
+    def __init__(self, fun: OrderedTerm, split: int, arg: OrderedTerm):
+        if split < 0:
             raise ValueError("application split must be non-negative")
-        object.__setattr__(self, "fv", self.fun.fv + self.arg.fv)
+        _set(self, "fun", fun)
+        _set(self, "split", split)
+        _set(self, "arg", arg)
+        _set(self, "fv", fun.fv + arg.fv)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class OLam(OrderedTerm):
-    kvec: tuple[int, ...]
-    body: OrderedTerm
-    fv: int = field(init=False)
+    __slots__ = ("kvec", "body", "fv")
+    __match_args__ = ("kvec", "body")
 
-    def __post_init__(self):
-        kvec = tuple(self.kvec)
-        object.__setattr__(self, "kvec", kvec)
+    def __init__(self, kvec: tuple[int, ...], body: OrderedTerm):
+        kvec = tuple(kvec)
         if any(k < 0 for k in kvec):
             raise ValueError("binder gap counts must be non-negative")
+        _set(self, "kvec", kvec)
+        _set(self, "body", body)
         # May go negative on invalid preterms; is_ordered reports those.
-        object.__setattr__(self, "fv", self.body.fv - len(kvec))
+        _set(self, "fv", body.fv - len(kvec))
 
 
 def subterms(t: OrderedTerm) -> Iterator[OrderedTerm]:

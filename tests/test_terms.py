@@ -1,0 +1,224 @@
+"""Layout, immutability and leaf sharing of the term classes of all three
+families (named, ordered, de Bruijn)."""
+
+import copy
+import pickle
+
+import pytest
+
+from ordlam.baselines import BVar, DApp, DLam, FVar, to_debruijn
+from ordlam.gen import gen_terms
+from ordlam.named import (
+    App,
+    FuelExhausted,
+    Lam,
+    Var,
+    _fields,
+    alpha_key,
+    normalize,
+    parse_surface,
+    print_surface,
+    subst,
+)
+from ordlam.ordered import DOT, Dot, Free, OApp, OLam, to_ordered
+
+SAMPLES = [
+    Var("x"),
+    App(Var("f"), Var("x")),
+    Lam("x", Var("x")),
+    Free("a"),
+    Dot(),
+    OApp(DOT, 1, Free("a")),
+    OLam((0,), DOT),
+    BVar(0),
+    FVar("a"),
+    DApp(BVar(0), FVar("a")),
+    DLam(BVar(0)),
+]
+
+ORDERED = (Free, Dot, OApp, OLam)
+
+
+def fields_of(t):
+    names = type(t).__match_args__
+    return names + ("fv",) if isinstance(t, ORDERED) else names
+
+
+def test_samples_cover_every_term_class():
+    assert len({type(t) for t in SAMPLES}) == 11
+
+
+@pytest.mark.parametrize("t", SAMPLES, ids=lambda t: type(t).__name__)
+def test_fields_cannot_be_assigned_or_deleted(t):
+    before = repr(t)
+    for name in fields_of(t) + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(t, name, Var("y"))
+    for name in fields_of(t):
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    assert repr(t) == before
+
+
+@pytest.mark.parametrize("t", SAMPLES, ids=lambda t: type(t).__name__)
+def test_ordered_nodes_have_no_dict(t):
+    assert hasattr(t, "__dict__") == (not isinstance(t, ORDERED))
+
+
+@pytest.mark.parametrize("t", SAMPLES, ids=lambda t: type(t).__name__)
+def test_copy_and_pickle_rebuild_through_the_constructor(t):
+    for u in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert type(u) is type(t) and u == t and repr(u) == repr(t)
+        assert getattr(u, "fv", None) == getattr(t, "fv", None)
+
+
+def test_cached_properties_fill_their_cache():
+    t = parse_surface(r"(\x. f x) y")
+    for attr in ("free_names", "node_count"):
+        assert attr not in t.__dict__
+        getattr(t, attr)
+        assert attr in t.__dict__
+        assert attr in t.fun.body.arg.__dict__
+    assert (t.free_names, t.node_count) == ({"f", "y"}, 6)
+    d = to_debruijn(t)
+    assert "free_names" not in d.__dict__
+    assert d.free_names == {"f", "y"}
+    assert "free_names" in d.__dict__ and "free_names" in d.fun.body.fun.__dict__
+
+
+def test_ordered_constructor_checks_and_fv():
+    with pytest.raises(ValueError, match="split must be non-negative"):
+        OApp(DOT, -1, DOT)
+    with pytest.raises(ValueError, match="gap counts must be non-negative"):
+        OLam([0, -1], DOT)
+    lam = OLam([0], OApp(DOT, 1, DOT))
+    assert lam.kvec == (0,) and type(lam.kvec) is tuple
+    assert (Free("a").fv, DOT.fv, lam.body.fv, lam.fv) == (0, 1, 2, 1)
+
+
+# repr() text of a fixed sample, which must stay as it is.
+REPRS = [
+    (
+        parse_surface(r"(\x. \y. f x (y x)) (\z. z) w"),
+        "App(fun=App(fun=Lam(binder='x', body=Lam(binder='y', body=App(fun=App("
+        "fun=Var(name='f'), arg=Var(name='x')), arg=App(fun=Var(name='y'), "
+        "arg=Var(name='x'))))), arg=Lam(binder='z', body=Var(name='z'))), "
+        "arg=Var(name='w'))",
+    ),
+    (
+        to_ordered(parse_surface(r"\y. x y x"), frozenset({"x"})).term,
+        "OLam(kvec=(1,), body=OApp(fun=OApp(fun=Dot(), split=1, arg=Dot()), "
+        "split=2, arg=Dot()))",
+    ),
+    (OLam((0,), DOT), "OLam(kvec=(0,), body=Dot())"),
+    (Dot(), "Dot()"),
+    (
+        to_debruijn(parse_surface(r"(\x. \y. f x (y x)) w")),
+        "DApp(fun=DLam(body=DLam(body=DApp(fun=DApp(fun=FVar(name='f'), "
+        "arg=BVar(index=1)), arg=DApp(fun=BVar(index=0), arg=BVar(index=1))))), "
+        "arg=FVar(name='w'))",
+    ),
+]
+
+
+@pytest.mark.parametrize("t, text", REPRS)
+def test_repr_is_the_constructor_text(t, text):
+    assert repr(t) == text
+
+
+def test_equality_and_hash():
+    shared = parse_surface("f x x")
+    fresh = App(App(Var("f"), Var("x")), Var("x"))
+    assert shared == fresh and hash(shared) == hash(fresh)
+    assert hash(shared) == hash(_fields(shared))
+    assert OLam([0], DOT) == OLam((0,), DOT)
+    assert hash(OLam([0], DOT)) == hash(OLam((0,), DOT))
+    assert Dot() == DOT and hash(Dot()) == hash(DOT)
+    assert Var("x") != FVar("x") and Var("x") != Free("x") and FVar("x") != Free("x")
+    assert OApp(DOT, 1, DOT) != OApp(DOT, 0, DOT)
+
+
+# ---------------------------------------------------------------------------
+# sharing
+
+
+def test_parse_shares_one_var_per_name():
+    t = parse_surface("x x")
+    assert t.fun is t.arg
+    t = parse_surface(r"\x. x (y x) y")
+    assert t.body.fun.fun is t.body.fun.arg.arg
+    assert t.body.fun.arg.fun is t.body.arg
+
+
+def test_parse_calls_do_not_share():
+    assert parse_surface("x") is not parse_surface("x")
+
+
+def test_shared_leaves_count_once_per_occurrence():
+    assert parse_surface("x x x").node_count == 5
+
+
+def test_free_names_reuse_a_child_set_that_is_the_answer():
+    t = parse_surface("f x x")  # the argument's names are among the function's
+    assert t.free_names is t.fun.free_names
+    t = parse_surface("x (f x)")  # the function's names are among the argument's
+    assert t.free_names is t.arg.free_names
+    t = parse_surface("f x")
+    assert t.free_names == {"f", "x"}
+    assert t.free_names is not t.fun.free_names and t.free_names is not t.arg.free_names
+    t = parse_surface(r"\y. f x")  # the binder does not occur
+    assert t.free_names is t.body.free_names
+    t = parse_surface(r"\x. f x")
+    assert t.free_names == {"f"}
+    d = to_debruijn(parse_surface("f x x"))
+    assert d.free_names is d.fun.free_names
+    d = to_debruijn(parse_surface("x (f x)"))
+    assert d.free_names is d.arg.free_names
+    d = to_debruijn(parse_surface(r"\x. f x"))
+    assert d.free_names is d.body.free_names
+
+
+def unshared(t):
+    """t rebuilt with a fresh Var per occurrence."""
+    if type(t) is Var:
+        return Var(t.name)
+    if type(t) is App:
+        return App(unshared(t.fun), unshared(t.arg))
+    return Lam(t.binder, unshared(t.body))
+
+
+def leaves(t, out):
+    if type(t) is Var:
+        out.append(t)
+    elif type(t) is App:
+        leaves(t.fun, out)
+        leaves(t.arg, out)
+    else:
+        leaves(t.body, out)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(1002, 1008))
+def test_shared_and_fresh_leaves_give_identical_results(seed):
+    sharing = 0
+    s = parse_surface(r"f v0 (\v1. v1 x)")
+    for term in gen_terms(seed, 150, 40, 0.5):
+        shared = parse_surface(print_surface(term))
+        fresh = unshared(shared)
+        occurrences = leaves(shared, [])
+        sharing += len({id(v) for v in occurrences}) < len(occurrences)
+        assert fresh == shared
+        assert alpha_key(shared) == alpha_key(fresh)
+        assert shared.free_names == fresh.free_names
+        assert shared.node_count == fresh.node_count
+        for x in ("x", "v0", "f"):
+            assert repr(subst(shared, x, s)) == repr(subst(fresh, x, s))
+        a, b = normalize(shared, fuel=200), normalize(fresh, fuel=200)
+        if isinstance(a, FuelExhausted):
+            assert isinstance(b, FuelExhausted) and a.spent == b.spent
+        else:
+            assert repr(a) == repr(b)
+        for gamma in (frozenset(), shared.free_names):
+            assert to_ordered(shared, gamma) == to_ordered(fresh, gamma)
+        assert repr(to_debruijn(shared)) == repr(to_debruijn(fresh))
+    assert sharing > 0
