@@ -21,6 +21,12 @@ from ordlam.machine. What is left here is de Bruijn specific: the
 terms (whose ==, hash() and repr() come from named.Term), to_debruijn,
 index lookup, printing and _hsub. Every walk over terms is an
 explicit-stack loop, so term depth is bounded by memory.
+
+to_debruijn shares work as ordered.to_ordered does: a lambda node met
+again in one conversion (parse_surface shares repeated subterms) reuses
+its first result when that one is closed and none of the lambda's free
+names is bound where it is met again, so the closure machine gets the
+same front end as the ordered one.
 """
 
 from __future__ import annotations
@@ -113,36 +119,63 @@ def _free_names_here(u: DbTerm) -> frozenset[str]:
 
 
 # Work items of the loops below, besides terms: None applies the second
-# result from the top to the top one; _BINDER (in to_debruijn, the
-# binder's name) wraps the top in a binder.
+# result from the top to the top one; _BINDER (in to_debruijn, a
+# (lambda, lowest level) pair) wraps the top in a binder.
 _BINDER = ("binder",)
 
 
 def to_debruijn(m: NamedTerm) -> DbTerm:
-    """Standard nameless conversion; free names are kept by name."""
+    """Standard nameless conversion; free names are kept by name.
+
+    A lambda node met again in the same conversion reuses its first
+    result when that one is closed (no index points past the lambda) and
+    none of the lambda's free names is bound where it is met again.
+    """
     levels: dict[str, list[int]] = defaultdict(list)  # binder levels, by name
     depth = 0  # binders in scope
+    # The lowest binder level an index refers to since the innermost open
+    # lambda opened; that lambda's result is closed while it stays at or
+    # above the lambda's own level.
+    lowest = 0
+    # The closed results of m's lambdas met so far, by id; m holds them
+    # all for the whole call.
+    closed: dict[int, DLam] = {}
     work: list = [m]
     out: list[DbTerm] = []
     while work:
-        m = work.pop()
-        kind = type(m)
+        t = work.pop()
+        kind = type(t)
         if kind is Var:
-            bound = levels.get(m.name)
-            out.append(BVar(depth - 1 - bound[-1]) if bound else FVar(m.name))
+            bound = levels.get(t.name)
+            if bound:
+                level = bound[-1]
+                if level < lowest:
+                    lowest = level
+                out.append(BVar(depth - 1 - level))
+            else:
+                out.append(FVar(t.name))
         elif kind is App:
-            work += (None, m.arg, m.fun)
+            work += (None, t.arg, t.fun)
         elif kind is Lam:
-            levels[m.binder].append(depth)
+            done = closed.get(id(t))
+            if done is not None and not any(map(levels.get, t.free_names)):
+                out.append(done)
+                continue
+            levels[t.binder].append(depth)
+            work += ((t, lowest), t.body)
+            lowest = depth
             depth += 1
-            work += (m.binder, m.body)
-        elif m is None:
+        elif t is None:
             arg = out.pop()
             out[-1] = DApp(out[-1], arg)
         else:
-            levels[m].pop()
+            lam, outer_lowest = t
+            levels[lam.binder].pop()
             depth -= 1
-            out[-1] = DLam(out[-1])
+            done = out[-1] = DLam(out[-1])
+            if lowest >= depth:
+                closed[id(lam)] = done
+            lowest = min(lowest, outer_lowest)
     return out.pop()
 
 

@@ -38,9 +38,11 @@ class Term:
     or deleting any attribute raises AttributeError, so constructors
     write their slots through object.__setattr__. Terms compare and hash
     structurally, and repr() gives the constructor text
-    Cls(field=value, ...); all three read one explicit-stack walk of
-    those fields (_fields), so any depth works. Terms of different
-    classes, families included, are never equal.
+    Cls(field=value, ...). hash() and repr() read one explicit-stack
+    walk of those fields (_fields); == walks two terms in step and skips
+    a pair that is one object, so shared subterms compare at once. Any
+    depth works. Terms of different classes, families included, are
+    never equal.
     """
 
     __slots__ = ()
@@ -58,7 +60,20 @@ class Term:
     def __eq__(self, other):
         if not isinstance(other, Term):
             return NotImplemented
-        return _fields(self) == _fields(other)
+        stack = [(self, other)]  # pairs of fields still to compare
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if isinstance(a, Term):
+                kind = type(a)
+                if kind is not type(b):
+                    return False
+                for name in kind.__match_args__:
+                    stack.append((getattr(a, name), getattr(b, name)))
+            elif isinstance(b, Term) or a != b:
+                return False
+        return True
 
     def __hash__(self):
         return hash(_fields(self))
@@ -280,7 +295,12 @@ def parse_surface(src: str) -> NamedTerm:
 
     Raises ParseError (with line/column) on malformed or empty input. An
     unexpected character is reported even after an earlier syntax error.
-    All occurrences of a name share one Var node.
+
+    Within one call every distinct subterm is built once: all occurrences
+    of a name share one Var node, and an application or lambda whose
+    parts are nodes already built is that earlier node, so repeated text
+    such as a combinator written many times becomes one shared node.
+    Separate calls share nothing.
     """
     bad = _NO_TOKEN.search(src)
     if bad:
@@ -295,15 +315,18 @@ def parse_surface(src: str) -> NamedTerm:
     outer: list[tuple[list[str], Optional[NamedTerm]]] = []
     binders: list[str] = []
     app: Optional[NamedTerm] = None
-    variables: dict[str, Var] = {}  # one shared leaf per name
+    # Every node built so far, keyed by a name, by (id(fun), id(arg)) or
+    # by (binder, id(body)). The nodes hold their parts, so no id is
+    # reused while the dict lives.
+    nodes: dict = {}
     pos = 0
     while True:
         token = tokens[pos]
         if token not in _PUNCTUATION:
-            var = variables.get(token)
+            var = nodes.get(token)
             if var is None:
-                var = variables[token] = Var(token)
-            app = var if app is None else App(app, var)
+                var = nodes[token] = Var(token)
+            app = var if app is None else _shared_app(nodes, app, var)
             pos += 1
         elif token == "(":
             outer.append((binders, app))
@@ -324,7 +347,11 @@ def parse_surface(src: str) -> NamedTerm:
             # Anything but an atom ends the term.
             term = app
             for binder in reversed(binders):
-                term = Lam(binder, term)
+                key = (binder, id(term))
+                lam = nodes.get(key)
+                if lam is None:
+                    lam = nodes[key] = Lam(binder, term)
+                term = lam
             if not outer:
                 if token:
                     raise _token_error(src, pos, f"unexpected {token!r} after the term")
@@ -333,7 +360,16 @@ def parse_surface(src: str) -> NamedTerm:
                 raise _token_error(src, pos, "expected ')'")
             pos += 1
             binders, app = outer.pop()
-            app = term if app is None else App(app, term)
+            app = term if app is None else _shared_app(nodes, app, term)
+
+
+def _shared_app(nodes: dict, fun: NamedTerm, arg: NamedTerm) -> App:
+    """The application of fun to arg in nodes, built on first use."""
+    key = (id(fun), id(arg))
+    app = nodes.get(key)
+    if app is None:
+        app = nodes[key] = App(fun, arg)
+    return app
 
 
 def print_surface(t: NamedTerm) -> str:

@@ -13,6 +13,11 @@ unique ordered term plus the left-to-right list of context-variable
 occurrences that the dots stand for. It needs no renaming: a binder
 that shadows a context name claims every occurrence of that name in its
 body, and an application's split is its translated function part's fv.
+A lambda node met again in the same translation (parse_surface shares
+repeated subterms) reuses its first translation when that one is closed
+(fv 0) and none of the lambda's free names is bound where it is met
+again; a shared lambda under a binder of one of its free names is
+translated anew, so that name becomes a dot there.
 
 Every walk over terms, the translation and the text reader included, is
 an explicit-stack loop, so term depth is bounded by memory. Term nodes
@@ -75,7 +80,7 @@ class OLam(OrderedTerm):
 
     def __init__(self, kvec: tuple[int, ...], body: OrderedTerm):
         kvec = tuple(kvec)
-        if any(k < 0 for k in kvec):
+        if kvec and min(kvec) < 0:
             raise ValueError("binder gap counts must be non-negative")
         _set(self, "kvec", kvec)
         _set(self, "body", body)
@@ -149,32 +154,43 @@ def _translate(m: NamedTerm, bound: set[str], occ: list[str]) -> OrderedTerm:
     """Translate m, appending the names its unbound dots stand for to occ
     (subterms go left to right, so occ fills in the order of the dots)."""
     # Work items: a named term; None, to apply the second result from the
-    # top to the top one; (binder, shadows, start), to close a binder.
+    # top to the top one; (lambda, shadows, start), to close a binder.
     work: list = [m]
     out: list[OrderedTerm] = []
+    # The closed translations (fv 0) of m's lambdas met so far, by id; m
+    # holds them all for the whole call. A lambda met again translates
+    # the same way unless one of its free names is now bound.
+    closed: dict[int, OLam] = {}
     while work:
-        m = work.pop()
-        kind = type(m)
+        t = work.pop()
+        kind = type(t)
         if kind is Var:
-            if m.name in bound:
-                occ.append(m.name)
+            if t.name in bound:
+                occ.append(t.name)
                 out.append(DOT)
             else:
-                out.append(Free(m.name))
+                out.append(Free(t.name))
         elif kind is App:
-            work += (None, m.arg, m.fun)
+            work += (None, t.arg, t.fun)
         elif kind is Lam:
-            work += ((m.binder, m.binder in bound, len(occ)), m.body)
-            bound.add(m.binder)
-        elif m is None:
+            done = closed.get(id(t))
+            if done is not None and t.free_names.isdisjoint(bound):
+                out.append(done)
+                continue
+            work += ((t, t.binder in bound, len(occ)), t.body)
+            bound.add(t.binder)
+        elif t is None:
             arg = out.pop()
             out[-1] = OApp(out[-1], out[-1].fv, arg)
         else:
-            binder, shadows, start = m
+            lam, shadows, start = t
+            binder = lam.binder
             if not shadows:
                 bound.discard(binder)
             kvec, occ[start:] = _strip_occurrences(occ[start:], binder)
-            out[-1] = OLam(kvec, out[-1])
+            done = out[-1] = OLam(kvec, out[-1])
+            if not done.fv:
+                closed[id(lam)] = done
     return out.pop()
 
 

@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from ordlam.baselines import BVar, DApp, DLam, FVar, to_debruijn
 from ordlam.gen import gen_terms
 from ordlam.named import App, Lam, Var, alpha_eq, parse_surface
 from ordlam.ordered import (
@@ -233,6 +234,62 @@ class TestParseClosed:
 
     def test_free_variable(self):
         assert parse_closed(Var("a")) == Free("a")
+
+
+class TestSharedLambdas:
+    """A lambda that parse_surface shares between two places translates
+    once when its translation is closed in both, and anew where one of
+    its free names is bound."""
+
+    def test_closed_lambda_translates_once(self):
+        t = parse_surface(r"(\x. x) (\x. x)")
+        term = parse_closed(t)
+        assert term.fun is term.arg
+        d = to_debruijn(t)
+        assert d.fun is d.arg
+
+    def test_captured_copy_translates_with_a_dot(self):
+        t = parse_surface(r"(\x. y x) (\y. (\x. y x))")
+        assert t.fun is t.arg.body
+        term = parse_closed(t)
+        assert term.fun == OLam((0,), OApp(Free("y"), 0, DOT))
+        assert term.arg == OLam((0,), OLam((1,), OApp(DOT, 1, DOT)))
+        d = to_debruijn(t)
+        assert d.fun == DLam(DApp(FVar("y"), BVar(0)))
+        assert d.arg == DLam(DLam(DApp(BVar(1), BVar(0))))
+
+    def test_copy_under_the_binder_first(self):
+        t = parse_surface(r"(\y. (\x. y x)) (\x. y x)")
+        term = parse_closed(t)
+        assert term.fun == OLam((0,), OLam((1,), OApp(DOT, 1, DOT)))
+        assert term.arg == OLam((0,), OApp(Free("y"), 0, DOT))
+        d = to_debruijn(t)
+        assert d.fun == DLam(DLam(DApp(BVar(1), BVar(0))))
+        assert d.arg == DLam(DApp(FVar("y"), BVar(0)))
+
+    def test_escape_from_a_nested_lambda_keeps_the_copy_open(self):
+        # \z. a escapes both lambdas, so \x. \z. a is open under \a.
+        t = parse_surface(r"(\a. \x. \z. a) (\x. \z. a)")
+        assert t.fun.body is t.arg
+        assert parse_closed(t).arg == OLam((), OLam((), Free("a")))
+        assert to_debruijn(t).arg == DLam(DLam(FVar("a")))
+
+    def test_context_name_is_not_closed(self):
+        t = parse_surface(r"(\x. y x) (\x. y x)")
+        result = to_ordered(t, frozenset({"y"}))
+        lam = OLam((1,), OApp(DOT, 1, DOT))
+        assert result == ParseResult(OApp(lam, 1, lam), ("y", "y"))
+
+    def test_lambda_closed_inside_an_open_one(self):
+        # \x. a x is open under \a, so only its inner closed \z. z is reused.
+        t = parse_surface(r"\a. (\x. a x (\z. z)) (\x. a x (\z. z))")
+        term = parse_closed(t)
+        assert term.body.fun is not term.body.arg
+        assert term.body.fun.body.arg is term.body.arg.body.arg
+        d = to_debruijn(t)
+        assert d.body.fun is not d.body.arg
+        assert d.body.fun.body.arg is d.body.arg.body.arg
+        assert d == DLam(DApp(*[DLam(DApp(DApp(BVar(1), BVar(0)), DLam(BVar(0))))] * 2))
 
 
 class TestTextFormat:

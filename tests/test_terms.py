@@ -1,4 +1,4 @@
-"""Layout, immutability and leaf sharing of the term classes of all three
+"""Layout, immutability and sharing of the term classes of all three
 families (named, ordered, de Bruijn)."""
 
 import copy
@@ -20,7 +20,8 @@ from ordlam.named import (
     print_surface,
     subst,
 )
-from ordlam.ordered import DOT, Dot, Free, OApp, OLam, to_ordered
+from ordlam.ordered import DOT, Dot, Free, OApp, OLam, subterms, to_ordered
+from ordlam.workloads import combinator_chain
 
 SAMPLES = [
     Var("x"),
@@ -138,6 +139,17 @@ def test_equality_and_hash():
     assert OApp(DOT, 1, DOT) != OApp(DOT, 0, DOT)
 
 
+def test_equality_skips_a_pair_that_is_one_object():
+    t = Var("x")
+    for _ in range(60):  # 2**60 leaves unfolded
+        t = App(t, t)
+    assert t == t
+    assert App(t, Var("y")) == App(t, Var("y"))
+    assert App(t, Var("y")) != App(t, Var("z"))
+    assert App(t, Var("y")) != Lam("y", t)
+    assert OLam((0,), DOT) != OLam((1,), DOT)
+
+
 # ---------------------------------------------------------------------------
 # sharing
 
@@ -148,6 +160,24 @@ def test_parse_shares_one_var_per_name():
     t = parse_surface(r"\x. x (y x) y")
     assert t.body.fun.fun is t.body.fun.arg.arg
     assert t.body.fun.arg.fun is t.body.arg
+
+
+def test_parse_shares_repeated_subterms():
+    t = parse_surface(r"(\x. x) (\x. x)")
+    assert t.fun is t.arg
+    t = parse_surface(r"f (g x) (g x) (\y. g x)")
+    assert t.fun.fun.arg is t.fun.arg is t.arg.body
+    t = parse_surface(r"(\x. x) (\y. y) (\x. y)")
+    assert len({id(t.fun.fun), id(t.fun.arg), id(t.arg)}) == 3
+
+
+def test_shared_parse_counts_as_an_unshared_rebuild():
+    shared = parse_surface(print_surface(combinator_chain(50)))
+    fresh = unshared(shared)
+    assert len(distinct_nodes(shared)) < 120 < len(distinct_nodes(fresh))
+    # 50 applications of S K K (18 nodes each) to x
+    assert shared.node_count == fresh.node_count == 50 * 19 + 1
+    assert shared.free_names == fresh.free_names == {"x"}
 
 
 def test_parse_calls_do_not_share():
@@ -187,6 +217,22 @@ def unshared(t):
     return Lam(t.binder, unshared(t.body))
 
 
+def distinct_nodes(t):
+    """The ids of t's nodes, each shared node once."""
+    seen = set()
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        if type(u) is App:
+            stack += (u.fun, u.arg)
+        elif type(u) is Lam:
+            stack.append(u.body)
+    return seen
+
+
 def leaves(t, out):
     if type(t) is Var:
         out.append(t)
@@ -222,3 +268,25 @@ def test_shared_and_fresh_leaves_give_identical_results(seed):
             assert to_ordered(shared, gamma) == to_ordered(fresh, gamma)
         assert repr(to_debruijn(shared)) == repr(to_debruijn(fresh))
     assert sharing > 0
+
+
+@pytest.mark.parametrize("seed", range(1000, 1006))
+def test_shared_parse_translates_as_an_unshared_rebuild(seed):
+    # Each term next to itself, under a binder of one of its own free
+    # names where it has one: the copy there must not reuse a closed
+    # translation of the first, and every other lambda may.
+    reused = 0
+    for term in gen_terms(seed, 200, 40, 0.5):
+        text = print_surface(term)
+        names = sorted(term.free_names)
+        copy_text = f"\\{names[0]}. {text}" if names else text
+        shared = parse_surface(f"({text}) ({copy_text})")
+        fresh = unshared(shared)
+        assert shared.fun is (shared.arg.body if names else shared.arg)
+        for gamma in (frozenset(), shared.free_names | {"f"}):
+            translated = to_ordered(shared, gamma)
+            assert repr(translated) == repr(to_ordered(fresh, gamma))
+            lams = [id(u) for u in subterms(translated.term) if type(u) is OLam]
+            reused += len(set(lams)) < len(lams)
+        assert repr(to_debruijn(shared)) == repr(to_debruijn(fresh))
+    assert reused > 0
