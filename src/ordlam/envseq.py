@@ -9,26 +9,32 @@ Two observationally equal backends:
 
 * ListEnv: a shared-tail linked list; split and insert rebuild the
   prefix (linear in the split position).
-* TreeEnv: a short cons prefix, the left finger, in front of a
+* TreeEnv: a sequence of fewer than eight elements is one flat tuple;
+  a longer one is a short cons prefix, the left finger, in front of a
   weight-balanced binary tree (one element per node, weight ratio 3,
-  single/double rotations). Evaluation nearly always splits off a
-  prefix of one or two elements, so the finger serves those splits in
-  O(1) cells each, and one logarithmic split of the tree refills it
-  with a run of O(log n) elements (the one-ended idea of Hinze and
-  Paterson's finger trees, JFP 2006). Any other split is logarithmic in
-  the length, and a multi-insert of m positions into n elements is one
-  pass over the tree that rebuilds only the paths the positions reach,
-  O(m log(n/m + 1)) node builds, plus the finger up to the last
-  position inside it.
+  single/double rotations). Exact environments hold only the values a
+  body uses, so nearly all are short, and on a tuple a split is two
+  slices and a multi-insert one list build (Appel's flat closures,
+  Compiling with Continuations, 1992, ch. 10). Evaluation nearly always
+  splits off a prefix of one or two elements, so on a long sequence the
+  finger serves those splits in O(1) cells each, and one logarithmic
+  split of the tree refills it with a run of O(log n) elements (the
+  one-ended idea of Hinze and Paterson's finger trees, JFP 2006).
+  Eight is the least length at which such a run is longer than one.
+  Any other split is logarithmic in the length, and a multi-insert of
+  m positions into n elements is one pass over the tree that rebuilds
+  only the paths the positions reach, O(m log(n/m + 1)) node builds,
+  plus the finger up to the last position inside it.
 
 Elements are always held by reference, never copied. Every backend cell
 is built through the module's _Cons or _Node class, which the tests
 replace with counting subclasses to check asymptotic costs without
-timing anything. _Cons also holds the machine's spine arguments and the
-de Bruijn closure machine's scope-wide environments (read back with
-_heads); those modules import the class by name, so a counting
-subclass swapped in here counts only environment cells. The module
-holds no mutable state.
+timing anything; the slots of the flat tuples a TreeEnv operation
+returns they read off its results. _Cons also holds the machine's spine
+arguments and the de Bruijn closure machine's scope-wide environments
+(read back with _heads); those modules import the class by name, so a
+counting subclass swapped in here counts only environment cells. The
+module holds no mutable state.
 """
 
 from __future__ import annotations
@@ -310,19 +316,64 @@ def _run_length(size: int) -> int:
 
     It is the bit length of size // 4, about log2(size) - 1, so one
     logarithmic split pays for about as many constant-time ones. A tree
-    of fewer than eight elements yields a run of at most one, which no
-    split is short enough to use, so tiny environments never refill.
+    of fewer than _FLAT elements yields a run of at most one, which no
+    split is short enough to use, so such a tree would never refill.
     """
     return (size >> 2).bit_length()
 
 
-class TreeEnv:
-    """Persistent sequence as a short cons prefix (the left finger) in
-    front of a weight-balanced tree.
+# The least length whose finger refill takes more than one element
+# (_run_length(7) == 1 < _run_length(8)). A TreeEnv shorter than this is
+# held flat, as one tuple: there a finger would never form, and a tuple
+# split or insert builds no cells at all.
+_FLAT = 8
 
-    The finger holds the first _flen elements as a chain of exactly that
-    many _Cons cells ending in None; the tree under _node holds the
-    rest; _length caches the total. A split at k costs:
+
+def _chain(values: list, lo: int, hi: int) -> Optional[_Cons]:
+    """A fresh chain of _Cons cells holding values[lo:hi]."""
+    cell = None
+    for i in range(hi - 1, lo - 1, -1):
+        cell = _Cons(values[i], cell)
+    return cell
+
+
+def _from_list(values: list) -> "TreeEnv":
+    """A TreeEnv of values: flat below _FLAT, else one balanced tree."""
+    n = len(values)
+    if n < _FLAT:
+        return TreeEnv(tuple(values), None, 0, None, n)
+    return TreeEnv(None, None, 0, _build(values, 0, n), n)
+
+
+def _tree_env(finger: Optional[_Cons], flen: int, node, length: int) -> "TreeEnv":
+    """The TreeEnv of finger followed by node's tree, flattened below _FLAT."""
+    if length >= _FLAT:
+        return TreeEnv(None, finger, flen, node, length)
+    values = _heads(finger, []) if flen else []
+    if node is not None:
+        _values(node, values)
+    return TreeEnv(tuple(values), None, 0, None, length)
+
+
+class TreeEnv:
+    """Persistent sequence held flat when short, and otherwise as a short
+    cons prefix (the left finger) in front of a weight-balanced tree.
+
+    A sequence of fewer than _FLAT (8) elements is one tuple, _flat, with
+    no finger and no tree. Exact environments are that short nearly
+    always (they hold only the values a body uses), so there a split is
+    two slices, sole() an index and a multi-insert one list build. Below
+    _FLAT a finger would never form, since a refill there takes at most
+    one element; every operation that leaves a sequence under the bound
+    returns it flat, and a multi-insert that crosses the bound builds the
+    tree directly.
+
+    A longer sequence has _flat None. Its finger holds the first _flen
+    elements as a chain of exactly that many _Cons cells ending in None;
+    the tree under _node holds the rest; _length caches the total. It is
+    not kept as a tuple: a tuple finger would copy O(log n) slots on
+    every short split, where the cons finger copies O(1) amortized. A
+    split at k costs:
 
     * k new cells when k lies inside the finger, as on ListEnv (at the
       finger's end, none: the finger itself is the prefix);
@@ -332,17 +383,24 @@ class TreeEnv:
       O(log n) split pays for the constant-time splits that follow;
     * otherwise one _split of the tree, O(log n), with the finger shared.
 
+    A part shorter than _FLAT comes back flat, at a cost of its length.
     A multi-insert rebuilds the finger up to its last position inside
     it, as ListEnv does, and inserts the other positions into the tree
     in one pass; a finger that would outgrow _run_length of the result
     is folded into the tree first, so no finger grows past O(log n).
     """
 
-    __slots__ = ("_finger", "_flen", "_node", "_length")
+    __slots__ = ("_flat", "_finger", "_flen", "_node", "_length")
 
     def __init__(
-        self, finger: Optional[_Cons], flen: int, node: Optional[_Node], length: int
+        self,
+        flat: Optional[tuple],
+        finger: Optional[_Cons],
+        flen: int,
+        node: Optional[_Node],
+        length: int,
     ):
+        self._flat = flat
         self._finger = finger
         self._flen = flen
         self._node = node
@@ -354,26 +412,25 @@ class TreeEnv:
 
     @classmethod
     def singleton(cls, value: Any) -> "TreeEnv":
-        return cls(None, 0, _node(None, value, None), 1)
+        return cls((value,), None, 0, None, 1)
 
     @classmethod
     def from_values(cls, values: Iterable[Any]) -> "TreeEnv":
-        values = list(values)
-        return cls(None, 0, _build(values, 0, len(values)), len(values))
+        return _from_list(list(values))
 
     def __len__(self) -> int:
         return self._length
 
     def to_list(self) -> list[Any]:
+        if self._flat is not None:
+            return list(self._flat)
         return _values(self._node, _heads(self._finger, []))
 
     def sole(self) -> Any:
         """The element of a singleton sequence."""
         if self._length != 1:
             raise InvariantError(f"sole() on sequence of length {self._length}")
-        if self._flen:
-            return self._finger.head
-        return self._node.value
+        return self._flat[0]
 
     def split_at(self, k: int) -> tuple["TreeEnv", "TreeEnv"]:
         n = self._length
@@ -383,24 +440,37 @@ class TreeEnv:
             return _TREE_EMPTY, self
         if k == n:
             return self, _TREE_EMPTY
+        flat = self._flat
+        if flat is not None:
+            return (
+                TreeEnv(flat[:k], None, 0, None, k),
+                TreeEnv(flat[k:], None, 0, None, n - k),
+            )
         flen = self._flen
         finger = self._finger
         node = self._node
-        if k < flen:
-            # Copy the first k cells front to back; each new cell's tail is
-            # set before the chain is shared.
-            cell = finger
-            first = last = _Cons(cell.head, None)
-            for _ in range(k - 1):
-                cell = cell.tail
-                last.tail = _Cons(cell.head, None)
-                last = last.tail
-            return (
-                TreeEnv(first, k, None, k),
-                TreeEnv(cell.tail, flen - k, node, n - k),
-            )
+        if k < flen or k == flen < _FLAT:
+            # Copy the first k cells, flat below _FLAT; the rest shares
+            # the finger's other cells. k == 1 is the split evaluation
+            # makes most.
+            if k == 1:
+                first = TreeEnv((finger.head,), None, 0, None, 1)
+                cell = finger.tail
+            else:
+                values = []
+                cell = finger
+                for _ in range(k):
+                    values.append(cell.head)
+                    cell = cell.tail
+                if k < _FLAT:
+                    first = TreeEnv(tuple(values), None, 0, None, k)
+                else:
+                    first = TreeEnv(None, _chain(values, 0, k), k, None, k)
+            if n - k < _FLAT:
+                return first, _tree_env(cell, flen - k, node, n - k)
+            return first, TreeEnv(None, cell, flen - k, node, n - k)
         if k == flen:
-            return TreeEnv(finger, flen, None, flen), TreeEnv(None, 0, node, n - flen)
+            return TreeEnv(None, finger, flen, None, flen), _tree_env(None, 0, node, n - k)
         j = k - flen
         run = _run_length(node.size)
         if j < run:
@@ -408,20 +478,34 @@ class TreeEnv:
             # the split becomes the rest's finger.
             a, b = _split(node, run)
             values = _values(a, [])
-            cell = None
-            for i in range(run - 1, j - 1, -1):
-                cell = _Cons(values[i], cell)
-            return (
-                TreeEnv(finger, flen, _build(values, 0, j), k),
-                TreeEnv(cell, run - j, b, n - k),
-            )
+            rest = _tree_env(_chain(values, j, run), run - j, b, n - k)
+            if k < _FLAT:
+                first = TreeEnv(tuple(_heads(finger, []) + values[:j]), None, 0, None, k)
+                return first, rest
+            return TreeEnv(None, finger, flen, _build(values, 0, j), k), rest
         a, b = _split(node, j)
-        return TreeEnv(finger, flen, a, k), TreeEnv(None, 0, b, n - k)
+        return _tree_env(finger, flen, a, k), _tree_env(None, 0, b, n - k)
 
     def multi_insert(self, kvec: tuple[int, ...], value: Any) -> "TreeEnv":
+        n = self._length
+        flat = self._flat
+        if flat is not None:
+            out = []
+            i = 0
+            for gap in kvec:
+                out += flat[i : i + gap]
+                out.append(value)
+                i += gap
+            if i > n:
+                raise InvariantError(
+                    f"insert positions need {i} elements, sequence has {n}"
+                )
+            if not kvec:
+                return self
+            out += flat[i:]
+            return _from_list(out)
         positions = list(accumulate(kvec))
         total = positions[-1] if positions else 0
-        n = self._length
         if total > n:
             raise InvariantError(
                 f"insert positions need {total} elements, sequence has {n}"
@@ -447,21 +531,34 @@ class TreeEnv:
             )
         if inside < m:
             node = _insert_all(node, positions, inside, m, flen, value)
-        return TreeEnv(finger, flen + inside, node, n + m)
+        return TreeEnv(None, finger, flen + inside, node, n + m)
 
     def __repr__(self) -> str:
         return f"TreeEnv({self.to_list()!r})"
 
 
-_TREE_EMPTY = TreeEnv(None, 0, None, 0)
+_TREE_EMPTY = TreeEnv((), None, 0, None, 0)
 
 
 def tree_is_balanced(env: TreeEnv) -> bool:
-    """Check a TreeEnv's shape (test helper): the finger has exactly
-    _flen cells, the cached length is the finger plus the tree, and every
-    tree node has a correct size and meets the weight-balance criterion."""
+    """Check a TreeEnv's shape (test helper). A sequence shorter than
+    _FLAT is flat: a tuple of its stored length, with no finger and no
+    tree. A longer one is not: its finger has exactly _flen cells, the
+    cached length is the finger plus the tree, and every tree node has a
+    correct size and meets the weight-balance criterion."""
+    flat = env._flat
+    if flat is not None:
+        return (
+            type(flat) is tuple
+            and env._finger is None
+            and env._flen == 0
+            and env._node is None
+            and env._length == len(flat) < _FLAT
+        )
     cells = len(_heads(env._finger, []))
-    if cells != env._flen or env._length != cells + _size(env._node):
+    if env._length < _FLAT or cells != env._flen:
+        return False
+    if env._length != cells + _size(env._node):
         return False
     stack = [env._node]
     while stack:

@@ -39,10 +39,11 @@ class Term:
     write their slots through object.__setattr__. Terms compare and hash
     structurally, and repr() gives the constructor text
     Cls(field=value, ...). hash() and repr() read one explicit-stack
-    walk of those fields (_fields); == walks two terms in step and skips
-    a pair that is one object, so shared subterms compare at once. Any
-    depth works. Terms of different classes, families included, are
-    never equal.
+    walk of those fields (_fields); == walks two terms in step, skips a
+    pair that is one object and expands any pair of nodes once, so
+    shared subterms compare at once and two separately built shared
+    graphs in time linear in their nodes. Any depth works. Terms of
+    different classes, families included, are never equal.
     """
 
     __slots__ = ()
@@ -60,19 +61,33 @@ class Term:
     def __eq__(self, other):
         if not isinstance(other, Term):
             return NotImplemented
-        stack = [(self, other)]  # pairs of fields still to compare
+        if self is other:
+            return True
+        stack = [(self, other)]  # pairs of distinct terms still to compare
+        # A node of self's graph that has term fields, mapped to the node
+        # it was last expanded against: a pair met again is skipped.
+        expanded = {}
         while stack:
             a, b = stack.pop()
-            if a is b:
-                continue
-            if isinstance(a, Term):
-                kind = type(a)
-                if kind is not type(b):
-                    return False
-                for name in kind.__match_args__:
-                    stack.append((getattr(a, name), getattr(b, name)))
-            elif isinstance(b, Term) or a != b:
+            kind = type(a)
+            if kind is not type(b):
                 return False
+            key = id(a)
+            if expanded.get(key) is b:
+                continue
+            pushed = False
+            for name in kind.__match_args__:
+                x = getattr(a, name)
+                y = getattr(b, name)
+                if x is y:
+                    continue
+                if isinstance(x, Term):
+                    stack.append((x, y))
+                    pushed = True
+                elif isinstance(y, Term) or x != y:
+                    return False
+            if pushed:
+                expanded[key] = b
         return True
 
     def __hash__(self):

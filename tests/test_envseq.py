@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from ordlam import envseq
-from ordlam.envseq import BACKENDS, ListEnv, TreeEnv, tree_is_balanced
+from ordlam.envseq import _FLAT, BACKENDS, ListEnv, TreeEnv, tree_is_balanced
 from ordlam.errors import InvariantError
 
 
@@ -154,6 +154,13 @@ def _finger_kvec(rng, length, flen):
     return tuple(b - a for a, b in zip([0] + positions, positions))
 
 
+def _few_kvec(rng, length, _flen):
+    """Up to five positions anywhere, keeping the result at most 24 long."""
+    positions = sorted(rng.randint(0, length) for _ in range(rng.randint(0, 5)))
+    positions = positions[: max(0, 24 - length)]
+    return tuple(b - a for a, b in zip([0] + positions, positions))
+
+
 def _uniform_k(rng, length):
     return rng.randint(0, length)
 
@@ -170,14 +177,16 @@ def _check_agreement(
 ):
     """Run random split/insert programs on both backends against a list
     model; the tree stays balanced and every version persists. Returns
-    how many tree versions had a non-empty finger."""
-    with_finger = 0
+    how many tree versions had a non-empty finger, and how many steps
+    took the length across _FLAT upwards and downwards."""
+    seen = SimpleNamespace(with_finger=0, up=0, down=0)
     for _ in range(programs):
         model = list(range(rng.randint(0, max_len)))
         lst = ListEnv.from_values(model)
         tree = TreeEnv.from_values(model)
         history = [(model[:], lst, tree)]
         for _ in range(steps):
+            before = len(model)
             if rng.random() < 0.5 and model:
                 k = draw_k(rng, len(model))
                 keep_first = rng.random() < keep_first_share
@@ -200,14 +209,16 @@ def _check_agreement(
             assert tree.to_list() == model
             assert len(lst) == len(tree) == len(model)
             assert tree_is_balanced(tree)
-            with_finger += tree._flen > 0
+            seen.with_finger += tree._flen > 0
+            seen.up += before < _FLAT <= len(model)
+            seen.down += len(model) < _FLAT <= before
             history.append((model[:], lst, tree))
         # Persistence: every earlier version still reads back unchanged.
         for snapshot, lst_old, tree_old in history:
             assert lst_old.to_list() == snapshot
             assert tree_old.to_list() == snapshot
             assert tree_is_balanced(tree_old)
-    return with_finger
+    return seen
 
 
 class TestBackendAgreement:
@@ -220,10 +231,17 @@ class TestBackendAgreement:
     def test_short_splits_and_inserts_at_the_finger(self):
         # Short splits that keep the rest refill the tree's finger; the
         # inserts then land inside it, across its end and exactly on it.
-        with_finger = _check_agreement(
-            random.Random(2468), 300, 40, 60, _finger_kvec, _short_k, 0.2
+        seen = _check_agreement(
+            random.Random(2468), 300, 50, 60, _finger_kvec, _short_k, 0.2
         )
-        assert with_finger > 500
+        assert seen.with_finger > 500
+
+    def test_programs_across_the_flat_bound(self):
+        # Lengths 0-24: short splits and inserts of up to five positions
+        # take sequences between the flat state and the tree, both ways.
+        seen = _check_agreement(random.Random(8642), 24, 80, 30, _few_kvec, _short_k)
+        assert seen.up > 150 and seen.down > 150
+        assert seen.with_finger > 100
 
     @pytest.mark.parametrize("size", (0, 1, 2, 3, 7, 100))
     @pytest.mark.parametrize("copies", (1, 2, 5, 300))
@@ -276,7 +294,8 @@ class TestTreeBalanceStress:
 
 @pytest.fixture
 def cells(monkeypatch):
-    """Counts the list and tree cells built while the test runs."""
+    """Counts the list and tree cells built while the test runs, and one
+    per slot of each new flat tuple a TreeEnv split or insert returns."""
     counter = SimpleNamespace(built=0)
 
     def counting(cell_class):
@@ -289,8 +308,20 @@ def cells(monkeypatch):
 
         return Counted
 
+    def counting_slots(operation):
+        def counted(self, *args):
+            result = operation(self, *args)
+            for part in result if isinstance(result, tuple) else (result,):
+                if part._flat is not None and part._flat is not self._flat:
+                    counter.built += len(part._flat)
+            return result
+
+        return counted
+
     monkeypatch.setattr(envseq, "_Cons", counting(envseq._Cons))
     monkeypatch.setattr(envseq, "_Node", counting(envseq._Node))
+    for name in ("split_at", "multi_insert"):
+        monkeypatch.setattr(TreeEnv, name, counting_slots(getattr(TreeEnv, name)))
     return counter
 
 
@@ -366,17 +397,68 @@ class TestAllocationCosts:
 
 class TestTreeShapeCheck:
     def test_finger_cells_must_match_stored_length(self):
-        node = envseq._node(None, "b", None)
-        good = TreeEnv(envseq._Cons("a", None), 1, node, 2)
-        assert tree_is_balanced(good) and good.to_list() == ["a", "b"]
-        assert not tree_is_balanced(TreeEnv(envseq._Cons("a", None), 2, node, 3))
-        assert not tree_is_balanced(TreeEnv(envseq._Cons("a", None), 1, node, 3))
+        node = envseq._build(list("bcdefgh"), 0, 7)
+        good = TreeEnv(None, envseq._Cons("a", None), 1, node, 8)
+        assert tree_is_balanced(good) and good.to_list() == list("abcdefgh")
+        assert not tree_is_balanced(TreeEnv(None, envseq._Cons("a", None), 2, node, 9))
+        assert not tree_is_balanced(TreeEnv(None, envseq._Cons("a", None), 1, node, 9))
+
+    def test_flat_state_must_be_a_short_tuple_alone(self):
+        assert tree_is_balanced(TreeEnv(("a", "b"), None, 0, None, 2))
+        assert tree_is_balanced(TreeEnv((), None, 0, None, 0))
+        leaf = envseq._node(None, "b", None)
+        for bad in (
+            TreeEnv(("a", "b"), None, 0, None, 3),  # stored length is wrong
+            TreeEnv(["a", "b"], None, 0, None, 2),  # not a tuple
+            TreeEnv(("a",), envseq._Cons("b", None), 1, None, 2),  # has a finger
+            TreeEnv(("a",), None, 0, leaf, 2),  # has a tree
+            TreeEnv(tuple("abcdefgh"), None, 0, None, 8),  # at the bound
+            TreeEnv(None, envseq._Cons("a", None), 1, leaf, 2),  # short, not flat
+        ):
+            assert not tree_is_balanced(bad)
 
     def test_deep_unbalanced_tree_is_rejected_without_recursion(self):
         node = None
         for i in range(100_000):
             node = envseq._node(node, i, None)
-        assert not tree_is_balanced(TreeEnv(None, 0, node, 100_000))
+        assert not tree_is_balanced(TreeEnv(None, None, 0, node, 100_000))
+
+
+class TestFlatState:
+    def test_bound_is_where_a_refill_first_takes_two(self):
+        assert envseq._run_length(_FLAT - 1) <= 1 < envseq._run_length(_FLAT)
+
+    @staticmethod
+    def _check_state(env):
+        assert (env._flat is not None) == (len(env) < _FLAT)
+        assert tree_is_balanced(env)
+
+    @pytest.mark.parametrize("size", range(0, 25))
+    def test_every_result_under_the_bound_is_flat(self, size):
+        values = list(range(size))
+        env = TreeEnv.from_values(values)
+        self._check_state(env)
+        self._check_state(TreeEnv.singleton("v"))
+        self._check_state(TreeEnv.empty())
+        for k in range(size + 1):
+            first, rest = env.split_at(k)
+            self._check_state(first)
+            self._check_state(rest)
+            assert first.to_list() + rest.to_list() == values
+        for kvec in [(0,), (size,), (0,) * 9, (1,) * min(size, 9), (size // 2, 0)]:
+            result = env.multi_insert(kvec, "w")
+            self._check_state(result)
+            assert len(result) == size + len(kvec)
+
+    def test_flat_operations_build_only_their_slots(self, cells):
+        env = TreeEnv.from_values(range(6))
+        cells.built = 0
+        first, rest = env.split_at(2)
+        assert first.to_list() == [0, 1] and rest.to_list() == [2, 3, 4, 5]
+        assert cells.built == 6  # the two slices, no _Cons or _Node
+        cells.built = 0
+        assert rest.multi_insert((0, 4), "w").to_list() == ["w", 2, 3, 4, 5, "w"]
+        assert cells.built == 6
 
 
 class TestTreeSharing:

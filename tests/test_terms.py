@@ -150,6 +150,19 @@ def test_equality_skips_a_pair_that_is_one_object():
     assert OLam((0,), DOT) != OLam((1,), DOT)
 
 
+def test_equality_of_separately_built_shared_graphs_is_linear():
+    def graph(levels, leaf):
+        t = Var(leaf)
+        for _ in range(levels):  # 2**levels leaves unfolded
+            t = App(t, t)
+        return t
+
+    assert graph(60, "x") == graph(60, "x")
+    assert graph(60, "x") != graph(60, "y")
+    assert App(graph(60, "x"), Var("y")) != App(graph(60, "x"), Var("z"))
+    assert graph(60, "x") != graph(59, "x")
+
+
 # ---------------------------------------------------------------------------
 # sharing
 
