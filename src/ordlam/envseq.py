@@ -29,12 +29,12 @@ Two observationally equal backends:
 Elements are always held by reference, never copied. Every backend cell
 is built through the module's _Cons or _Node class, which the tests
 replace with counting subclasses to check asymptotic costs without
-timing anything; the slots of the flat tuples a TreeEnv operation
-returns they read off its results. _Cons also holds the machine's spine
-arguments and the de Bruijn closure machine's scope-wide environments
-(read back with _heads); those modules import the class by name, so a
-counting subclass swapped in here counts only environment cells. The
-module holds no mutable state.
+timing anything; a flat tuple has no such class, so they count its
+slots off the sequences an operation returns. _Cons also holds the
+machine's spine arguments and the de Bruijn closure machine's
+scope-wide environments (read back with _heads); those modules import
+the class by name, so a counting subclass swapped in here counts only
+environment cells. The module holds no mutable state.
 """
 
 from __future__ import annotations
@@ -466,11 +466,10 @@ class TreeEnv:
                     first = TreeEnv(tuple(values), None, 0, None, k)
                 else:
                     first = TreeEnv(None, _chain(values, 0, k), k, None, k)
-            if n - k < _FLAT:
-                return first, _tree_env(cell, flen - k, node, n - k)
-            return first, TreeEnv(None, cell, flen - k, node, n - k)
+            return first, _tree_env(cell, flen - k, node, n - k)
         if k == flen:
-            return TreeEnv(None, finger, flen, None, flen), _tree_env(None, 0, node, n - k)
+            first = TreeEnv(None, finger, flen, None, flen)
+            return first, _tree_env(None, 0, node, n - k)
         j = k - flen
         run = _run_length(node.size)
         if j < run:
@@ -480,8 +479,8 @@ class TreeEnv:
             values = _values(a, [])
             rest = _tree_env(_chain(values, j, run), run - j, b, n - k)
             if k < _FLAT:
-                first = TreeEnv(tuple(_heads(finger, []) + values[:j]), None, 0, None, k)
-                return first, rest
+                values = _heads(finger, []) + values[:j]
+                return TreeEnv(tuple(values), None, 0, None, k), rest
             return TreeEnv(None, finger, flen, _build(values, 0, j), k), rest
         a, b = _split(node, j)
         return _tree_env(finger, flen, a, k), _tree_env(None, 0, b, n - k)
