@@ -337,18 +337,13 @@ def _chain(values: list, lo: int, hi: int) -> Optional[_Cons]:
     return cell
 
 
-def _from_list(values: list) -> "TreeEnv":
-    """A TreeEnv of values: flat below _FLAT, else one balanced tree."""
-    n = len(values)
-    if n < _FLAT:
-        return TreeEnv(tuple(values), None, 0, None, n)
-    return TreeEnv(None, None, 0, _build(values, 0, n), n)
-
-
 def _tree_env(finger: Optional[_Cons], flen: int, node, length: int) -> "TreeEnv":
     """The TreeEnv of finger followed by node's tree, flattened below _FLAT."""
     if length >= _FLAT:
         return TreeEnv(None, finger, flen, node, length)
+    if length == 1:
+        # The commonest short part: the environment of a variable.
+        return TreeEnv((finger.head if flen else node.value,), None, 0, None, 1)
     values = _heads(finger, []) if flen else []
     if node is not None:
         _values(node, values)
@@ -416,7 +411,11 @@ class TreeEnv:
 
     @classmethod
     def from_values(cls, values: Iterable[Any]) -> "TreeEnv":
-        return _from_list(list(values))
+        values = list(values)
+        n = len(values)
+        if n < _FLAT:
+            return cls(tuple(values), None, 0, None, n)
+        return cls(None, None, 0, _build(values, 0, n), n)
 
     def __len__(self) -> int:
         return self._length
@@ -488,7 +487,7 @@ class TreeEnv:
     def multi_insert(self, kvec: tuple[int, ...], value: Any) -> "TreeEnv":
         n = self._length
         flat = self._flat
-        if flat is not None:
+        if flat is not None and n + len(kvec) < _FLAT:
             out = []
             i = 0
             for gap in kvec:
@@ -502,7 +501,7 @@ class TreeEnv:
             if not kvec:
                 return self
             out += flat[i:]
-            return _from_list(out)
+            return TreeEnv(tuple(out), None, 0, None, len(out))
         positions = list(accumulate(kvec))
         total = positions[-1] if positions else 0
         if total > n:
@@ -514,6 +513,9 @@ class TreeEnv:
         m = len(positions)
         flen = self._flen
         node = self._node
+        if flat is not None:
+            # The result reaches _FLAT: the tree takes every position.
+            node = _build(list(flat), 0, n)
         # Positions before the finger's end land in it; a position on the
         # seam goes to the front of the tree.
         inside = bisect_left(positions, flen) if flen else 0
