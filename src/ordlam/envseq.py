@@ -361,7 +361,8 @@ class TreeEnv:
     _FLAT a finger would never form, since a refill there takes at most
     one element; every operation that leaves a sequence under the bound
     returns it flat, and a multi-insert that crosses the bound builds the
-    tree directly.
+    tree directly: a tree of the flat values, with every position
+    inserted in one pass.
 
     A longer sequence has _flat None. Its finger holds the first _flen
     elements as a chain of exactly that many _Cons cells ending in None;
