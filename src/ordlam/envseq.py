@@ -10,21 +10,23 @@ Two observationally equal backends:
 * ListEnv: a shared-tail linked list; split and insert rebuild the
   prefix (linear in the split position).
 * TreeEnv: a sequence of fewer than eight elements is one flat tuple;
-  a longer one is a short cons prefix, the left finger, in front of a
-  weight-balanced binary tree (one element per node, weight ratio 3,
-  single/double rotations). Exact environments hold only the values a
-  body uses, so nearly all are short, and on a tuple a split is two
-  slices and a multi-insert one list build (Appel's flat closures,
-  Compiling with Continuations, 1992, ch. 10). Evaluation nearly always
-  splits off a prefix of one or two elements, so on a long sequence the
-  finger serves those splits in O(1) cells each, and one logarithmic
-  split of the tree refills it with a run of O(log n) elements (the
-  one-ended idea of Hinze and Paterson's finger trees, JFP 2006).
-  Eight is the least length at which such a run is longer than one.
-  Any other split is logarithmic in the length, and a multi-insert of
-  m positions into n elements is one pass over the tree that rebuilds
-  only the paths the positions reach, O(m log(n/m + 1)) node builds,
-  plus the finger up to the last position inside it.
+  a longer one is a weight-balanced binary tree (one element per node,
+  weight ratio 3, single/double rotations) between two short cons
+  chains, the left and right fingers. Exact environments hold only the
+  values a body uses, so nearly all are short, and on a tuple a split
+  is two slices and a multi-insert one list build (Appel's flat
+  closures, Compiling with Continuations, 1992, ch. 10). Evaluation
+  nearly always splits off a prefix of one or two elements, or, in a
+  left-nested spine c M1 ... Mn, the last argument's values off the
+  end; on a long sequence the finger at that end serves those splits
+  in O(1) cells each, and one logarithmic split of the tree refills it
+  with a run of O(log n) elements (the two-ended idea of Hinze and
+  Paterson's finger trees, JFP 2006). Eight is the least length at
+  which such a run is longer than one. Any other split is logarithmic
+  in the length, and a multi-insert of m positions into n elements is
+  one pass over the tree that rebuilds only the paths the positions
+  reach, O(m log(n/m + 1)) node builds, plus the left finger up to the
+  last position inside it and one join of the right finger.
 
 Elements are always held by reference, never copied. Every backend cell
 is built through the module's _Cons or _Node class, which the tests
@@ -311,6 +313,23 @@ def _heads(cell: Optional[_Cons], out: list) -> list:
     return out
 
 
+def _rheads(cell: Optional[_Cons], out: list) -> list:
+    """Append the heads of a right finger's chain to out, in sequence
+    order (the chain holds its last element first)."""
+    out.extend(reversed(_heads(cell, [])))
+    return out
+
+
+def _peel(cell: _Cons, count: int) -> tuple[list, Optional[_Cons]]:
+    """The heads of the first count cells of the chain from cell, and the
+    cell after them."""
+    values = []
+    for _ in range(count):
+        values.append(cell.head)
+        cell = cell.tail
+    return values, cell
+
+
 def _run_length(size: int) -> int:
     """How many elements a finger refill takes off a tree of size elements.
 
@@ -337,22 +356,72 @@ def _chain(values: list, lo: int, hi: int) -> Optional[_Cons]:
     return cell
 
 
-def _tree_env(finger: Optional[_Cons], flen: int, node, length: int) -> "TreeEnv":
-    """The TreeEnv of finger followed by node's tree, flattened below _FLAT."""
+def _rchain(values: list, lo: int, hi: int) -> Optional[_Cons]:
+    """A fresh right finger holding values[lo:hi], last element first."""
+    cell = None
+    for i in range(lo, hi):
+        cell = _Cons(values[i], cell)
+    return cell
+
+
+def _tree_env(
+    finger: Optional[_Cons],
+    flen: int,
+    node,
+    rfinger: Optional[_Cons],
+    rlen: int,
+    length: int,
+) -> "TreeEnv":
+    """The TreeEnv of finger, node's tree and the right finger rfinger,
+    flattened below _FLAT."""
     if length >= _FLAT:
-        return TreeEnv(None, finger, flen, node, length)
+        return TreeEnv(None, finger, flen, node, length, rfinger, rlen)
     if length == 1:
         # The commonest short part: the environment of a variable.
-        return TreeEnv((finger.head if flen else node.value,), None, 0, None, 1)
-    values = _heads(finger, []) if flen else []
-    if node is not None:
-        _values(node, values)
-    return TreeEnv(tuple(values), None, 0, None, length)
+        if flen:
+            value = finger.head
+        elif node is not None:
+            value = node.value
+        else:
+            value = rfinger.head
+        return TreeEnv((value,), None, 0, None, 1)
+    return _flat_env(finger, _values(node, []), rfinger)
+
+
+def _flat_env(
+    finger: Optional[_Cons], middle: list, rfinger: Optional[_Cons]
+) -> "TreeEnv":
+    """The flat TreeEnv of finger, the values middle and the right finger
+    rfinger."""
+    values = _heads(finger, []) + middle
+    if rfinger is not None:
+        _rheads(rfinger, values)
+    return TreeEnv(tuple(values), None, 0, None, len(values))
+
+
+def _with_run(
+    finger: Optional[_Cons],
+    flen: int,
+    values: list,
+    lo: int,
+    hi: int,
+    rfinger: Optional[_Cons],
+    rlen: int,
+    length: int,
+) -> "TreeEnv":
+    """The TreeEnv of finger, values[lo:hi] and the right finger rfinger:
+    the part of a refill that keeps one end's finger. Flat below _FLAT;
+    otherwise the values become its tree."""
+    if length >= _FLAT:
+        node = _build(values, lo, hi)
+        return TreeEnv(None, finger, flen, node, length, rfinger, rlen)
+    return _flat_env(finger, values[lo:hi], rfinger)
 
 
 class TreeEnv:
-    """Persistent sequence held flat when short, and otherwise as a short
-    cons prefix (the left finger) in front of a weight-balanced tree.
+    """Persistent sequence held flat when short, and otherwise as a
+    weight-balanced tree between two short cons chains, the left and
+    right fingers.
 
     A sequence of fewer than _FLAT (8) elements is one tuple, _flat, with
     no finger and no tree. Exact environments are that short nearly
@@ -364,29 +433,51 @@ class TreeEnv:
     tree directly: a tree of the flat values, with every position
     inserted in one pass.
 
-    A longer sequence has _flat None. Its finger holds the first _flen
-    elements as a chain of exactly that many _Cons cells ending in None;
-    the tree under _node holds the rest; _length caches the total. It is
-    not kept as a tuple: a tuple finger would copy O(log n) slots on
-    every short split, where the cons finger copies O(1) amortized. A
-    split at k costs:
+    A longer sequence has _flat None. Its left finger holds the first
+    _flen elements as a chain of exactly that many _Cons cells ending in
+    None; its right finger holds the last _rlen elements the same way,
+    last element first; the tree under _node holds the elements between
+    them; _length caches the total. The fingers are not kept as tuples:
+    a tuple finger would copy O(log n) slots on every short split, where
+    a cons finger copies O(1) amortized. A split at k, leaving n - k
+    elements past it, costs:
 
-    * k new cells when k lies inside the finger, as on ListEnv (at the
-      finger's end, none: the finger itself is the prefix);
+    * k new cells when k lies inside the left finger, as on ListEnv, and
+      n - k new cells when it lies inside the right finger (at a
+      finger's inner end, none: the finger itself is the part);
     * one _split of a run of _run_length(tree size) elements off the
-      tree's left end, when k passes the finger by less than that run:
-      the rest keeps the remainder of the run as its finger, so one
-      O(log n) split pays for the constant-time splits that follow;
-    * otherwise one _split of the tree, O(log n), with the finger shared.
+      tree's left end, when k passes the left finger by less than that
+      run: the rest keeps the remainder of the run as its left finger,
+      so one O(log n) split pays for the constant-time splits that
+      follow. Evaluation nearly always splits off a prefix of one or
+      two elements, and this is the case that serves it;
+    * one _split of such a run off the tree's right end, when k falls
+      less than that run before the right finger: the first part keeps
+      the run's elements before k as its right finger. A left-nested
+      spine c M1 ... Mn splits off its last argument at each
+      application, so this mirror serves the spine's successive splits
+      at n - 1, n - 2, ...;
+    * otherwise one _split of the tree, O(log n), with both fingers
+      shared.
 
     A part shorter than _FLAT comes back flat, at a cost of its length.
-    A multi-insert rebuilds the finger up to its last position inside
-    it, as ListEnv does, and inserts the other positions into the tree
-    in one pass; a finger that would outgrow _run_length of the result
-    is folded into the tree first, so no finger grows past O(log n).
+    A multi-insert first folds a right finger into the tree with one
+    _join. It then rebuilds the left finger up to its last position
+    inside it, as ListEnv does, and inserts the other positions into the
+    tree in one pass; a left finger that would outgrow _run_length of
+    the result is folded into the tree first, so no finger grows past
+    O(log n).
     """
 
-    __slots__ = ("_flat", "_finger", "_flen", "_node", "_length")
+    __slots__ = (
+        "_flat",
+        "_finger",
+        "_flen",
+        "_node",
+        "_rfinger",
+        "_rlen",
+        "_length",
+    )
 
     def __init__(
         self,
@@ -395,11 +486,15 @@ class TreeEnv:
         flen: int,
         node: Optional[_Node],
         length: int,
+        rfinger: Optional[_Cons] = None,
+        rlen: int = 0,
     ):
         self._flat = flat
         self._finger = finger
         self._flen = flen
         self._node = node
+        self._rfinger = rfinger
+        self._rlen = rlen
         self._length = length
 
     @classmethod
@@ -424,7 +519,8 @@ class TreeEnv:
     def to_list(self) -> list[Any]:
         if self._flat is not None:
             return list(self._flat)
-        return _values(self._node, _heads(self._finger, []))
+        values = _values(self._node, _heads(self._finger, []))
+        return _rheads(self._rfinger, values)
 
     def sole(self) -> Any:
         """The element of a singleton sequence."""
@@ -449,41 +545,71 @@ class TreeEnv:
         flen = self._flen
         finger = self._finger
         node = self._node
+        rlen = self._rlen
+        rfinger = self._rfinger
+        m = n - k
         if k < flen or k == flen < _FLAT:
             # Copy the first k cells, flat below _FLAT; the rest shares
             # the finger's other cells. k == 1 is the split evaluation
-            # makes most.
+            # makes most, and its rest is nearly always long.
             if k == 1:
                 first = TreeEnv((finger.head,), None, 0, None, 1)
                 cell = finger.tail
             else:
-                values = []
-                cell = finger
-                for _ in range(k):
-                    values.append(cell.head)
-                    cell = cell.tail
+                values, cell = _peel(finger, k)
                 if k < _FLAT:
                     first = TreeEnv(tuple(values), None, 0, None, k)
                 else:
                     first = TreeEnv(None, _chain(values, 0, k), k, None, k)
-            return first, _tree_env(cell, flen - k, node, n - k)
+            if m >= _FLAT:
+                return first, TreeEnv(None, cell, flen - k, node, m, rfinger, rlen)
+            return first, _tree_env(cell, flen - k, node, rfinger, rlen, m)
         if k == flen:
             first = TreeEnv(None, finger, flen, None, flen)
-            return first, _tree_env(None, 0, node, n - k)
+            return first, _tree_env(None, 0, node, rfinger, rlen, m)
+        if m < rlen or m == rlen < _FLAT:
+            # The mirror image: copy the last m cells. m == 1 is a spine
+            # application splitting off its last argument, and its first
+            # part is nearly always long.
+            if m == 1:
+                rest = TreeEnv((rfinger.head,), None, 0, None, 1)
+                cell = rfinger.tail
+            else:
+                values, cell = _peel(rfinger, m)
+                if m < _FLAT:
+                    rest = TreeEnv(tuple(reversed(values)), None, 0, None, m)
+                else:
+                    rest = TreeEnv(None, None, 0, None, m, _chain(values, 0, m), m)
+            if k >= _FLAT:
+                return TreeEnv(None, finger, flen, node, k, cell, rlen - m), rest
+            return _tree_env(finger, flen, node, cell, rlen - m, k), rest
+        if m == rlen:
+            rest = TreeEnv(None, None, 0, None, m, rfinger, rlen)
+            return _tree_env(finger, flen, node, None, 0, k), rest
+        size = node.size
+        run = _run_length(size)
         j = k - flen
-        run = _run_length(node.size)
         if j < run:
             # Refill: take a run off the tree's left end; the part past
-            # the split becomes the rest's finger.
+            # the split becomes the rest's left finger.
             a, b = _split(node, run)
             values = _values(a, [])
-            rest = _tree_env(_chain(values, j, run), run - j, b, n - k)
-            if k < _FLAT:
-                values = _heads(finger, []) + values[:j]
-                return TreeEnv(tuple(values), None, 0, None, k), rest
-            return TreeEnv(None, finger, flen, _build(values, 0, j), k), rest
+            rest = _tree_env(_chain(values, j, run), run - j, b, rfinger, rlen, m)
+            return _with_run(finger, flen, values, 0, j, None, 0, k), rest
+        if size - j < run:
+            # Refill from the right: take a run off the tree's right end;
+            # the part before the split becomes the first part's right
+            # finger.
+            a, b = _split(node, size - run)
+            values = _values(b, [])
+            i = run - (size - j)
+            first = _tree_env(finger, flen, a, _rchain(values, 0, i), i, k)
+            return first, _with_run(None, 0, values, i, run, rfinger, rlen, m)
         a, b = _split(node, j)
-        return _tree_env(finger, flen, a, k), _tree_env(None, 0, b, n - k)
+        return (
+            _tree_env(finger, flen, a, None, 0, k),
+            _tree_env(None, 0, b, rfinger, rlen, m),
+        )
 
     def multi_insert(self, kvec: tuple[int, ...], value: Any) -> "TreeEnv":
         n = self._length
@@ -517,6 +643,11 @@ class TreeEnv:
         if flat is not None:
             # The result reaches _FLAT: the tree takes every position.
             node = _build(list(flat), 0, n)
+        elif self._rlen:
+            # Fold the right finger into the tree, which then holds every
+            # position past the left finger.
+            values = _rheads(self._rfinger, [])
+            node = _join(node, values[0], _build(values, 1, self._rlen))
         # Positions before the finger's end land in it; a position on the
         # seam goes to the front of the tree.
         inside = bisect_left(positions, flen) if flen else 0
@@ -545,9 +676,10 @@ _TREE_EMPTY = TreeEnv((), None, 0, None, 0)
 def tree_is_balanced(env: TreeEnv) -> bool:
     """Check a TreeEnv's shape (test helper). A sequence shorter than
     _FLAT is flat: a tuple of its stored length, with no finger and no
-    tree. A longer one is not: its finger has exactly _flen cells, the
-    cached length is the finger plus the tree, and every tree node has a
-    correct size and meets the weight-balance criterion."""
+    tree. A longer one is not: its left finger has exactly _flen cells,
+    its right finger exactly _rlen, the cached length is the two fingers
+    plus the tree, and every tree node has a correct size and meets the
+    weight-balance criterion."""
     flat = env._flat
     if flat is not None:
         return (
@@ -555,12 +687,15 @@ def tree_is_balanced(env: TreeEnv) -> bool:
             and env._finger is None
             and env._flen == 0
             and env._node is None
+            and env._rfinger is None
+            and env._rlen == 0
             and env._length == len(flat) < _FLAT
         )
     cells = len(_heads(env._finger, []))
-    if env._length < _FLAT or cells != env._flen:
+    rcells = len(_heads(env._rfinger, []))
+    if env._length < _FLAT or cells != env._flen or rcells != env._rlen:
         return False
-    if env._length != cells + _size(env._node):
+    if env._length != cells + _size(env._node) + rcells:
         return False
     stack = [env._node]
     while stack:

@@ -172,14 +172,29 @@ def _short_k(rng, length):
     return min(rng.choice((0, 1, 1, 1, 2, 3)), length)
 
 
+def _end_k(rng, length):
+    """Mostly the splits a spine makes, one to three elements before the
+    end, now and then any."""
+    if rng.random() < 0.1:
+        return rng.randint(0, length)
+    return max(length - rng.choice((1, 1, 1, 2, 3)), 0)
+
+
+def _either_end_k(rng, length):
+    return (_short_k if rng.random() < 0.5 else _end_k)(rng, length)
+
+
 def _check_agreement(
     rng, max_len, programs, steps, draw_kvec, draw_k=_uniform_k, keep_first_share=0.5
 ):
     """Run random split/insert programs on both backends against a list
-    model; the tree stays balanced and every version persists. Returns
-    how many tree versions had a non-empty finger, and how many steps
-    took the length across _FLAT upwards and downwards."""
-    seen = SimpleNamespace(with_finger=0, up=0, down=0)
+    model; the tree stays balanced and every version persists. A split
+    keeps its first part with probability keep_first_share, or, when
+    that is None, its longer part; the other part is checked too. Returns
+    how many tree versions had a non-empty left finger, right finger and
+    both, and how many steps took the length across _FLAT upwards and
+    downwards."""
+    seen = SimpleNamespace(with_finger=0, with_rfinger=0, with_both=0, up=0, down=0)
     for _ in range(programs):
         model = list(range(rng.randint(0, max_len)))
         lst = ListEnv.from_values(model)
@@ -189,9 +204,17 @@ def _check_agreement(
             before = len(model)
             if rng.random() < 0.5 and model:
                 k = draw_k(rng, len(model))
-                keep_first = rng.random() < keep_first_share
-                lst = lst.split_at(k)[0 if keep_first else 1]
-                tree = tree.split_at(k)[0 if keep_first else 1]
+                if keep_first_share is None:
+                    keep_first = 2 * k >= len(model)
+                else:
+                    keep_first = rng.random() < keep_first_share
+                kept = 0 if keep_first else 1
+                lst = lst.split_at(k)[kept]
+                parts = tree.split_at(k)
+                tree = parts[kept]
+                dropped = parts[1 - kept]
+                assert dropped.to_list() == (model[k:] if keep_first else model[:k])
+                assert tree_is_balanced(dropped)
                 model = model[:k] if keep_first else model[k:]
             else:
                 kvec = draw_kvec(rng, len(model), tree._flen)
@@ -210,6 +233,8 @@ def _check_agreement(
             assert len(lst) == len(tree) == len(model)
             assert tree_is_balanced(tree)
             seen.with_finger += tree._flen > 0
+            seen.with_rfinger += tree._rlen > 0
+            seen.with_both += tree._flen > 0 and tree._rlen > 0
             seen.up += before < _FLAT <= len(model)
             seen.down += len(model) < _FLAT <= before
             history.append((model[:], lst, tree))
@@ -242,6 +267,38 @@ class TestBackendAgreement:
         seen = _check_agreement(random.Random(8642), 24, 80, 30, _few_kvec, _short_k)
         assert seen.up > 150 and seen.down > 150
         assert seen.with_finger > 100
+
+    def test_end_splits_across_the_flat_bound(self):
+        # Splits one to three elements before the end that keep the first
+        # part form right fingers on sequences crossing the flat bound.
+        seen = _check_agreement(
+            random.Random(9753), 24, 80, 30, _few_kvec, _end_k, 0.8
+        )
+        assert seen.up > 150 and seen.down > 150
+        assert seen.with_rfinger > 100
+
+    def test_splits_at_both_ends_with_inserts_at_the_finger(self):
+        # Both fingers at once: inserts fold the right finger into the
+        # tree and land in, on and past the left one.
+        seen = _check_agreement(
+            random.Random(3579), 300, 50, 60, _finger_kvec, _either_end_k, None
+        )
+        assert seen.with_finger > 300 and seen.with_rfinger > 300
+        assert seen.with_both > 100
+
+    @pytest.mark.parametrize("size", (8, 9, 16, 24, 40, 100, 5000))
+    def test_splits_near_the_ends_of_a_sequence_with_both_fingers(self, size):
+        # At 5000 each finger holds ten elements, past the flat bound.
+        env = TreeEnv.from_values(range(size + 2))
+        _, env = env.split_at(1)  # refills the left finger
+        env, _ = env.split_at(size)  # refills the right finger
+        values = list(range(1, size + 1))
+        assert env.to_list() == values and env._flen and env._rlen
+        near_ends = set(range(min(size, 40))) | set(range(max(size - 40, 0), size + 1))
+        for k in sorted(near_ends | {size // 2}):
+            first, rest = env.split_at(k)
+            assert first.to_list() == values[:k] and rest.to_list() == values[k:]
+            assert tree_is_balanced(first) and tree_is_balanced(rest)
 
     @pytest.mark.parametrize("size", (0, 1, 2, 3, 7, 100))
     @pytest.mark.parametrize("copies", (1, 2, 5, 300))
@@ -292,39 +349,6 @@ class TestTreeBalanceStress:
         assert env.to_list() == model
 
 
-@pytest.fixture
-def cells(monkeypatch):
-    """Counts the list and tree cells built while the test runs, and one
-    per slot of each new flat tuple a TreeEnv split or insert returns."""
-    counter = SimpleNamespace(built=0)
-
-    def counting(cell_class):
-        class Counted(cell_class):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                counter.built += 1
-                super().__init__(*args)
-
-        return Counted
-
-    def counting_slots(operation):
-        def counted(self, *args):
-            result = operation(self, *args)
-            for part in result if isinstance(result, tuple) else (result,):
-                if part._flat is not None and part._flat is not self._flat:
-                    counter.built += len(part._flat)
-            return result
-
-        return counted
-
-    monkeypatch.setattr(envseq, "_Cons", counting(envseq._Cons))
-    monkeypatch.setattr(envseq, "_Node", counting(envseq._Node))
-    for name in ("split_at", "multi_insert"):
-        monkeypatch.setattr(TreeEnv, name, counting_slots(getattr(TreeEnv, name)))
-    return counter
-
-
 class TestAllocationCosts:
     def _split_allocs(self, cells, backend, size):
         env = backend.from_values(range(size))
@@ -359,6 +383,21 @@ class TestAllocationCosts:
             first, env = env.split_at(1)
             assert first.sole() == i
         assert env.sole() == size - 1
+        assert cells.built <= 4 * size
+
+    @pytest.mark.parametrize("size", (64, 256, 1024, 4096))
+    def test_tree_successive_last_element_splits_constant_amortized(
+        self, cells, size
+    ):
+        # A spine c M1 ... Mn splits its environment just before the last
+        # element at each application; the right finger makes each such
+        # split O(1) cells amortized.
+        env = TreeEnv.from_values(range(size))
+        cells.built = 0
+        for i in range(size - 1, 0, -1):
+            env, last = env.split_at(i)
+            assert last.sole() == i
+        assert env.sole() == 0
         assert cells.built <= 4 * size
 
     @pytest.mark.parametrize("size", range(1, 8))
@@ -402,6 +441,18 @@ class TestTreeShapeCheck:
         assert tree_is_balanced(good) and good.to_list() == list("abcdefgh")
         assert not tree_is_balanced(TreeEnv(None, envseq._Cons("a", None), 2, node, 9))
         assert not tree_is_balanced(TreeEnv(None, envseq._Cons("a", None), 1, node, 9))
+
+    def test_right_finger_cells_must_match_stored_length(self):
+        node = envseq._build(list("abcdefg"), 0, 7)
+        good = TreeEnv(None, None, 0, node, 8, envseq._Cons("h", None), 1)
+        assert tree_is_balanced(good) and good.to_list() == list("abcdefgh")
+        for bad in (
+            TreeEnv(None, None, 0, node, 9, envseq._Cons("h", None), 2),
+            TreeEnv(None, None, 0, node, 9, envseq._Cons("h", None), 1),
+            TreeEnv(None, None, 0, node, 8, envseq._Cons("h", None), 2),
+            TreeEnv(("a",), None, 0, None, 1, envseq._Cons("h", None), 1),
+        ):
+            assert not tree_is_balanced(bad)
 
     def test_flat_state_must_be_a_short_tuple_alone(self):
         assert tree_is_balanced(TreeEnv(("a", "b"), None, 0, None, 2))
@@ -471,3 +522,16 @@ class TestTreeSharing:
         result = env.multi_insert((3, 1, 0, 1), "w")
         assert result.to_list()[:9] == [0, 1, 2, "w", 3, "w", "w", 4, "w"]
         assert result._node.right is root.right
+
+    def test_split_inside_the_right_finger_shares_the_rest(self):
+        env = TreeEnv.from_values(range(1000))
+        _, env = env.split_at(1)  # refills the left finger
+        env, _ = env.split_at(len(env) - 1)  # refills the right finger
+        assert env._flen > 0 and env._rlen >= 3
+        first, rest = env.split_at(len(env) - 2)
+        assert rest.to_list() == [997, 998]
+        assert first.to_list() == list(range(1, 997))
+        assert first._finger is env._finger
+        assert first._node is env._node
+        assert first._rfinger is env._rfinger.tail.tail
+        assert tree_is_balanced(first) and tree_is_balanced(rest)

@@ -50,6 +50,7 @@ from ordlam.named import (
     reduce_once_all,
 )
 from ordlam.ordered import DOT, Free, OApp, OLam, parse_closed
+from ordlam.workloads import wide_binder
 
 S_NAMED = parse_surface(r"\x.\y.\z. x z (y z)")
 S_BODY3 = OApp(OApp(DOT, 1, DOT), 2, OApp(DOT, 1, DOT))
@@ -582,6 +583,24 @@ class TestNormalizeByEvaluation:
         result = normalize_by_evaluation(Lam("s", Lam("z", body)), 10**6, backend)
         expected = r"\z0. \z1. " + "z0 (" * (depth - 1) + "z0 z1" + ")" * (depth - 1)
         assert print_surface(result) == expected
+
+    @pytest.mark.parametrize("n", (1000, 2000, 4000))
+    def test_wide_binder_builds_tree_cells_linear_in_n(self, cells, n):
+        # Each application of the spine c a ... a splits its environment
+        # just before the last value; the tree's right finger serves those
+        # splits in O(1) cells amortized, where a split of the tree itself
+        # would copy an O(log n) path each time.
+        term = wide_binder(n)
+        cells.built = 0
+        normalize_by_evaluation(term, backend=TreeEnv)
+        assert cells.built <= 5 * n
+
+    @pytest.mark.parametrize("n", (1000, 2000, 4000))
+    def test_wide_binder_agrees_across_backends(self, n):
+        term = wide_binder(n)
+        text = print_surface(normalize_by_evaluation(term, backend=TreeEnv))
+        assert text == "c" + " a" * n
+        assert print_surface(normalize_by_evaluation(term, backend=ListEnv)) == text
 
 
 class TestVerifyTrace:
