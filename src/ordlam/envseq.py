@@ -19,14 +19,15 @@ Two observationally equal backends:
   nearly always splits off a prefix of one or two elements, or, in a
   left-nested spine c M1 ... Mn, the last argument's values off the
   end; on a long sequence the finger at that end serves those splits
-  in O(1) cells each, and one logarithmic split of the tree refills it
-  with a run of O(log n) elements (the two-ended idea of Hinze and
-  Paterson's finger trees, JFP 2006). Eight is the least length at
-  which such a run is longer than one. Any other split is logarithmic
-  in the length, and a multi-insert of m positions into n elements is
-  one pass over the tree that rebuilds only the paths the positions
-  reach, O(m log(n/m + 1)) node builds, plus the left finger up to the
-  last position inside it and one join of the right finger.
+  in O(1) cells each. A split just past a finger first tops the finger
+  up with a run of O(log n) elements, taken off the tree's end by one
+  logarithmic split, and then splits inside it (Hinze and Paterson's
+  finger trees, JFP 2006, refill an exhausted digit from the middle
+  the same way). Eight is the least length at which such a run is
+  longer than one. Any other split is logarithmic in the length. A
+  multi-insert of m positions into n elements folds both fingers into
+  the tree and makes one pass over it that rebuilds only the paths the
+  positions reach, O(m log(n/m + 1)) node builds.
 
 Elements are always held by reference, never copied. Every backend cell
 is built through the module's _Cons or _Node class, which the tests
@@ -41,7 +42,7 @@ environment cells. The module holds no mutable state.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate
 from typing import Any, Iterable, Optional
 
@@ -58,25 +59,6 @@ class _Cons:
     def __init__(self, head: Any, tail: Optional["_Cons"]):
         self.head = head
         self.tail = tail
-
-
-def _insert_cells(cell: Optional[_Cons], kvec, total: int, value) -> Optional[_Cons]:
-    """The chain from cell with value inserted after each gap of kvec.
-
-    The first total = sum(kvec) cells are copied; the chain past them is
-    shared.
-    """
-    prefix = []
-    for _ in range(total):
-        prefix.append(cell.head)
-        cell = cell.tail
-    consumed = total
-    for gap in reversed(kvec):
-        cell = _Cons(value, cell)
-        for v in reversed(prefix[consumed - gap : consumed]):
-            cell = _Cons(v, cell)
-        consumed -= gap
-    return cell
 
 
 class ListEnv:
@@ -149,7 +131,18 @@ class ListEnv:
             )
         if not kvec:
             return self
-        cell = _insert_cells(self._cell, kvec, total, value)
+        # Copy the first total cells; the chain past them is shared.
+        cell = self._cell
+        prefix = []
+        for _ in range(total):
+            prefix.append(cell.head)
+            cell = cell.tail
+        consumed = total
+        for gap in reversed(kvec):
+            cell = _Cons(value, cell)
+            for v in reversed(prefix[consumed - gap : consumed]):
+                cell = _Cons(v, cell)
+            consumed -= gap
         return ListEnv(cell, self._length + len(kvec))
 
     def __repr__(self) -> str:
@@ -385,37 +378,8 @@ def _tree_env(
         else:
             value = rfinger.head
         return TreeEnv((value,), None, 0, None, 1)
-    return _flat_env(finger, _values(node, []), rfinger)
-
-
-def _flat_env(
-    finger: Optional[_Cons], middle: list, rfinger: Optional[_Cons]
-) -> "TreeEnv":
-    """The flat TreeEnv of finger, the values middle and the right finger
-    rfinger."""
-    values = _heads(finger, []) + middle
-    if rfinger is not None:
-        _rheads(rfinger, values)
-    return TreeEnv(tuple(values), None, 0, None, len(values))
-
-
-def _with_run(
-    finger: Optional[_Cons],
-    flen: int,
-    values: list,
-    lo: int,
-    hi: int,
-    rfinger: Optional[_Cons],
-    rlen: int,
-    length: int,
-) -> "TreeEnv":
-    """The TreeEnv of finger, values[lo:hi] and the right finger rfinger:
-    the part of a refill that keeps one end's finger. Flat below _FLAT;
-    otherwise the values become its tree."""
-    if length >= _FLAT:
-        node = _build(values, lo, hi)
-        return TreeEnv(None, finger, flen, node, length, rfinger, rlen)
-    return _flat_env(finger, values[lo:hi], rfinger)
+    values = _rheads(rfinger, _values(node, _heads(finger, [])))
+    return TreeEnv(tuple(values), None, 0, None, length)
 
 
 class TreeEnv:
@@ -443,30 +407,26 @@ class TreeEnv:
     elements past it, costs:
 
     * k new cells when k lies inside the left finger, as on ListEnv, and
-      n - k new cells when it lies inside the right finger (at a
-      finger's inner end, none: the finger itself is the part);
-    * one _split of a run of _run_length(tree size) elements off the
-      tree's left end, when k passes the left finger by less than that
-      run: the rest keeps the remainder of the run as its left finger,
-      so one O(log n) split pays for the constant-time splits that
-      follow. Evaluation nearly always splits off a prefix of one or
-      two elements, and this is the case that serves it;
-    * one _split of such a run off the tree's right end, when k falls
-      less than that run before the right finger: the first part keeps
-      the run's elements before k as its right finger. A left-nested
-      spine c M1 ... Mn splits off its last argument at each
-      application, so this mirror serves the spine's successive splits
-      at n - 1, n - 2, ...;
+      n - k new cells when it lies inside the right finger;
+    * when k falls less than _run_length(tree size) past the left
+      finger, first one _split that moves a run of that many elements
+      off the tree's left end onto the finger, which then holds k: the
+      rest keeps the finger's cells past k, so one O(log n) split pays
+      for the constant-time splits that follow. Evaluation nearly always
+      splits off a prefix of one or two elements, and this is the case
+      that serves it;
+    * the mirror image when k falls less than such a run before the
+      right finger. A left-nested spine c M1 ... Mn splits off its last
+      argument at each application, so this serves the spine's
+      successive splits at n - 1, n - 2, ...;
     * otherwise one _split of the tree, O(log n), with both fingers
       shared.
 
     A part shorter than _FLAT comes back flat, at a cost of its length.
-    A multi-insert first folds a right finger into the tree with one
-    _join. It then rebuilds the left finger up to its last position
-    inside it, as ListEnv does, and inserts the other positions into the
-    tree in one pass; a left finger that would outgrow _run_length of
-    the result is folded into the tree first, so no finger grows past
-    O(log n).
+    A multi-insert folds each finger into the tree with one _join and
+    then inserts every position in one pass, as it does for a flat
+    sequence that crosses _FLAT. Only splits make fingers, so no finger
+    grows past O(log n).
     """
 
     __slots__ = (
@@ -548,7 +508,30 @@ class TreeEnv:
         rlen = self._rlen
         rfinger = self._rfinger
         m = n - k
-        if k < flen or k == flen < _FLAT:
+        if k >= flen and m >= rlen:
+            size = n - flen - rlen
+            run = _run_length(size)
+            j = k - flen
+            if j < run:
+                # Refill: move a run off the tree's left end onto the
+                # finger, which then holds the split.
+                a, node = _split(node, run)
+                values = _values(a, _heads(finger, []))
+                flen += run
+                finger = _chain(values, 0, flen)
+            elif size - j < run:
+                # The mirror image onto the right finger.
+                node, b = _split(node, size - run)
+                values = _rheads(rfinger, _values(b, []))
+                rlen += run
+                rfinger = _rchain(values, 0, rlen)
+            else:
+                a, b = _split(node, j)
+                return (
+                    _tree_env(finger, flen, a, None, 0, k),
+                    _tree_env(None, 0, b, rfinger, rlen, m),
+                )
+        if k < flen:
             # Copy the first k cells, flat below _FLAT; the rest shares
             # the finger's other cells. k == 1 is the split evaluation
             # makes most, and its rest is nearly always long.
@@ -564,52 +547,21 @@ class TreeEnv:
             if m >= _FLAT:
                 return first, TreeEnv(None, cell, flen - k, node, m, rfinger, rlen)
             return first, _tree_env(cell, flen - k, node, rfinger, rlen, m)
-        if k == flen:
-            first = TreeEnv(None, finger, flen, None, flen)
-            return first, _tree_env(None, 0, node, rfinger, rlen, m)
-        if m < rlen or m == rlen < _FLAT:
-            # The mirror image: copy the last m cells. m == 1 is a spine
-            # application splitting off its last argument, and its first
-            # part is nearly always long.
-            if m == 1:
-                rest = TreeEnv((rfinger.head,), None, 0, None, 1)
-                cell = rfinger.tail
+        # The mirror image: copy the last m cells. m == 1 is a spine
+        # application splitting off its last argument, and its first part
+        # is nearly always long.
+        if m == 1:
+            rest = TreeEnv((rfinger.head,), None, 0, None, 1)
+            cell = rfinger.tail
+        else:
+            values, cell = _peel(rfinger, m)
+            if m < _FLAT:
+                rest = TreeEnv(tuple(reversed(values)), None, 0, None, m)
             else:
-                values, cell = _peel(rfinger, m)
-                if m < _FLAT:
-                    rest = TreeEnv(tuple(reversed(values)), None, 0, None, m)
-                else:
-                    rest = TreeEnv(None, None, 0, None, m, _chain(values, 0, m), m)
-            if k >= _FLAT:
-                return TreeEnv(None, finger, flen, node, k, cell, rlen - m), rest
-            return _tree_env(finger, flen, node, cell, rlen - m, k), rest
-        if m == rlen:
-            rest = TreeEnv(None, None, 0, None, m, rfinger, rlen)
-            return _tree_env(finger, flen, node, None, 0, k), rest
-        size = node.size
-        run = _run_length(size)
-        j = k - flen
-        if j < run:
-            # Refill: take a run off the tree's left end; the part past
-            # the split becomes the rest's left finger.
-            a, b = _split(node, run)
-            values = _values(a, [])
-            rest = _tree_env(_chain(values, j, run), run - j, b, rfinger, rlen, m)
-            return _with_run(finger, flen, values, 0, j, None, 0, k), rest
-        if size - j < run:
-            # Refill from the right: take a run off the tree's right end;
-            # the part before the split becomes the first part's right
-            # finger.
-            a, b = _split(node, size - run)
-            values = _values(b, [])
-            i = run - (size - j)
-            first = _tree_env(finger, flen, a, _rchain(values, 0, i), i, k)
-            return first, _with_run(None, 0, values, i, run, rfinger, rlen, m)
-        a, b = _split(node, j)
-        return (
-            _tree_env(finger, flen, a, None, 0, k),
-            _tree_env(None, 0, b, rfinger, rlen, m),
-        )
+                rest = TreeEnv(None, None, 0, None, m, _chain(values, 0, m), m)
+        if k >= _FLAT:
+            return TreeEnv(None, finger, flen, node, k, cell, rlen - m), rest
+        return _tree_env(finger, flen, node, cell, rlen - m, k), rest
 
     def multi_insert(self, kvec: tuple[int, ...], value: Any) -> "TreeEnv":
         n = self._length
@@ -637,34 +589,21 @@ class TreeEnv:
             )
         if not kvec:
             return self
-        m = len(positions)
-        flen = self._flen
-        node = self._node
         if flat is not None:
             # The result reaches _FLAT: the tree takes every position.
             node = _build(list(flat), 0, n)
-        elif self._rlen:
-            # Fold the right finger into the tree, which then holds every
-            # position past the left finger.
-            values = _rheads(self._rfinger, [])
-            node = _join(node, values[0], _build(values, 1, self._rlen))
-        # Positions before the finger's end land in it; a position on the
-        # seam goes to the front of the tree.
-        inside = bisect_left(positions, flen) if flen else 0
-        if inside == 0:
-            finger = self._finger
-        elif flen + inside > _run_length(n + m):
-            # Fold the finger into the tree, which then takes every position.
-            values = _heads(self._finger, [])
-            node = _join(_build(values, 0, flen - 1), values[-1], node)
-            finger, flen, inside = None, 0, 0
         else:
-            finger = _insert_cells(
-                self._finger, kvec[:inside], positions[inside - 1], value
-            )
-        if inside < m:
-            node = _insert_all(node, positions, inside, m, flen, value)
-        return TreeEnv(None, finger, flen + inside, node, n + m)
+            # Fold both fingers into the tree, which then takes every
+            # position.
+            node = self._node
+            if self._flen:
+                values = _heads(self._finger, [])
+                node = _join(_build(values, 0, self._flen - 1), values[-1], node)
+            if self._rlen:
+                values = _rheads(self._rfinger, [])
+                node = _join(node, values[0], _build(values, 1, self._rlen))
+        node = _insert_all(node, positions, 0, len(positions), 0, value)
+        return TreeEnv(None, None, 0, node, n + len(positions))
 
     def __repr__(self) -> str:
         return f"TreeEnv({self.to_list()!r})"

@@ -102,6 +102,22 @@ def wide_binder(size: int) -> NamedTerm:
     return App(Lam("x", big_spine(size, "x")), Var("a"))
 
 
+def distinct_spine(size: int) -> NamedTerm:
+    """(\\x0. ... \\x(size-1). c x0 ... x(size-1)) a0 ... a(size-1); the
+    normal form is c a0 ... a(size-1). Like wide_binder it splits a long
+    environment near its end at every application, but the environment
+    holds size distinct values, so a backend that reorders them changes
+    the normal form."""
+    body: NamedTerm = Var("c")
+    for i in range(size):
+        body = App(body, Var(f"x{i}"))
+    for i in reversed(range(size)):
+        body = Lam(f"x{i}", body)
+    for i in range(size):
+        body = App(body, Var(f"a{i}"))
+    return body
+
+
 WORKLOADS = {
     "church-add": church_add,
     "church-mul": church_mul,
@@ -109,6 +125,7 @@ WORKLOADS = {
     "combinator-chain": combinator_chain,
     "leak-family": leak_family,
     "wide-binder": wide_binder,
+    "distinct-spine": distinct_spine,
 }
 
 

@@ -28,6 +28,7 @@ from ordlam.workloads import (
     church_exp,
     church_mul,
     combinator_chain,
+    distinct_spine,
     leak_family,
     wide_binder,
 )
@@ -62,6 +63,19 @@ class TestWorkloads:
             parse_surface("c" + " a" * 64)
         )
 
+    def test_distinct_spine_normal_form(self):
+        # c a0 ... a8, written out rather than obtained by evaluation.
+        expected = parse_surface("c" + "".join(f" a{i}" for i in range(9)))
+        assert alpha_eq(normalize(distinct_spine(9)), expected)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_distinct_spine_normalizes_everywhere(self, strategy):
+        outcome = run_strategy(strategy, distinct_spine(64), 100_000)
+        assert outcome.ok
+        assert digest_term(outcome.normal_form) == digest_term(
+            parse_surface("c" + "".join(f" a{i}" for i in range(64)))
+        )
+
     def test_unknown_workload(self):
         with pytest.raises(ValueError):
             build_workload("nope", 3)
@@ -84,6 +98,8 @@ PINNED_DIGESTS = {
     ("leak-family", 64): "0061c68d2ebc5490",
     ("wide-binder", 8): "2f1714e8f38c005b",
     ("wide-binder", 64): "59b728ae693e45d3",
+    ("distinct-spine", 8): "4ff7698d9c1ba6a3",
+    ("distinct-spine", 64): "17979dfa2246195d",
 }
 
 
@@ -205,3 +221,16 @@ class TestRunComparison:
         monkeypatch.setattr(bench_mod, "run_strategy", broken)
         with pytest.raises(DigestMismatch):
             run_comparison("church-add", 4, ("ordered-list", "closures"), 10_000, 1)
+
+    @pytest.mark.parametrize("size", (9, 33, 300))
+    def test_reordered_environment_refused(self, monkeypatch, size):
+        # A tree backend whose right finger holds its values in sequence
+        # order instead of last first: the spine over distinct values
+        # reads back its arguments out of order, and the digests differ.
+        from ordlam import envseq
+
+        monkeypatch.setattr(envseq, "_rchain", envseq._chain)
+        with pytest.raises(DigestMismatch):
+            run_comparison(
+                "distinct-spine", size, ("ordered-list", "ordered-tree"), 100_000, 1
+            )

@@ -255,16 +255,17 @@ class TestBackendAgreement:
 
     def test_short_splits_and_inserts_at_the_finger(self):
         # Short splits that keep the rest refill the tree's finger; the
-        # inserts then land inside it, across its end and exactly on it.
+        # inserts then fold it into the tree, with positions inside it,
+        # across its end and exactly on it.
         seen = _check_agreement(
-            random.Random(2468), 300, 50, 60, _finger_kvec, _short_k, 0.2
+            random.Random(2468), 300, 70, 60, _finger_kvec, _short_k, 0.2
         )
         assert seen.with_finger > 500
 
     def test_programs_across_the_flat_bound(self):
         # Lengths 0-24: short splits and inserts of up to five positions
         # take sequences between the flat state and the tree, both ways.
-        seen = _check_agreement(random.Random(8642), 24, 80, 30, _few_kvec, _short_k)
+        seen = _check_agreement(random.Random(8642), 24, 100, 30, _few_kvec, _short_k)
         assert seen.up > 150 and seen.down > 150
         assert seen.with_finger > 100
 
@@ -278,8 +279,8 @@ class TestBackendAgreement:
         assert seen.with_rfinger > 100
 
     def test_splits_at_both_ends_with_inserts_at_the_finger(self):
-        # Both fingers at once: inserts fold the right finger into the
-        # tree and land in, on and past the left one.
+        # Both fingers at once: inserts fold both into the tree, with
+        # positions in, on and past the left one.
         seen = _check_agreement(
             random.Random(3579), 300, 50, 60, _finger_kvec, _either_end_k, None
         )
@@ -309,6 +310,45 @@ class TestBackendAgreement:
             tree = TreeEnv.from_values(model).multi_insert(kvec, "w")
             assert tree.to_list() == model[:pos] + ["w"] * copies + model[pos:]
             assert tree_is_balanced(tree)
+
+
+class TestPublicCalls:
+    def test_operations_never_call_public_methods(self, monkeypatch):
+        # perfbench's tracer wraps TreeEnv.split_at and multi_insert and
+        # counts every call; the counts are the caller's only if neither
+        # operation reaches a public one through the class.
+        calls = {"split_at": 0, "multi_insert": 0}
+        made = dict(calls)
+
+        def counting(name):
+            operation = getattr(TreeEnv, name)
+
+            def counted(self, *args):
+                calls[name] += 1
+                return operation(self, *args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(TreeEnv, name, counting(name))
+        rng = random.Random(1357)
+        env = TreeEnv.from_values(range(200))
+        seen = SimpleNamespace(finger=0, rfinger=0, flat=0)
+        for _ in range(3000):
+            if rng.random() < 0.6 and len(env):
+                k = rng.choice((_short_k, _end_k, _uniform_k))(rng, len(env))
+                first, rest = env.split_at(k)
+                env = first if 2 * k >= len(env) else rest
+                made["split_at"] += 1
+            else:
+                kvec = rng.choice((_finger_kvec, _few_kvec))(rng, len(env), env._flen)
+                env = env.multi_insert(kvec, "w")
+                made["multi_insert"] += 1
+            seen.finger += env._flen > 0
+            seen.rfinger += env._rlen > 0
+            seen.flat += env._flat is not None
+        assert calls == made
+        assert seen.finger > 100 and seen.rfinger > 100 and seen.flat > 100
 
 
 class TestTreeBalanceStress:
@@ -414,6 +454,22 @@ class TestAllocationCosts:
                 allocs = self._insert_allocs(cells, TreeEnv, size, kvec)
                 bound = (1 + len(kvec)) * (10 * math.log2(size) + 10)
                 assert allocs <= bound
+
+    @pytest.mark.parametrize("size", (1024, 4096, 16384))
+    def test_tree_insert_with_both_fingers_logarithmic_per_position(
+        self, cells, size
+    ):
+        # The insert folds both fingers into the tree first.
+        env = TreeEnv.from_values(range(size))
+        _, env = env.split_at(1)  # refills the left finger
+        env, _ = env.split_at(len(env) - 1)  # refills the right finger
+        assert env._flen and env._rlen
+        n = len(env)
+        for kvec in [(n // 2,), (n // 4, n // 4), (0, 1, 2, 3), (n,)]:
+            cells.built = 0
+            result = env.multi_insert(kvec, "w")
+            assert cells.built <= (1 + len(kvec)) * (10 * math.log2(size) + 10)
+            assert len(result) == n + len(kvec) and tree_is_balanced(result)
 
     @pytest.mark.parametrize("copies", (1, 2, 3, 100, 900))
     def test_tree_copies_into_empty_one_cell_each(self, cells, copies):
