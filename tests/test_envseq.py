@@ -489,6 +489,28 @@ class TestAllocationCosts:
         allocs = self._insert_allocs(cells, ListEnv, 1024, (512,))
         assert allocs == 513  # rebuilt prefix plus the inserted cell
 
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_tree_refill_chains_only_the_new_finger(self, monkeypatch, k):
+        # A refill off 4096 elements moves a run of 11 onto an empty left
+        # finger. The first part is a flat copy of the run's first k
+        # values, so only the other 11 - k become cons cells.
+        assert envseq._run_length(4096) == 11
+        counter = SimpleNamespace(built=0)
+
+        class Counted(envseq._Cons):
+            __slots__ = ()
+
+            def __init__(self, head, tail):
+                counter.built += 1
+                super().__init__(head, tail)
+
+        monkeypatch.setattr(envseq, "_Cons", Counted)
+        env = TreeEnv.from_values(range(4096))
+        first, rest = env.split_at(k)
+        assert counter.built == 11 - k
+        assert first.to_list() + rest.to_list() == list(range(4096))
+        assert tree_is_balanced(first) and tree_is_balanced(rest)
+
 
 class TestTreeShapeCheck:
     def test_finger_cells_must_match_stored_length(self):
@@ -591,3 +613,14 @@ class TestTreeSharing:
         assert first._node is env._node
         assert first._rfinger is env._rfinger.tail.tail
         assert tree_is_balanced(first) and tree_is_balanced(rest)
+
+    def test_front_split_of_a_right_finger_alone(self):
+        env = TreeEnv.from_values(range(4096))
+        env, _ = env.split_at(4095)  # refills the right finger with 11
+        _, rest = env.split_at(4095 - 9)
+        # rest is nine values held by a right finger alone.
+        assert rest._flen == 0 and rest._node is None and rest._rlen == 9
+        first, second = rest.split_at(1)
+        assert first.to_list() == [4086]
+        assert second.to_list() == list(range(4087, 4095))
+        assert tree_is_balanced(first) and tree_is_balanced(second)

@@ -1,7 +1,10 @@
+import random
+import re
 import sys
 
 import pytest
 
+from ordlam import named
 from ordlam.named import (
     App,
     FuelExhausted,
@@ -92,6 +95,9 @@ PARSE_ERRORS = [
     ("a 'b", "unexpected character \"'\"", 1, 3),
     ("x = y", "unexpected character '='", 1, 3),
     ("€", "unexpected character '€'", 1, 1),
+    ("\\9. x", "unexpected character '9'", 1, 2),
+    ("λx=. x", "unexpected character '='", 1, 3),
+    ("(\\x. ) =", "unexpected character '='", 1, 8),
     ("a\r\n)", "unexpected ')' after the term", 2, 1),
     ("\tx )", "unexpected ')' after the term", 1, 4),
     ("x\t\t)", "unexpected ')' after the term", 1, 4),
@@ -142,6 +148,54 @@ def test_parse_error_position(text, message, line, col):
 )
 def test_unicode_spaces_and_identifier_characters(text, expected):
     assert parse_surface(text) == expected
+
+
+def test_split_and_regex_agree_on_whitespace():
+    # The split tokenizer separates words where str.isspace() holds and
+    # _NO_TOKEN lets through what \s matches; both must be one set.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = "".join(c for c in every if c.isspace())
+    assert "".join(re.findall(r"\s", every)) == spaces
+    assert named._NO_TOKEN.search(spaces) is None
+    assert ("a" + spaces + "b").split() == ["a", "b"]
+
+
+def test_split_tokens_are_the_regex_tokens_when_no_character_is_bad():
+    rng = random.Random(17)
+    alphabet = "\\λ.()  \t\n\rabxyz_'09" + "\x1c\x1d\x1e\x1f\x85\xa0\u3000=1'"
+    clean = 0
+    for _ in range(100_000):
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randrange(16)))
+        if named._NO_TOKEN.search(s) is None:
+            clean += 1
+            assert named._split_tokens(s) == named._TOKEN.findall(s), s
+    assert clean > 20_000
+
+
+def test_repeat_free_spine_shares_every_var():
+    # \x0 ... \x899. c (f x0) ... (f x899): no application repeats, and
+    # each name is one Var node wherever it occurs.
+    n = 900
+    text = "".join(f"\\x{i}. " for i in range(n))
+    text += "c " + " ".join(f"(f x{i})" for i in range(n))
+    t = parse_surface(text)
+    by_name = {}
+    stack = [t]
+    distinct = set()
+    while stack:
+        u = stack.pop()
+        distinct.add(id(u))
+        if type(u) is Var:
+            by_name.setdefault(u.name, set()).add(id(u))
+        elif type(u) is App:
+            stack += (u.fun, u.arg)
+        else:
+            stack.append(u.body)
+    assert len(by_name) == n + 2
+    assert all(len(ids) == 1 for ids in by_name.values())
+    # n lambdas, n spine applications, n (f xi), n + 2 names.
+    assert len(distinct) == 4 * n + 2
+    assert t.node_count == 5 * n + 1
 
 
 class TestPrint:
