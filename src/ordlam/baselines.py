@@ -209,17 +209,17 @@ def _env_lookup(env: Optional[_Cons], index: int):
 
 
 class DbClosure:
-    """A binder body with the whole environment that was in scope, a
+    """A binder node with the whole environment that was in scope, a
     chain of envseq cons cells, innermost binder's value first.
 
     Deliberately imprecise: entries the body never mentions are retained
     anyway.
     """
 
-    __slots__ = ("body", "env")
+    __slots__ = ("lam", "env")
 
-    def __init__(self, body: DbTerm, env: Optional[_Cons]):
-        self.body = body
+    def __init__(self, lam: DLam, env: Optional[_Cons]):
+        self.lam = lam
         self.env = env
 
     def __eq__(self, other):
@@ -228,7 +228,7 @@ class DbClosure:
     __hash__ = None
 
     def __repr__(self):
-        return f"DbClosure({self.body!r}, {self.captured()!r})"
+        return f"DbClosure({self.lam!r}, {self.captured()!r})"
 
     # The value-walk protocol of machine.Closure.
 
@@ -238,7 +238,7 @@ class DbClosure:
 
     def body_names(self) -> frozenset[str]:
         """Names free in the closure's body."""
-        return self.body.free_names
+        return self.lam.free_names
 
 
 DbValue = Union[Spine, DbClosure]
@@ -271,7 +271,7 @@ def _db_run(control, is_value: bool, stack: list, fuel: Fuel):
                 control = _env_lookup(env, term.index)
                 is_value = True
             elif kind is DLam:
-                control = DbClosure(term.body, env)
+                control = DbClosure(term, env)
                 is_value = True
             elif kind is FVar:
                 control = Spine(term.name)
@@ -296,9 +296,9 @@ def _db_run(control, is_value: bool, stack: list, fuel: Fuel):
                 remaining -= 1
                 spent += 1
                 if type(fun) is Spine:
-                    control = Spine(fun.head, fun.args.append(control))
+                    control = Spine(fun.head, _Cons(control, fun.args))
                 else:
-                    control = (fun.body, _Cons(control, fun.env))
+                    control = (fun.lam.body, _Cons(control, fun.env))
                     is_value = False
 
 
@@ -372,15 +372,13 @@ def _db_print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
             value = task[1]
             if isinstance(value, Spine):
                 out.append(Var(value.head))
-                for arg in reversed(value.args.to_list()):
+                for arg in _heads(value.args, []):
                     work.append(_APP_TASK)
                     work.append((_VALUE, arg))
             else:
-                # A closure's body sees only its own binder, then its env.
-                binder = next(fresh)
-                work.append((_LAM, binder))
-                work.append((_TERM, value.body, len(scope), value.env))
-                scope.append(binder)
+                # A closure's binder node opens a scope of its own: its body
+                # sees only that binder, then the closure's env.
+                work.append((_TERM, value.lam, len(scope), value.env))
         elif kind == _APP:
             arg = out.pop()
             out[-1] = App(out[-1], arg)

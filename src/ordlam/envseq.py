@@ -523,16 +523,13 @@ class TreeEnv:
                 cell = _chain(values, k, flen)
                 del values[k:]
             elif size - j < run:
-                # The mirror image onto the right finger, which then holds
-                # the split. It is chained whole, so a short spine's
-                # refilled finger still has two cells whose order the
-                # bench digest checks.
+                # The mirror image onto the right finger: its last m values
+                # make the rest and only the others are chained.
                 node, b = _split(node, size - run)
                 values = _rheads(rfinger, _values(b, []))
                 rlen += run
-                rfinger = _rchain(values, 0, rlen)
-                values, cell = _peel(rfinger, m)
-                values.reverse()
+                cell = _rchain(values, 0, rlen - m)
+                del values[: rlen - m]
             else:
                 a, b = _split(node, j)
                 return (

@@ -26,9 +26,10 @@ Every walk here, readback included, is an explicit-stack loop, so term
 and value depth is bounded by memory, not by the recursion limit.
 
 Spines, the walks over values and readback to normal form are shared
-with the de Bruijn closure machine in baselines: a closure class takes
-part by providing captured() and body_names(), and readback is given
-the machine's apply function.
+with the de Bruijn closure machine in baselines. A closure of either
+machine holds the binder node its loop met (lam) and an environment; a
+closure class takes part by providing lam, captured() and body_names(),
+and readback is given the machine's apply function.
 """
 
 from __future__ import annotations
@@ -91,37 +92,16 @@ def _as_fuel(fuel: Union[int, Fuel]) -> Fuel:
 # values
 
 
-class ArgStack:
-    """Persistent argument list with O(1) shared append: a chain of
-    envseq cons cells, last argument first."""
-
-    __slots__ = ("_cell", "_length")
-
-    def __init__(self, cell: Optional[_Cons], length: int):
-        self._cell = cell
-        self._length = length
-
-    def append(self, value) -> "ArgStack":
-        return ArgStack(_Cons(value, self._cell), self._length + 1)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def to_list(self) -> list:
-        out = _heads(self._cell, [])
-        out.reverse()
-        return out
-
-
-EMPTY_ARGS = ArgStack(None, 0)
-
-
 class Spine:
-    """A free variable applied, left-associatively, to argument values."""
+    """A free variable applied, left-associatively, to argument values.
+
+    args is a chain of envseq cons cells, last argument first, or None,
+    so an application shares its function's chain and adds one cell.
+    """
 
     __slots__ = ("head", "args")
 
-    def __init__(self, head: str, args: ArgStack = EMPTY_ARGS):
+    def __init__(self, head: str, args: Optional[_Cons] = None):
         self.head = head
         self.args = args
 
@@ -131,26 +111,22 @@ class Spine:
     __hash__ = None
 
     def __repr__(self):
-        return f"Spine({self.head!r}, {self.args.to_list()!r})"
+        return f"Spine({self.head!r}, {_heads(self.args, [])[::-1]!r})"
 
 
 class Closure:
-    """A binder body paired with an exact environment.
+    """A binder node paired with an exact environment: one value per
+    unbound dot of the binder, lam.fv of them, checked on every
+    construction."""
 
-    Exactness (environment length equals the body's unbound dots minus
-    the binder's own occurrences) is checked on every construction.
-    """
+    __slots__ = ("lam", "env")
 
-    __slots__ = ("kvec", "body", "env")
-
-    def __init__(self, kvec: tuple[int, ...], body: OrderedTerm, env):
-        if len(env) != body.fv - len(kvec):
+    def __init__(self, lam: OLam, env):
+        if len(env) != lam.fv:
             raise InvariantError(
-                f"closure environment has {len(env)} entries, "
-                f"body needs {body.fv - len(kvec)}"
+                f"closure environment has {len(env)} entries, binder needs {lam.fv}"
             )
-        self.kvec = kvec
-        self.body = body
+        self.lam = lam
         self.env = env
 
     def __eq__(self, other):
@@ -159,7 +135,7 @@ class Closure:
     __hash__ = None
 
     def __repr__(self):
-        return f"Closure({self.kvec!r}, {self.body!r}, {self.env.to_list()!r})"
+        return f"Closure({self.lam!r}, {self.env.to_list()!r})"
 
     # The value-walk protocol, which baselines.DbClosure provides too.
 
@@ -169,7 +145,7 @@ class Closure:
 
     def body_names(self) -> frozenset[str]:
         """Names free in the closure's body."""
-        return ordered_free_names(self.body)
+        return ordered_free_names(self.lam)
 
 
 Value = Union[Spine, Closure]
@@ -179,8 +155,8 @@ def _equal(a, b) -> bool:
     """Structural equality of values and machine expressions, by an
     explicit-stack walk so any depth compares. Environments compare
     observationally, whatever the backend. A closure of either machine
-    compares through the value-walk protocol: its kvec (if it has one),
-    its body, then its captured() values pairwise."""
+    compares through the value-walk protocol: its binder node, then its
+    captured() values pairwise."""
     stack = [(a, b)]
     while stack:
         a, b = stack.pop()
@@ -190,9 +166,10 @@ def _equal(a, b) -> bool:
         if kind is not type(b):
             return False
         if kind is Spine:
-            if a.head != b.head or len(a.args) != len(b.args):
+            args_a, args_b = _heads(a.args, []), _heads(b.args, [])
+            if a.head != b.head or len(args_a) != len(args_b):
                 return False
-            stack.extend(zip(a.args.to_list(), b.args.to_list()))
+            stack.extend(zip(args_a, args_b))
         elif kind is Pending:
             if a.term != b.term or len(a.env) != len(b.env):
                 return False
@@ -203,7 +180,7 @@ def _equal(a, b) -> bool:
             stack.append((a.arg, b.arg))
             stack.append((a.fun, b.fun))
         elif hasattr(kind, "captured"):
-            if getattr(a, "kvec", None) != getattr(b, "kvec", None) or a.body != b.body:
+            if a.lam != b.lam:
                 return False
             values_a, values_b = a.captured(), b.captured()
             if len(values_a) != len(values_b):
@@ -251,7 +228,7 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
                 control = env.sole()
                 is_value = True
             elif kind is OLam:
-                control = Closure(term.kvec, term.body, env)
+                control = Closure(term, env)
                 is_value = True
             elif kind is Free:
                 if len(env) != 0:
@@ -282,9 +259,10 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
                 remaining -= 1
                 spent += 1
                 if type(fun) is Spine:
-                    control = Spine(fun.head, fun.args.append(control))
+                    control = Spine(fun.head, _Cons(control, fun.args))
                 else:
-                    control = (fun.body, fun.env.multi_insert(fun.kvec, control))
+                    lam = fun.lam
+                    control = (lam.body, fun.env.multi_insert(lam.kvec, control))
                     is_value = False
 
 
@@ -336,7 +314,7 @@ def _reachable(v: Value) -> Iterator[Value]:
         seen.add(id(item))
         yield item
         if isinstance(item, Spine):
-            stack.extend(item.args.to_list())
+            _heads(item.args, stack)
         else:
             stack.extend(item.captured())
 
@@ -415,12 +393,12 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
             v = task[1]
             if type(v) is Spine:
                 out.append(Var(v.head))
-                for arg in reversed(v.args.to_list()):
+                for arg in _heads(v.args, []):
                     work.append(_APP_TASK)
                     work.append((_VALUE, arg))
             elif type(v) is Closure:
                 values = v.env.to_list()
-                work.append((_TERM, OLam(v.kvec, v.body), values, 0, len(values)))
+                work.append((_TERM, v.lam, values, 0, len(values)))
             else:
                 raise TypeError(f"not a value: {v!r}")
         elif kind == _APP:
@@ -487,7 +465,7 @@ def _normal_form(
             out[-1] = Lam(item, out[-1])
         elif type(item) is Spine:
             out.append(Var(item.head))
-            for arg in reversed(item.args.to_list()):
+            for arg in _heads(item.args, []):
                 work += (None, arg)
         else:
             binder = next(fresh)
@@ -680,9 +658,9 @@ def weight(e: MachineExpr) -> int:
         if isinstance(v, Closure):
             total += 2
         else:
-            args = v.args.to_list()
+            args = _heads(v.args, [])
             total += 1 + 2 ** len(args)
-            values.extend(args)
+            values += args
     return total
 
 

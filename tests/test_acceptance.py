@@ -7,12 +7,11 @@ lines. Budgets and tolerances are pinned here, not configurable.
 import pytest
 
 from ordlam import baselines, bench, machine
-from ordlam.envseq import ListEnv, TreeEnv
+from ordlam.envseq import ListEnv, TreeEnv, _Cons
 from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
 from ordlam.machine import (
     Closure,
-    EMPTY_ARGS,
     Fuel,
     Pending,
     Spine,
@@ -39,10 +38,10 @@ S_ORDERED = OLam((0,), OLam((1,), OLam((1, 1), S_BODY3)))
 
 
 def spine(name, *args):
-    stack = EMPTY_ARGS
+    cell = None  # the argument chain, last argument first
     for a in args:
-        stack = stack.append(a)
-    return Spine(name, stack)
+        cell = _Cons(a, cell)
+    return Spine(name, cell)
 
 
 def report(number, ok, detail):
@@ -71,7 +70,9 @@ def test_criterion_1_golden_examples():
         failures.append("S applied to three free variables")
 
     t2 = parse_surface(r"(\x.\y.\z. x z (y z)) g f")
-    expected = Closure((1, 1), S_BODY3, ListEnv.from_values([spine("g"), spine("f")]))
+    expected = Closure(
+        OLam((1, 1), S_BODY3), ListEnv.from_values([spine("g"), spine("f")])
+    )
     if whnf(t2) != expected:
         failures.append("S applied to two free variables")
 
@@ -251,7 +252,7 @@ def test_criterion_8_space_leak_gap():
 
     # Closure exactness is enforced at every construction.
     try:
-        Closure((0,), DOT, ListEnv.singleton(spine("v")))
+        Closure(OLam((0,), DOT), ListEnv.singleton(spine("v")))
         exactness_enforced = False
     except InvariantError:
         exactness_enforced = True

@@ -19,7 +19,7 @@ from ordlam.baselines import (
 )
 from ordlam.envseq import _Cons
 from ordlam.gen import gen_terms
-from ordlam.machine import EMPTY_ARGS, Spine, value_node_count, whnf
+from ordlam.machine import Spine, value_node_count, whnf
 from ordlam.named import (
     App,
     FuelExhausted,
@@ -163,7 +163,7 @@ class TestDeepDbPrinting:
     def test_nested_spine(self):
         v = Spine("x")
         for _ in range(self.DEPTH):
-            v = Spine("f", EMPTY_ARGS.append(v))
+            v = Spine("f", _Cons(v, None))
         expected = "f (" * (self.DEPTH - 1) + "f x" + ")" * (self.DEPTH - 1)
         assert print_surface(db_print_value(v)) == expected
 
@@ -173,7 +173,7 @@ class TestDeepDbPrinting:
         body = DApp(BVar(self.DEPTH + 1), BVar(self.DEPTH))
         for _ in range(self.DEPTH):
             body = DLam(body)
-        v = DbClosure(body, _Cons(Spine("y"), None))
+        v = DbClosure(DLam(body), _Cons(Spine("y"), None))
         expected = "".join(f"\\z{i}. " for i in range(self.DEPTH + 1)) + "y z0"
         assert print_surface(db_print_value(v)) == expected
 
@@ -247,7 +247,7 @@ class TestDeepDbTerms:
             assert a is not b and a == b and hash(a) == hash(b)
 
     def test_whnf_values_compare(self):
-        # Each whnf is a closure whose body is the numeral's inner binder.
+        # Each whnf is a closure holding the numeral's own binder node.
         a, b = db_whnf(self.numeral()), db_whnf(self.numeral())
         assert a is not b and a == b
         body = Var("z")
@@ -257,10 +257,12 @@ class TestDeepDbTerms:
         # Whole environments compare value by value.
         y = Spine("y")
         env = _Cons(y, None)
-        assert DbClosure(BVar(1), env) == DbClosure(BVar(1), _Cons(Spine("y"), None))
-        assert DbClosure(BVar(1), env) != DbClosure(BVar(1), _Cons(Spine("w"), None))
-        assert DbClosure(BVar(1), env) != DbClosure(BVar(1), _Cons(y, env))
-        assert DbClosure(BVar(0), None) != whnf(Lam("x", Var("x")))
+        lam = DLam(BVar(1))
+        assert DbClosure(lam, env) == DbClosure(DLam(BVar(1)), _Cons(Spine("y"), None))
+        assert DbClosure(lam, env) != DbClosure(lam, _Cons(Spine("w"), None))
+        assert DbClosure(lam, env) != DbClosure(lam, _Cons(y, env))
+        assert DbClosure(lam, env) != DbClosure(DLam(BVar(0)), env)
+        assert DbClosure(DLam(BVar(0)), None) != whnf(Lam("x", Var("x")))
 
 
 class TestNormalizeHsub:

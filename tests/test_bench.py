@@ -224,13 +224,26 @@ class TestRunComparison:
 
     @pytest.mark.parametrize("size", (9, 33, 300))
     def test_reordered_environment_refused(self, monkeypatch, size):
-        # A tree backend whose right finger holds its values in sequence
-        # order instead of last first: the spine over distinct values
-        # reads back its arguments out of order, and the digests differ.
+        # Tree backends that reorder their values: the spine over distinct
+        # values reads back its arguments out of order, and the digests
+        # differ. One reads its tree's values back to front. The other
+        # holds a right finger in sequence order instead of last first;
+        # at 9 every right finger is one cell long, so it shows only at
+        # 33 and 300.
         from ordlam import envseq
 
-        monkeypatch.setattr(envseq, "_rchain", envseq._chain)
-        with pytest.raises(DigestMismatch):
-            run_comparison(
-                "distinct-spine", size, ("ordered-list", "ordered-tree"), 100_000, 1
-            )
+        tree_values = envseq._values
+        mutants = [("_values", lambda node, out: out + tree_values(node, [])[::-1])]
+        if size > 9:
+            mutants.append(("_rchain", envseq._chain))
+        for name, mutant in mutants:
+            with monkeypatch.context() as patch:
+                patch.setattr(envseq, name, mutant)
+                with pytest.raises(DigestMismatch):
+                    run_comparison(
+                        "distinct-spine",
+                        size,
+                        ("ordered-list", "ordered-tree"),
+                        100_000,
+                        1,
+                    )

@@ -390,6 +390,20 @@ class TestTreeBalanceStress:
 
 
 class TestAllocationCosts:
+    def _counting_cons(self, monkeypatch):
+        """Count the cons cells built from here on; nothing else."""
+        counter = SimpleNamespace(built=0)
+
+        class Counted(envseq._Cons):
+            __slots__ = ()
+
+            def __init__(self, head, tail):
+                counter.built += 1
+                super().__init__(head, tail)
+
+        monkeypatch.setattr(envseq, "_Cons", Counted)
+        return counter
+
     def _split_allocs(self, cells, backend, size):
         env = backend.from_values(range(size))
         cells.built = 0
@@ -495,19 +509,23 @@ class TestAllocationCosts:
         # finger. The first part is a flat copy of the run's first k
         # values, so only the other 11 - k become cons cells.
         assert envseq._run_length(4096) == 11
-        counter = SimpleNamespace(built=0)
-
-        class Counted(envseq._Cons):
-            __slots__ = ()
-
-            def __init__(self, head, tail):
-                counter.built += 1
-                super().__init__(head, tail)
-
-        monkeypatch.setattr(envseq, "_Cons", Counted)
+        counter = self._counting_cons(monkeypatch)
         env = TreeEnv.from_values(range(4096))
         first, rest = env.split_at(k)
         assert counter.built == 11 - k
+        assert first.to_list() + rest.to_list() == list(range(4096))
+        assert tree_is_balanced(first) and tree_is_balanced(rest)
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_tree_right_refill_chains_only_the_new_finger(self, monkeypatch, k):
+        # The mirror image: a run of 11 moves onto an empty right finger.
+        # The rest is a flat copy of the run's last k values, so only the
+        # other 11 - k become cons cells.
+        counter = self._counting_cons(monkeypatch)
+        env = TreeEnv.from_values(range(4096))
+        first, rest = env.split_at(4096 - k)
+        assert counter.built == 11 - k
+        assert first._rlen == 11 - k
         assert first.to_list() + rest.to_list() == list(range(4096))
         assert tree_is_balanced(first) and tree_is_balanced(rest)
 

@@ -3,12 +3,11 @@ from collections import Counter
 import pytest
 
 from ordlam import machine
-from ordlam.envseq import BACKENDS, ListEnv, TreeEnv
+from ordlam.envseq import BACKENDS, ListEnv, TreeEnv, _Cons
 from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
 from ordlam.machine import (
     DEFAULT_FUEL,
-    EMPTY_ARGS,
     Closure,
     Done,
     Fuel,
@@ -76,10 +75,10 @@ class OnOtherBackends:
 
 
 def spine(name, *args):
-    stack = EMPTY_ARGS
+    cell = None  # the argument chain, last argument first
     for a in args:
-        stack = stack.append(a)
-    return Spine(name, stack)
+        cell = _Cons(a, cell)
+    return Spine(name, cell)
 
 
 class TestEvaluate:
@@ -98,7 +97,7 @@ class TestEvaluate:
         t = NApp(NApp(S_NAMED, Var("g")), Var("f"))
         result = whnf(t)
         expected = Closure(
-            (1, 1), S_BODY3, ListEnv.from_values([spine("g"), spine("f")])
+            OLam((1, 1), S_BODY3), ListEnv.from_values([spine("g"), spine("f")])
         )
         assert result == expected
 
@@ -117,8 +116,8 @@ class TestEvaluate:
 
     def test_closure_exactness_enforced(self):
         with pytest.raises(InvariantError):
-            Closure((0,), DOT, ListEnv.singleton(spine("v")))
-        Closure((0,), DOT, ListEnv.empty())  # exact: binder owns the only dot
+            Closure(OLam((0,), DOT), ListEnv.singleton(spine("v")))
+        Closure(OLam((0,), DOT), ListEnv.empty())  # exact: binder owns the only dot
 
     def test_fuel_exhaustion_is_a_value(self):
         result = whnf(OMEGA, fuel=100)
@@ -138,7 +137,7 @@ class TestApply:
 
     def test_closure_entry(self):
         closure = Closure(
-            (1, 1), S_BODY3, ListEnv.from_values([spine("g"), spine("f")])
+            OLam((1, 1), S_BODY3), ListEnv.from_values([spine("g"), spine("f")])
         )
         n = spine("n")
         direct = evaluate(
@@ -147,7 +146,7 @@ class TestApply:
         assert apply_value(closure, n) == direct
 
     def test_discarding_closure_drops_argument(self):
-        closure = Closure((), Free("a"), ListEnv.empty())
+        closure = Closure(OLam((), Free("a")), ListEnv.empty())
         assert apply_value(closure, spine("w")) == spine("a")
 
 
@@ -164,6 +163,18 @@ class TestWhnf:
 
     def test_divergence(self):
         assert isinstance(whnf(OMEGA, fuel=1000), FuelExhausted)
+
+    def test_closures_hold_the_translated_binder_nodes(self, monkeypatch):
+        translated = []
+
+        def recording(m):
+            translated.append(parse_closed(m))
+            return translated[-1]
+
+        monkeypatch.setattr(machine, "parse_closed", recording)
+        assert whnf(S_NAMED).lam is translated[-1]
+        # After a beta step, the body's own binder node.
+        assert whnf(App(S_NAMED, Var("g"))).lam is translated[-1].fun.body
 
     def test_backends_agree(self):
         from ordlam.named import App as NApp
@@ -200,13 +211,27 @@ class TestPrinting:
 
     def test_closure_prints_via_binder_rule(self):
         closure = Closure(
-            (1, 1), S_BODY3, ListEnv.from_values([spine("g"), spine("f")])
+            OLam((1, 1), S_BODY3), ListEnv.from_values([spine("g"), spine("f")])
         )
         assert alpha_eq(print_value(closure), parse_surface(r"\z. g z (f z)"))
 
+    def test_closure_prints_without_building_a_binder(self, monkeypatch):
+        closure = whnf(parse_surface(r"(\x. \y. \z. y (x z)) (\u. u) f"))
+        built = []
+        init = OLam.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(OLam, "__init__", counting)
+        printed = print_value(closure)
+        assert built == []
+        assert print_surface(printed) == r"\z0. f ((\z1. z1) z0)"
+
     def test_fresh_names_avoid_environment(self):
         # z0 is taken by the environment value, so the binder moves on.
-        closure = Closure((0,), DOT, ListEnv.empty())
+        closure = Closure(OLam((0,), DOT), ListEnv.empty())
         pair = Pair(Done(closure), Done(spine("z0")))
         printed = print_expr(pair)
         assert alpha_eq(printed, parse_surface(r"(\u. u) z0"))
@@ -256,15 +281,15 @@ class TestDeepPrinting:
 
     def test_closure_over_a_deep_body_repr(self):
         # The weak head normal form of a numeral is a closure holding the
-        # numeral's inner binder; its repr() shows that term's repr().
+        # numeral's own binder node; its repr() shows that node's repr().
         depth = 3000
         body = Var("z")
         for _ in range(depth):
             body = App(Var("s"), body)
         numeral = Lam("s", Lam("z", body))
         text = repr(whnf(numeral))
-        assert text.startswith("Closure((0, 0, ")
-        assert text == f"Closure({(0,) * depth!r}, {parse_closed(numeral).body!r}, [])"
+        assert text.startswith("Closure(OLam(kvec=(0, 0, ")
+        assert text == f"Closure({parse_closed(numeral)!r}, [])"
 
 
 class TestDeepEquality:
@@ -289,13 +314,12 @@ class TestDeepEquality:
         assert self._spine() != self._spine("y")
 
     def test_closures_compare_bodies_and_environments(self):
-        numeral = self._numeral()
-        closure = Closure(numeral.kvec, numeral.body, ListEnv.empty())
-        assert closure == Closure(numeral.kvec, self._numeral().body, TreeEnv.empty())
-        body = OApp(DOT, 1, DOT)
-        holding = Closure((0,), body, ListEnv.from_values([self._spine()]))
-        assert holding == Closure((0,), body, TreeEnv.from_values([self._spine()]))
-        assert holding != Closure((0,), body, ListEnv.from_values([self._spine("y")]))
+        closure = Closure(self._numeral(), ListEnv.empty())
+        assert closure == Closure(self._numeral(), TreeEnv.empty())
+        lam = OLam((0,), OApp(DOT, 1, DOT))
+        holding = Closure(lam, ListEnv.from_values([self._spine()]))
+        assert holding == Closure(lam, TreeEnv.from_values([self._spine()]))
+        assert holding != Closure(lam, ListEnv.from_values([self._spine("y")]))
 
     def test_pending_and_pair_chains(self):
         def chain(backend):
@@ -336,7 +360,7 @@ class TestDeepMachine:
         # The deepest pair collapsed into one spine; its parents remain.
         inner = self._descend(after, self.DEPTH - 1)
         assert isinstance(inner, Done) and inner.value.head == "f"
-        assert isinstance(inner.value.args.to_list()[0], Closure)
+        assert isinstance(inner.value.args.head, Closure)
 
     def test_step_on_a_chain_of_values_applies_the_deepest_pair(self):
         after, rule = step(self._chain(Done(spine("x"))))
@@ -505,7 +529,7 @@ class TestWeight:
         assert weight(e) == 3
 
     def test_closure_weighs_two(self):
-        assert weight(Done(Closure((0,), DOT, ListEnv.empty()))) == 2
+        assert weight(Done(Closure(OLam((0,), DOT), ListEnv.empty()))) == 2
 
     def test_spine_weight_exponential_in_arity(self):
         v = spine("x", *(spine("a") for _ in range(64)))
@@ -513,18 +537,13 @@ class TestWeight:
 
 
 class TestArgSharing:
-    def test_append_shares_existing_cells(self):
-        base = EMPTY_ARGS.append(spine("a")).append(spine("b"))
-        extended = base.append(spine("c"))
-        assert base.to_list() == extended.to_list()[:2]
-        # The old list is a structural tail of the new one, not a copy.
-        assert extended._cell.tail is base._cell
-
     def test_spine_application_shares_argument_prefix(self):
         s0 = spine("x")
         s1 = apply_value(s0, spine("a"))
         s2 = apply_value(s1, spine("b"))
-        assert s2.args._cell.tail is s1.args._cell
+        # The old chain is a structural tail of the new one, not a copy.
+        assert s2.args.tail is s1.args
+        assert s2 == spine("x", spine("a"), spine("b"))
 
 
 class TestNodeCount:
@@ -537,7 +556,7 @@ class TestNodeCount:
     def test_shared_value_counted_once(self):
         shared = spine("w", spine("u"))
         env = ListEnv.from_values([spine("g")]).multi_insert((0, 1), shared)
-        closure = Closure((0,), OApp(DOT, 1, OApp(DOT, 1, OApp(DOT, 1, DOT))), env)
+        closure = Closure(OLam((0,), OApp(DOT, 1, OApp(DOT, 1, OApp(DOT, 1, DOT)))), env)
         # env is [shared, g, shared]: nodes = closure + shared(2) + g.
         assert value_node_count(closure) == 4
 
