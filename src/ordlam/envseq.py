@@ -14,8 +14,9 @@ Two observationally equal backends:
   weight ratio 3, single/double rotations) between two short cons
   chains, the left and right fingers. Exact environments hold only the
   values a body uses, so nearly all are short, and on a tuple a split
-  is two slices and a multi-insert one list build (Appel's flat
-  closures, Compiling with Continuations, 1992, ch. 10). Evaluation
+  is two slices and a multi-insert one _gap_insert (Appel's flat
+  closures, Compiling with Continuations, 1992, ch. 10), followed by
+  one balanced build if the result reaches eight. Evaluation
   nearly always splits off a prefix of one or two elements, or, in a
   left-nested spine c M1 ... Mn, the last argument's values off the
   end; on a long sequence the finger at that end serves those splits
@@ -25,9 +26,9 @@ Two observationally equal backends:
   finger trees, JFP 2006, refill an exhausted digit from the middle
   the same way). Eight is the least length at which such a run is
   longer than one. Any other split is logarithmic in the length. A
-  multi-insert of m positions into n elements folds both fingers into
-  the tree and makes one pass over it that rebuilds only the paths the
-  positions reach, O(m log(n/m + 1)) node builds.
+  multi-insert of m positions into n tree-held elements folds both
+  fingers into the tree and makes one pass over it that rebuilds only
+  the paths the positions reach, O(m log(n/m + 1)) node builds.
 
 Elements are always held by reference, never copied. Every backend cell
 is built through the module's _Cons or _Node class, which the tests
@@ -224,27 +225,19 @@ def _join(left, value, right) -> _Node:
 
 
 def _split(node: Optional[_Node], k: int):
-    """The first k elements and the rest, as two balanced trees."""
+    """The first k elements and the rest, as two balanced trees: each side
+    of the cut is rejoined around the node's value by _join (Adams,
+    "Efficient sets: a balancing act", JFP 1993)."""
     if k == 0:
         return None, node
-    size = node.size
-    if k == size:
+    if k == node.size:
         return node, None
     left = node.left
-    right = node.right
     left_size = left.size if left is not None else 0
     if k <= left_size:
         a, b = _split(left, k)
-        sb = b.size if b is not None else 0
-        sr = size - left_size - 1
-        # The rejoin needs a rotation only when the sides are out of balance.
-        if sb + sr <= 1 or (sb <= _DELTA * sr and sr <= _DELTA * sb):
-            return a, _Node(b, node.value, right, sb + sr + 1)
-        return a, _join(b, node.value, right)
-    a, b = _split(right, k - left_size - 1)
-    sa = a.size if a is not None else 0
-    if left_size + sa <= 1 or (left_size <= _DELTA * sa and sa <= _DELTA * left_size):
-        return _Node(left, node.value, a, left_size + sa + 1), b
+        return a, _join(b, node.value, node.right)
+    a, b = _split(node.right, k - left_size - 1)
     return _join(left, node.value, a), b
 
 
@@ -341,6 +334,22 @@ def _run_length(size: int) -> int:
 _FLAT = 8
 
 
+def _gap_insert(values, kvec: tuple[int, ...], value: Any) -> list:
+    """values as a list, with value inserted after the first kvec[0] of
+    them, after kvec[1] more, and so on (the printer's insert too)."""
+    out = []
+    i = 0
+    for gap in kvec:
+        out += values[i : i + gap]
+        out.append(value)
+        i += gap
+    n = len(values)
+    if i > n:
+        raise InvariantError(f"insert positions need {i} elements, sequence has {n}")
+    out += values[i:]
+    return out
+
+
 def _chain(values: list, lo: int, hi: int) -> Optional[_Cons]:
     """A fresh chain of _Cons cells holding values[lo:hi]."""
     cell = None
@@ -369,15 +378,6 @@ def _tree_env(
     flattened below _FLAT."""
     if length >= _FLAT:
         return TreeEnv(None, finger, flen, node, length, rfinger, rlen)
-    if length == 1:
-        # The commonest short part: the environment of a variable.
-        if flen:
-            value = finger.head
-        elif node is not None:
-            value = node.value
-        else:
-            value = rfinger.head
-        return TreeEnv((value,), None, 0, None, 1)
     values = _rheads(rfinger, _values(node, _heads(finger, [])))
     return TreeEnv(tuple(values), None, 0, None, length)
 
@@ -390,12 +390,12 @@ class TreeEnv:
     A sequence of fewer than _FLAT (8) elements is one tuple, _flat, with
     no finger and no tree. Exact environments are that short nearly
     always (they hold only the values a body uses), so there a split is
-    two slices, sole() an index and a multi-insert one list build. Below
+    two slices, sole() an index and a multi-insert one _gap_insert. Below
     _FLAT a finger would never form, since a refill there takes at most
     one element; every operation that leaves a sequence under the bound
-    returns it flat, and a multi-insert that crosses the bound builds the
-    tree directly: a tree of the flat values, with every position
-    inserted in one pass.
+    returns it flat. A flat multi-insert whose result reaches the bound
+    makes the same one list build and then one balanced _build of it,
+    one node per element.
 
     A longer sequence has _flat None. Its left finger holds the first
     _flen elements as a chain of exactly that many _Cons cells ending in
@@ -422,11 +422,11 @@ class TreeEnv:
     * otherwise one _split of the tree, O(log n), with both fingers
       shared.
 
-    A part shorter than _FLAT comes back flat, at a cost of its length.
+    Every part that keeps finger or tree cells is made by _tree_env, so
+    a part shorter than _FLAT comes back flat, at a cost of its length.
     A multi-insert folds each finger into the tree with one _join and
-    then inserts every position in one pass, as it does for a flat
-    sequence that crosses _FLAT. Only splits make fingers, so no finger
-    grows past O(log n).
+    then inserts every position in one pass. Only splits make fingers,
+    so no finger grows past O(log n).
     """
 
     __slots__ = (
@@ -557,57 +557,39 @@ class TreeEnv:
                 first = TreeEnv(tuple(values), None, 0, None, k)
             else:
                 first = TreeEnv(None, _chain(values, 0, k), k, None, k)
-            if m >= _FLAT:
-                return first, TreeEnv(None, cell, flen - k, node, m, rfinger, rlen)
             return first, _tree_env(cell, flen - k, node, rfinger, rlen, m)
         # The mirror image: the last m values are copied.
         if m < _FLAT:
             rest = TreeEnv(tuple(values), None, 0, None, m)
         else:
             rest = TreeEnv(None, None, 0, None, m, _rchain(values, 0, m), m)
-        if k >= _FLAT:
-            return TreeEnv(None, finger, flen, node, k, cell, rlen - m), rest
         return _tree_env(finger, flen, node, cell, rlen - m, k), rest
 
     def multi_insert(self, kvec: tuple[int, ...], value: Any) -> "TreeEnv":
-        n = self._length
+        if not kvec:
+            return self
         flat = self._flat
-        if flat is not None and n + len(kvec) < _FLAT:
-            out = []
-            i = 0
-            for gap in kvec:
-                out += flat[i : i + gap]
-                out.append(value)
-                i += gap
-            if i > n:
-                raise InvariantError(
-                    f"insert positions need {i} elements, sequence has {n}"
-                )
-            if not kvec:
-                return self
-            out += flat[i:]
-            return TreeEnv(tuple(out), None, 0, None, len(out))
+        if flat is not None:
+            out = _gap_insert(flat, kvec, value)
+            n = len(out)
+            if n < _FLAT:
+                return TreeEnv(tuple(out), None, 0, None, n)
+            return TreeEnv(None, None, 0, _build(out, 0, n), n)
+        n = self._length
         positions = list(accumulate(kvec))
-        total = positions[-1] if positions else 0
+        total = positions[-1]
         if total > n:
             raise InvariantError(
                 f"insert positions need {total} elements, sequence has {n}"
             )
-        if not kvec:
-            return self
-        if flat is not None:
-            # The result reaches _FLAT: the tree takes every position.
-            node = _build(list(flat), 0, n)
-        else:
-            # Fold both fingers into the tree, which then takes every
-            # position.
-            node = self._node
-            if self._flen:
-                values = _heads(self._finger, [])
-                node = _join(_build(values, 0, self._flen - 1), values[-1], node)
-            if self._rlen:
-                values = _rheads(self._rfinger, [])
-                node = _join(node, values[0], _build(values, 1, self._rlen))
+        # Fold both fingers into the tree, which then takes every position.
+        node = self._node
+        if self._flen:
+            values = _heads(self._finger, [])
+            node = _join(_build(values, 0, self._flen - 1), values[-1], node)
+        if self._rlen:
+            values = _rheads(self._rfinger, [])
+            node = _join(node, values[0], _build(values, 1, self._rlen))
         node = _insert_all(node, positions, 0, len(positions), 0, value)
         return TreeEnv(None, None, 0, node, n + len(positions))
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .envseq import TreeEnv, _Cons, _heads
+from .envseq import TreeEnv, _Cons, _gap_insert, _heads
 from .errors import InvariantError
 from .named import App, FuelExhausted, Lam, NamedTerm, Var, alpha_key, fresh_names
 from .named import reduct_keys
@@ -330,20 +330,10 @@ def names_in_value(v: Value) -> frozenset[str]:
     return frozenset(names)
 
 
-def _list_multi_insert(values: list, kvec: tuple[int, ...], w) -> list:
-    out = []
-    pos = 0
-    for gap in kvec:
-        out.extend(values[pos : pos + gap])
-        out.append(w)
-        pos += gap
-    out.extend(values[pos:])
-    return out
-
-
 # Printer tasks. A term task binds the term's unbound dots to the window
 # buf[lo:hi] of a shared list, so an application only moves the window's
-# middle; a binder copies its window once, with its fresh marker inserted.
+# middle; a binder copies its window with its fresh marker inserted, through
+# envseq's _gap_insert, the environments' own insert and range check.
 _TERM = 0  # (_TERM, ordered term, buf, lo, hi)
 _VALUE = 1  # (_VALUE, value)
 _EXPR = 2  # (_EXPR, machine expression)
@@ -378,7 +368,7 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
                 work.append((_VALUE, buf[lo]))
             elif type(t) is OLam:
                 binder = next(fresh)
-                inner = _list_multi_insert(buf[lo:hi], t.kvec, Spine(binder))
+                inner = _gap_insert(buf[lo:hi], t.kvec, Spine(binder))
                 work.append((_LAM, binder))
                 work.append((_TERM, t.body, inner, 0, len(inner)))
             elif type(t) is Free:

@@ -485,13 +485,17 @@ class TestAllocationCosts:
             assert cells.built <= (1 + len(kvec)) * (10 * math.log2(size) + 10)
             assert len(result) == n + len(kvec) and tree_is_balanced(result)
 
-    @pytest.mark.parametrize("copies", (1, 2, 3, 100, 900))
+    @pytest.mark.parametrize("copies", (1, 2, 3, 10, 100, 900))
     def test_tree_copies_into_empty_one_cell_each(self, cells, copies):
-        env = TreeEnv.empty()
-        cells.built = 0
-        result = env.multi_insert((0,) * copies, "w")
-        assert cells.built == copies
-        assert tree_is_balanced(result)
+        # n flat values plus m front copies build n + m cells, whether the
+        # result stays a tuple or reaches _FLAT and becomes a tree.
+        for size in range(_FLAT):
+            env = TreeEnv.from_values(range(size))
+            cells.built = 0
+            result = env.multi_insert((0,) * copies, "w")
+            assert cells.built == size + copies
+            assert result.to_list() == ["w"] * copies + list(range(size))
+            assert tree_is_balanced(result)
 
     @pytest.mark.parametrize("size", (1, 2, 3, 10, 600, 4096))
     def test_tree_gap_one_insert_at_most_two_cells_per_element(self, cells, size):

@@ -241,6 +241,21 @@ class TestPrinting:
         with pytest.raises(InvariantError, match=message):
             print_ordered(DOT, [])
 
+    def test_binder_overrunning_its_window_is_internal_error(self):
+        # A gap vector that needs more values than the environment holds:
+        # the printer refuses it as every backend's multi_insert does.
+        lam = OLam((5,), DOT)
+        message = "^insert positions need 5 elements, sequence has 0$"
+        for env in BACKENDS.values():
+            with pytest.raises(InvariantError, match=message):
+                env.empty().multi_insert(lam.kvec, spine("w"))
+        with pytest.raises(InvariantError, match=message):
+            print_ordered(lam, [])
+        with pytest.raises(InvariantError, match=message):
+            print_value(Closure(lam, TreeEnv.empty()))
+        with pytest.raises(InvariantError, match=message):
+            print_expr(Pending(lam, ListEnv.empty()))
+
     def test_pending_prints_as_its_term(self):
         e = Pending(parse_closed(S_NAMED), ListEnv.empty())
         assert alpha_eq(print_expr(e), S_NAMED)
