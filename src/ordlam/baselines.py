@@ -50,7 +50,7 @@ from .machine import (
     value_node_count,
 )
 from .named import App, FuelExhausted, Lam, NamedTerm, Var, fresh_names
-from .named import Term, _cache_bottom_up, _set, _union
+from .named import Term, _cache_bottom_up, _union
 
 
 class DbTerm(Term):
@@ -68,7 +68,7 @@ class BVar(DbTerm):
     __match_args__ = ("index",)
 
     def __init__(self, index: int):
-        _set(self, "index", index)
+        _bvar_index(self, index)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
@@ -80,7 +80,7 @@ class FVar(DbTerm):
     __match_args__ = ("name",)
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        _fvar_name(self, name)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
@@ -92,8 +92,8 @@ class DApp(DbTerm):
     __match_args__ = ("fun", "arg")
 
     def __init__(self, fun: DbTerm, arg: DbTerm):
-        _set(self, "fun", fun)
-        _set(self, "arg", arg)
+        _dapp_fun(self, fun)
+        _dapp_arg(self, arg)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
@@ -105,11 +105,19 @@ class DLam(DbTerm):
     __match_args__ = ("body",)
 
     def __init__(self, body: DbTerm):
-        _set(self, "body", body)
+        _dlam_body(self, body)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
         return _cache_bottom_up(self, "free_names", _free_names_here, DApp, DLam)
+
+
+# Each slot's member-descriptor setter, as in named.
+_bvar_index = BVar.__dict__["index"].__set__
+_fvar_name = FVar.__dict__["name"].__set__
+_dapp_fun = DApp.__dict__["fun"].__set__
+_dapp_arg = DApp.__dict__["arg"].__set__
+_dlam_body = DLam.__dict__["body"].__set__
 
 
 def _free_names_here(u: DbTerm) -> frozenset[str]:

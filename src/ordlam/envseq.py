@@ -334,19 +334,23 @@ def _run_length(size: int) -> int:
 _FLAT = 8
 
 
-def _gap_insert(values, kvec: tuple[int, ...], value: Any) -> list:
-    """values as a list, with value inserted after the first kvec[0] of
-    them, after kvec[1] more, and so on (the printer's insert too)."""
+def _gap_insert(
+    values, lo: int, hi: int, kvec: tuple[int, ...], value: Any
+) -> list:
+    """values[lo:hi] as a new list, with value inserted after the first
+    kvec[0] of them, after kvec[1] more, and so on (the printer's insert
+    too, on a window of its buffer)."""
     out = []
-    i = 0
+    i = lo
     for gap in kvec:
         out += values[i : i + gap]
         out.append(value)
         i += gap
-    n = len(values)
-    if i > n:
-        raise InvariantError(f"insert positions need {i} elements, sequence has {n}")
-    out += values[i:]
+    if i > hi:
+        raise InvariantError(
+            f"insert positions need {i - lo} elements, sequence has {hi - lo}"
+        )
+    out += values[i:hi]
     return out
 
 
@@ -570,7 +574,7 @@ class TreeEnv:
             return self
         flat = self._flat
         if flat is not None:
-            out = _gap_insert(flat, kvec, value)
+            out = _gap_insert(flat, 0, len(flat), kvec, value)
             n = len(out)
             if n < _FLAT:
                 return TreeEnv(tuple(out), None, 0, None, n)

@@ -332,8 +332,11 @@ def names_in_value(v: Value) -> frozenset[str]:
 
 # Printer tasks. A term task binds the term's unbound dots to the window
 # buf[lo:hi] of a shared list, so an application only moves the window's
-# middle; a binder copies its window with its fresh marker inserted, through
-# envseq's _gap_insert, the environments' own insert and range check.
+# middle. A binder copies its window once, with its fresh name's Var
+# inserted, through envseq's _gap_insert, the environments' own insert
+# and range check; a dot over that Var emits it as it is. Each free name
+# and spine head is one Var too, so the printed term has one leaf node
+# per name.
 _TERM = 0  # (_TERM, ordered term, buf, lo, hi)
 _VALUE = 1  # (_VALUE, value)
 _EXPR = 2  # (_EXPR, machine expression)
@@ -348,6 +351,7 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
     argument part, spine arguments left to right."""
     work = [task]
     out: list[NamedTerm] = []
+    leaves: dict[str, Var] = {}  # by free name or spine head
     while work:
         task = work.pop()
         kind = task[0]
@@ -365,10 +369,14 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
                     raise InvariantError(
                         f"dot printed under environment of length {hi - lo}"
                     )
-                work.append((_VALUE, buf[lo]))
+                v = buf[lo]
+                if type(v) is Var:
+                    out.append(v)
+                else:
+                    work.append((_VALUE, v))
             elif type(t) is OLam:
                 binder = next(fresh)
-                inner = _gap_insert(buf[lo:hi], t.kvec, Spine(binder))
+                inner = _gap_insert(buf, lo, hi, t.kvec, Var(binder))
                 work.append((_LAM, binder))
                 work.append((_TERM, t.body, inner, 0, len(inner)))
             elif type(t) is Free:
@@ -376,13 +384,19 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
                     raise InvariantError(
                         "free variable printed under a non-empty environment"
                     )
-                out.append(Var(t.name))
+                var = leaves.get(t.name)
+                if var is None:
+                    var = leaves[t.name] = Var(t.name)
+                out.append(var)
             else:
                 raise TypeError(f"not an ordered term: {t!r}")
         elif kind == _VALUE:
             v = task[1]
             if type(v) is Spine:
-                out.append(Var(v.head))
+                var = leaves.get(v.head)
+                if var is None:
+                    var = leaves[v.head] = Var(v.head)
+                out.append(var)
                 for arg in _heads(v.args, []):
                     work.append(_APP_TASK)
                     work.append((_VALUE, arg))
@@ -438,7 +452,8 @@ def _normal_form(
 ) -> Union[NamedTerm, FuelExhausted]:
     """Read a value back to a named beta-normal form, opening each closure
     by applying it (with apply) to a fresh inert head. Closures are opened
-    in pre-order, spine arguments left to right."""
+    in pre-order, spine arguments left to right. All occurrences of a
+    name read back as one Var node."""
     fuel = _as_fuel(fuel)
     fresh = fresh_names(names_in_value(v) | avoid)
     # Work items: a value to read back; None, to pop an argument and a
@@ -446,6 +461,7 @@ def _normal_form(
     # top result in that binder.
     work: list = [v]
     out: list[NamedTerm] = []
+    heads: dict[str, Var] = {}  # one Var per spine head
     while work:
         item = work.pop()
         if item is None:
@@ -454,7 +470,10 @@ def _normal_form(
         elif type(item) is str:
             out[-1] = Lam(item, out[-1])
         elif type(item) is Spine:
-            out.append(Var(item.head))
+            var = heads.get(item.head)
+            if var is None:
+                var = heads[item.head] = Var(item.head)
+            out.append(var)
             for arg in _heads(item.args, []):
                 work += (None, arg)
         else:

@@ -36,7 +36,8 @@ class Term:
     A term's constructor fields are the ones its class lists in
     __match_args__, in constructor order. Terms are immutable: assigning
     or deleting any attribute raises AttributeError, so constructors
-    write their slots through object.__setattr__. Terms compare and hash
+    write each slot through its member descriptor's setter (for App,
+    App.__dict__["fun"].__set__ and so on). Terms compare and hash
     structurally, and repr() gives the constructor text
     Cls(field=value, ...). hash() and repr() read one explicit-stack
     walk of those fields (_fields); == walks two terms in step, skips a
@@ -113,10 +114,6 @@ class Term:
         return "".join(parts)
 
 
-# Writes a slot past Term.__setattr__; constructors use it.
-_set = object.__setattr__
-
-
 def _fields(t: Term) -> tuple:
     """The pre-order sequence of t's nodes: each node's class, then the
     values of its constructor fields in order, a term value replaced by
@@ -152,7 +149,7 @@ class Var(NamedTerm):
     __match_args__ = ("name",)
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        _var_name(self, name)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
@@ -168,8 +165,8 @@ class App(NamedTerm):
     __match_args__ = ("fun", "arg")
 
     def __init__(self, fun: NamedTerm, arg: NamedTerm):
-        _set(self, "fun", fun)
-        _set(self, "arg", arg)
+        _app_fun(self, fun)
+        _app_arg(self, arg)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
@@ -185,8 +182,8 @@ class Lam(NamedTerm):
     __match_args__ = ("binder", "body")
 
     def __init__(self, binder: str, body: NamedTerm):
-        _set(self, "binder", binder)
-        _set(self, "body", body)
+        _lam_binder(self, binder)
+        _lam_body(self, body)
 
     @cached_property
     def free_names(self) -> frozenset[str]:
@@ -195,6 +192,15 @@ class Lam(NamedTerm):
     @cached_property
     def node_count(self) -> int:
         return _cache_bottom_up(self, "node_count", _node_count_here)
+
+
+# Each slot's member-descriptor setter writes it past Term.__setattr__,
+# without the attribute lookup object.__setattr__ makes.
+_var_name = Var.__dict__["name"].__set__
+_app_fun = App.__dict__["fun"].__set__
+_app_arg = App.__dict__["arg"].__set__
+_lam_binder = Lam.__dict__["binder"].__set__
+_lam_body = Lam.__dict__["body"].__set__
 
 
 def _cache_bottom_up(t, attr: str, here, app=App, lam=Lam):
@@ -424,39 +430,36 @@ def parse_surface(src: str) -> NamedTerm:
 def print_surface(t: NamedTerm) -> str:
     """Render a term with minimal parentheses; re-parses to an alpha-equal term."""
     parts: list[str] = []
-    # Items are literal strings or (term, top) pairs; top is True where the
-    # term extends to the end of its enclosing text.
-    stack: list = [(t, True)]
+    # Items are literal strings and terms. A lambda body extends to the end
+    # of the term, so a lambda is bare only where nothing follows it; every
+    # term on the stack is in such a position, and the parentheses a term
+    # needs elsewhere are pushed around it.
+    stack: list = [t]
     while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
-            continue
-        t, top = item
-        if isinstance(t, Var):
-            parts.append(t.name)
-        elif isinstance(t, Lam):
-            # A lambda body extends to the end of the term, so a lambda needs
-            # parentheses anywhere but the rightmost (top) position.
-            if not top:
-                parts.append("(")
-                stack.append(")")
-            parts.append("\\")
-            parts.append(t.binder)
-            parts.append(". ")
-            stack.append((t.body, True))
-        elif isinstance(t, App):
+        t = stack.pop()
+        kind = type(t)
+        if kind is str:
+            parts.append(t)
+        elif kind is App:
             # Function position: applications stay bare (left-associative),
             # lambdas need parentheses. Argument position: only a variable
             # stays bare.
-            if isinstance(t.arg, Var):
-                stack.append(t.arg.name)
+            arg = t.arg
+            if type(arg) is Var:
+                stack.append(arg.name)
             else:
-                stack.append(")")
-                stack.append((t.arg, True))
-                stack.append("(")
+                stack += (")", arg, "(")
             stack.append(" ")
-            stack.append((t.fun, isinstance(t.fun, (Var, App))))
+            fun = t.fun
+            if type(fun) is Lam:
+                stack += (")", fun, "(")
+            else:
+                stack.append(fun)
+        elif kind is Var:
+            parts.append(t.name)
+        elif kind is Lam:
+            parts += ("\\", t.binder, ". ")
+            stack.append(t.body)
         else:
             raise TypeError(f"not a named term: {t!r}")
     return "".join(parts)

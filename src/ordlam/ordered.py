@@ -17,7 +17,9 @@ A lambda node met again in the same translation (parse_surface shares
 repeated subterms) reuses its first translation when that one is closed
 (fv 0) and none of the lambda's free names is bound where it is met
 again; a shared lambda under a binder of one of its free names is
-translated anew, so that name becomes a dot there.
+translated anew, so that name becomes a dot there. Within one
+translation every occurrence of a free name is one Free node, as every
+dot is the one DOT.
 
 Every walk over terms, the translation and the text reader included, is
 an explicit-stack loop, so term depth is bounded by memory. Term nodes
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .named import _IDENT, App, Lam, NamedTerm, Term, Var, _set
+from .named import _IDENT, App, Lam, NamedTerm, Term, Var
 
 
 class OrderedTerm(Term):
@@ -50,7 +52,7 @@ class Free(OrderedTerm):
     fv = 0
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        _free_name(self, name)
 
 
 class Dot(OrderedTerm):
@@ -68,10 +70,10 @@ class OApp(OrderedTerm):
     def __init__(self, fun: OrderedTerm, split: int, arg: OrderedTerm):
         if split < 0:
             raise ValueError("application split must be non-negative")
-        _set(self, "fun", fun)
-        _set(self, "split", split)
-        _set(self, "arg", arg)
-        _set(self, "fv", fun.fv + arg.fv)
+        _oapp_fun(self, fun)
+        _oapp_split(self, split)
+        _oapp_arg(self, arg)
+        _oapp_fv(self, fun.fv + arg.fv)
 
 
 class OLam(OrderedTerm):
@@ -82,10 +84,21 @@ class OLam(OrderedTerm):
         kvec = tuple(kvec)
         if kvec and min(kvec) < 0:
             raise ValueError("binder gap counts must be non-negative")
-        _set(self, "kvec", kvec)
-        _set(self, "body", body)
+        _olam_kvec(self, kvec)
+        _olam_body(self, body)
         # May go negative on invalid preterms; is_ordered reports those.
-        _set(self, "fv", body.fv - len(kvec))
+        _olam_fv(self, body.fv - len(kvec))
+
+
+# Each slot's member-descriptor setter, as in named.
+_free_name = Free.__dict__["name"].__set__
+_oapp_fun = OApp.__dict__["fun"].__set__
+_oapp_split = OApp.__dict__["split"].__set__
+_oapp_arg = OApp.__dict__["arg"].__set__
+_oapp_fv = OApp.__dict__["fv"].__set__
+_olam_kvec = OLam.__dict__["kvec"].__set__
+_olam_body = OLam.__dict__["body"].__set__
+_olam_fv = OLam.__dict__["fv"].__set__
 
 
 def subterms(t: OrderedTerm) -> Iterator[OrderedTerm]:
@@ -94,10 +107,11 @@ def subterms(t: OrderedTerm) -> Iterator[OrderedTerm]:
     while stack:
         t = stack.pop()
         yield t
-        if isinstance(t, OApp):
+        kind = type(t)
+        if kind is OApp:
             stack.append(t.arg)
             stack.append(t.fun)
-        elif isinstance(t, OLam):
+        elif kind is OLam:
             stack.append(t.body)
 
 
@@ -115,11 +129,7 @@ def is_ordered(t: OrderedTerm) -> bool:
 
 def ordered_free_names(t: OrderedTerm) -> frozenset[str]:
     """Names of all free-variable nodes in t."""
-    names = set()
-    for sub in subterms(t):
-        if isinstance(sub, Free):
-            names.add(sub.name)
-    return frozenset(names)
+    return frozenset([sub.name for sub in subterms(t) if type(sub) is Free])
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +171,21 @@ def _translate(m: NamedTerm, bound: set[str], occ: list[str]) -> OrderedTerm:
     # holds them all for the whole call. A lambda met again translates
     # the same way unless one of its free names is now bound.
     closed: dict[int, OLam] = {}
+    # One Free node per name, as DOT is the one dot.
+    frees: dict[str, Free] = {}
     while work:
         t = work.pop()
         kind = type(t)
         if kind is Var:
-            if t.name in bound:
-                occ.append(t.name)
+            name = t.name
+            if name in bound:
+                occ.append(name)
                 out.append(DOT)
             else:
-                out.append(Free(t.name))
+                free = frees.get(name)
+                if free is None:
+                    free = frees[name] = Free(name)
+                out.append(free)
         elif kind is App:
             work += (None, t.arg, t.fun)
         elif kind is Lam:

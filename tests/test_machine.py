@@ -256,6 +256,17 @@ class TestPrinting:
         with pytest.raises(InvariantError, match=message):
             print_expr(Pending(lam, ListEnv.empty()))
 
+    def test_binder_overrunning_its_window_inside_the_buffer(self):
+        # The binder's window is [a] of the buffer [a, b]: its gap vector
+        # needs two values, so it must not read b, the argument's value.
+        t = OApp(OLam((2,), OApp(DOT, 1, DOT)), 1, DOT)
+        values = [spine("a"), spine("b")]
+        message = "^insert positions need 2 elements, sequence has 1$"
+        with pytest.raises(InvariantError, match=message):
+            print_ordered(t, values)
+        with pytest.raises(InvariantError, match=message):
+            print_expr(Pending(t, TreeEnv.from_values(values)))
+
     def test_pending_prints_as_its_term(self):
         e = Pending(parse_closed(S_NAMED), ListEnv.empty())
         assert alpha_eq(print_expr(e), S_NAMED)

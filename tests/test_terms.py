@@ -6,7 +6,9 @@ import pickle
 
 import pytest
 
-from ordlam.baselines import BVar, DApp, DLam, FVar, to_debruijn
+from ordlam.baselines import BVar, DApp, DLam, FVar, db_normalize_by_evaluation
+from ordlam.baselines import to_debruijn
+from ordlam.envseq import BACKENDS
 from ordlam.gen import gen_terms
 from ordlam.named import (
     App,
@@ -20,8 +22,10 @@ from ordlam.named import (
     print_surface,
     subst,
 )
-from ordlam.ordered import DOT, Dot, Free, OApp, OLam, subterms, to_ordered
-from ordlam.workloads import combinator_chain
+from ordlam.machine import normalize_by_evaluation, print_ordered
+from ordlam.ordered import DOT, Dot, Free, OApp, OLam, parse_closed, subterms
+from ordlam.ordered import to_ordered
+from ordlam.workloads import big_spine, church, church_add, combinator_chain
 
 SAMPLES = [
     Var("x"),
@@ -303,3 +307,38 @@ def test_shared_parse_translates_as_an_unshared_rebuild(seed):
             reused += len(set(lams)) < len(lams)
         assert repr(to_debruijn(shared)) == repr(to_debruijn(fresh))
     assert reused > 0
+
+
+def _check_one_leaf_per_binder(t):
+    """The leaves of t's outermost binder are one Var, and t compares,
+    hashes and counts as its rebuild with a fresh Var per occurrence."""
+    binder_leaves = [v for v in leaves(t, []) if v.name == t.binder]
+    assert len(binder_leaves) == 6
+    assert len({id(v) for v in binder_leaves}) == 1
+    fresh = unshared(t)
+    assert t == fresh and hash(t) == hash(fresh)
+    assert t.node_count == fresh.node_count
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS.values()))
+def test_readback_shares_one_var_per_name(backend):
+    # The numeral six: \z0. \z1. z0 (z0 ... z1), six leaves of z0.
+    _check_one_leaf_per_binder(normalize_by_evaluation(church_add(6), backend=backend))
+
+
+def test_closure_readback_shares_one_var_per_name():
+    _check_one_leaf_per_binder(db_normalize_by_evaluation(church_add(6)))
+
+
+def test_printing_shares_one_var_per_binder():
+    _check_one_leaf_per_binder(print_ordered(parse_closed(church(6)), []))
+
+
+def test_translation_shares_one_free_per_name():
+    t = to_ordered(big_spine(9)).term
+    frees = [u for u in subterms(t) if type(u) is Free and u.name == "a"]
+    assert len(frees) == 9 and len({id(u) for u in frees}) == 1
+    fresh = Free("c")
+    for _ in range(9):
+        fresh = OApp(fresh, 0, Free("a"))
+    assert t == fresh and hash(t) == hash(fresh)
