@@ -21,11 +21,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from . import baselines, machine
+from . import baselines, machine, named
 from .envseq import BACKENDS
 from .errors import InvariantError
 from .machine import DEFAULT_FUEL, Fuel
-from .named import FuelExhausted, NamedTerm, print_surface
+from .named import FuelExhausted, NamedTerm
 from .ordered import parse_closed
 from .workloads import WORKLOADS, build_workload
 
@@ -144,7 +144,7 @@ class BenchRecord:
 
 def canonical_text(t: NamedTerm) -> str:
     """Alpha-invariant printed form: binders renamed by the translation round trip."""
-    return print_surface(machine.print_ordered(parse_closed(t), []))
+    return named.print_surface(machine.print_ordered(parse_closed(t), []))
 
 
 def digest_term(t: NamedTerm) -> str:

@@ -9,43 +9,46 @@ Two observationally equal backends:
 
 * ListEnv: a shared-tail linked list; split and insert rebuild the
   prefix (linear in the split position).
-* TreeEnv: a sequence of fewer than eight elements is one flat tuple;
-  a longer one is a weight-balanced binary tree (one element per node,
-  weight ratio 3, single/double rotations) between two short cons
-  chains, the left and right fingers. Exact environments hold only the
-  values a body uses, so nearly all are short, and on a tuple a split
-  is two slices and a multi-insert one _gap_insert (Appel's flat
-  closures, Compiling with Continuations, 1992, ch. 10), followed by
-  one balanced build if the result reaches eight. Evaluation
-  nearly always splits off a prefix of one or two elements, or, in a
-  left-nested spine c M1 ... Mn, the last argument's values off the
-  end; on a long sequence the finger at that end serves those splits
-  in O(1) cells each. A split just past a finger first tops the finger
-  up with a run of O(log n) elements, taken off the tree's end by one
-  logarithmic split, and then splits inside it (Hinze and Paterson's
-  finger trees, JFP 2006, refill an exhausted digit from the middle
-  the same way). Eight is the least length at which such a run is
-  longer than one. Any other split is logarithmic in the length. A
-  multi-insert of m positions into n tree-held elements folds both
-  fingers into the tree and makes one pass over it that rebuilds only
-  the paths the positions reach, O(m log(n/m + 1)) node builds.
+* TreeEnv: a sequence of fewer than eight elements is a bare tuple,
+  with no wrapper object; a longer one is a TreeEnv object, a
+  weight-balanced binary tree (one element per node, weight ratio 3,
+  single/double rotations) between two short cons chains, the left and
+  right fingers. Exact environments hold only the values a body uses,
+  so nearly all are short: a flat closure is one vector of exactly its
+  free values (Appel, Compiling with Continuations, 1992, ch. 10), and
+  on it a split is two slices and a multi-insert one _gap_insert,
+  followed by one balanced build if the result reaches eight. The
+  class's operations take such a tuple as their first argument, so a
+  caller reaches them through the class. Evaluation nearly always
+  splits off a prefix of one or two elements, or, in a left-nested
+  spine c M1 ... Mn, the last argument's values off the end; on a long
+  sequence the finger at that end serves those splits in O(1) cells
+  each. A split just past a finger first tops the finger up with a run
+  of O(log n) elements, taken off the tree's end by one logarithmic
+  split, and then splits inside it (Hinze and Paterson's finger trees,
+  JFP 2006, refill an exhausted digit from the middle the same way).
+  Eight is the least length at which such a run is longer than one.
+  Any other split is logarithmic in the length. A multi-insert of m
+  positions into n tree-held elements folds both fingers into the tree
+  and makes one pass over it that rebuilds only the paths the
+  positions reach, O(m log(n/m + 1)) node builds.
 
 Elements are always held by reference, never copied. Every backend cell
 is built through the module's _Cons or _Node class, which the tests
 replace with counting subclasses to check asymptotic costs without
-timing anything; a flat tuple has no such class, so they count its
-slots off the sequences an operation returns. _Cons also holds the
-machine's spine arguments and the de Bruijn closure machine's
-scope-wide environments (read back with _heads); those modules import
-the class by name, so a counting subclass swapped in here counts only
-environment cells. The module holds no mutable state.
+timing anything; a short sequence is a tuple, built by no such class,
+so they count its slots off the sequences an operation returns. _Cons
+also holds the machine's spine arguments and the de Bruijn closure
+machine's scope-wide environments (read back with _heads); those
+modules import the class by name, so a counting subclass swapped in
+here counts only environment cells. The module holds no mutable state.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .errors import InvariantError
 
@@ -90,13 +93,11 @@ class ListEnv:
     def __len__(self) -> int:
         return self._length
 
-    def to_list(self) -> list[Any]:
-        out = []
+    def __iter__(self) -> Iterator[Any]:
         cell = self._cell
         while cell is not None:
-            out.append(cell.head)
+            yield cell.head
             cell = cell.tail
-        return out
 
     def sole(self) -> Any:
         """The element of a singleton sequence."""
@@ -147,7 +148,7 @@ class ListEnv:
         return ListEnv(cell, self._length + len(kvec))
 
     def __repr__(self) -> str:
-        return f"ListEnv({self.to_list()!r})"
+        return f"ListEnv({list(self)!r})"
 
 
 _LIST_EMPTY = ListEnv(None, 0)
@@ -328,9 +329,9 @@ def _run_length(size: int) -> int:
 
 
 # The least length whose finger refill takes more than one element
-# (_run_length(7) == 1 < _run_length(8)). A TreeEnv shorter than this is
-# held flat, as one tuple: there a finger would never form, and a tuple
-# split or insert builds no cells at all.
+# (_run_length(7) == 1 < _run_length(8)). A sequence shorter than this is
+# a bare tuple, not a TreeEnv: there a finger would never form, and a
+# tuple split or insert builds no cells and no wrapper object.
 _FLAT = 8
 
 
@@ -377,38 +378,40 @@ def _tree_env(
     rfinger: Optional[_Cons],
     rlen: int,
     length: int,
-) -> "TreeEnv":
-    """The TreeEnv of finger, node's tree and the right finger rfinger,
-    flattened below _FLAT."""
+) -> tuple | TreeEnv:
+    """The sequence of finger, node's tree and the right finger rfinger: a
+    TreeEnv from _FLAT up, a tuple below."""
     if length >= _FLAT:
-        return TreeEnv(None, finger, flen, node, length, rfinger, rlen)
-    values = _rheads(rfinger, _values(node, _heads(finger, [])))
-    return TreeEnv(tuple(values), None, 0, None, length)
+        return TreeEnv(finger, flen, node, length, rfinger, rlen)
+    return tuple(_rheads(rfinger, _values(node, _heads(finger, []))))
 
 
 class TreeEnv:
-    """Persistent sequence held flat when short, and otherwise as a
-    weight-balanced tree between two short cons chains, the left and
+    """Persistent sequence held as a bare tuple when short, and otherwise
+    as a weight-balanced tree between two short cons chains, the left and
     right fingers.
 
-    A sequence of fewer than _FLAT (8) elements is one tuple, _flat, with
-    no finger and no tree. Exact environments are that short nearly
-    always (they hold only the values a body uses), so there a split is
-    two slices, sole() an index and a multi-insert one _gap_insert. Below
-    _FLAT a finger would never form, since a refill there takes at most
-    one element; every operation that leaves a sequence under the bound
-    returns it flat. A flat multi-insert whose result reaches the bound
-    makes the same one list build and then one balanced _build of it,
-    one node per element.
+    A sequence of fewer than _FLAT (8) elements is a plain tuple, not a
+    TreeEnv: empty(), singleton() and from_values() return one, and so do
+    split_at and multi_insert for every part under the bound. Exact
+    environments are that short nearly always (they hold only the values
+    a body uses), so there a split is two slices and a multi-insert one
+    _gap_insert, and no wrapper object is built. The operations take
+    such a tuple as their first argument, so they are called through the
+    class, TreeEnv.split_at(env, k), whichever form env has. Below _FLAT
+    a finger would never form, since a refill there takes at most one
+    element. A tuple multi-insert whose result reaches the bound makes
+    the same one list build and then one balanced _build of it, one node
+    per element.
 
-    A longer sequence has _flat None. Its left finger holds the first
-    _flen elements as a chain of exactly that many _Cons cells ending in
-    None; its right finger holds the last _rlen elements the same way,
-    last element first; the tree under _node holds the elements between
-    them; _length caches the total. The fingers are not kept as tuples:
-    a tuple finger would copy O(log n) slots on every short split, where
-    a cons finger copies O(1) amortized. A split at k, leaving n - k
-    elements past it, costs:
+    A TreeEnv object holds at least _FLAT elements. Its left finger holds
+    the first _flen elements as a chain of exactly that many _Cons cells
+    ending in None; its right finger holds the last _rlen elements the
+    same way, last element first; the tree under _node holds the
+    elements between them; _length caches the total. The fingers are not
+    kept as tuples: a tuple finger would copy O(log n) slots on every
+    short split, where a cons finger copies O(1) amortized. A split at
+    k, leaving n - k elements past it, costs:
 
     * k new cells when k lies inside the left finger, as on ListEnv, and
       n - k new cells when it lies inside the right finger;
@@ -427,25 +430,16 @@ class TreeEnv:
       shared.
 
     Every part that keeps finger or tree cells is made by _tree_env, so
-    a part shorter than _FLAT comes back flat, at a cost of its length.
-    A multi-insert folds each finger into the tree with one _join and
-    then inserts every position in one pass. Only splits make fingers,
-    so no finger grows past O(log n).
+    a part shorter than _FLAT comes back a tuple, at a cost of its
+    length. A multi-insert folds each finger into the tree with one
+    _join and then inserts every position in one pass. Only splits make
+    fingers, so no finger grows past O(log n).
     """
 
-    __slots__ = (
-        "_flat",
-        "_finger",
-        "_flen",
-        "_node",
-        "_rfinger",
-        "_rlen",
-        "_length",
-    )
+    __slots__ = ("_finger", "_flen", "_node", "_rfinger", "_rlen", "_length")
 
     def __init__(
         self,
-        flat: Optional[tuple],
         finger: Optional[_Cons],
         flen: int,
         node: Optional[_Node],
@@ -453,7 +447,6 @@ class TreeEnv:
         rfinger: Optional[_Cons] = None,
         rlen: int = 0,
     ):
-        self._flat = flat
         self._finger = finger
         self._flen = flen
         self._node = node
@@ -462,50 +455,42 @@ class TreeEnv:
         self._length = length
 
     @classmethod
-    def empty(cls) -> "TreeEnv":
-        return _TREE_EMPTY
+    def empty(cls) -> tuple:
+        return ()
 
     @classmethod
-    def singleton(cls, value: Any) -> "TreeEnv":
-        return cls((value,), None, 0, None, 1)
+    def singleton(cls, value: Any) -> tuple:
+        return (value,)
 
     @classmethod
-    def from_values(cls, values: Iterable[Any]) -> "TreeEnv":
-        values = list(values)
+    def from_values(cls, values: Iterable[Any]) -> tuple | TreeEnv:
+        values = tuple(values)
         n = len(values)
         if n < _FLAT:
-            return cls(tuple(values), None, 0, None, n)
-        return cls(None, None, 0, _build(values, 0, n), n)
+            return values
+        return cls(None, 0, _build(values, 0, n), n)
 
     def __len__(self) -> int:
         return self._length
 
-    def to_list(self) -> list[Any]:
-        if self._flat is not None:
-            return list(self._flat)
+    def __iter__(self) -> Iterator[Any]:
         values = _values(self._node, _heads(self._finger, []))
-        return _rheads(self._rfinger, values)
+        return iter(_rheads(self._rfinger, values))
 
-    def sole(self) -> Any:
-        """The element of a singleton sequence."""
-        if self._length != 1:
-            raise InvariantError(f"sole() on sequence of length {self._length}")
-        return self._flat[0]
-
-    def split_at(self, k: int) -> tuple["TreeEnv", "TreeEnv"]:
+    def split_at(self, k: int) -> tuple[tuple | TreeEnv, tuple | TreeEnv]:
+        if type(self) is tuple:
+            if not 0 <= k <= len(self):
+                raise InvariantError(
+                    f"split position {k} outside sequence of length {len(self)}"
+                )
+            return self[:k], self[k:]
         n = self._length
         if not 0 <= k <= n:
             raise InvariantError(f"split position {k} outside sequence of length {n}")
         if k == 0:
-            return _TREE_EMPTY, self
+            return (), self
         if k == n:
-            return self, _TREE_EMPTY
-        flat = self._flat
-        if flat is not None:
-            return (
-                TreeEnv(flat[:k], None, 0, None, k),
-                TreeEnv(flat[k:], None, 0, None, n - k),
-            )
+            return self, ()
         flen = self._flen
         finger = self._finger
         node = self._node
@@ -555,30 +540,29 @@ class TreeEnv:
             values, cell = _peel(rfinger, m)
             values.reverse()
         if k < flen:
-            # The first k values are copied, flat below _FLAT; the rest
+            # The first k values are copied, a tuple below _FLAT; the rest
             # shares the finger's other cells.
             if k < _FLAT:
-                first = TreeEnv(tuple(values), None, 0, None, k)
+                first = tuple(values)
             else:
-                first = TreeEnv(None, _chain(values, 0, k), k, None, k)
+                first = TreeEnv(_chain(values, 0, k), k, None, k)
             return first, _tree_env(cell, flen - k, node, rfinger, rlen, m)
         # The mirror image: the last m values are copied.
         if m < _FLAT:
-            rest = TreeEnv(tuple(values), None, 0, None, m)
+            rest = tuple(values)
         else:
-            rest = TreeEnv(None, None, 0, None, m, _rchain(values, 0, m), m)
+            rest = TreeEnv(None, 0, None, m, _rchain(values, 0, m), m)
         return _tree_env(finger, flen, node, cell, rlen - m, k), rest
 
-    def multi_insert(self, kvec: tuple[int, ...], value: Any) -> "TreeEnv":
+    def multi_insert(self, kvec: tuple[int, ...], value: Any) -> tuple | TreeEnv:
         if not kvec:
             return self
-        flat = self._flat
-        if flat is not None:
-            out = _gap_insert(flat, 0, len(flat), kvec, value)
+        if type(self) is tuple:
+            out = _gap_insert(self, 0, len(self), kvec, value)
             n = len(out)
             if n < _FLAT:
-                return TreeEnv(tuple(out), None, 0, None, n)
-            return TreeEnv(None, None, 0, _build(out, 0, n), n)
+                return tuple(out)
+            return TreeEnv(None, 0, _build(out, 0, n), n)
         n = self._length
         positions = list(accumulate(kvec))
         total = positions[-1]
@@ -595,33 +579,23 @@ class TreeEnv:
             values = _rheads(self._rfinger, [])
             node = _join(node, values[0], _build(values, 1, self._rlen))
         node = _insert_all(node, positions, 0, len(positions), 0, value)
-        return TreeEnv(None, None, 0, node, n + len(positions))
+        return TreeEnv(None, 0, node, n + len(positions))
 
     def __repr__(self) -> str:
-        return f"TreeEnv({self.to_list()!r})"
+        return f"TreeEnv({list(self)!r})"
 
 
-_TREE_EMPTY = TreeEnv((), None, 0, None, 0)
-
-
-def tree_is_balanced(env: TreeEnv) -> bool:
-    """Check a TreeEnv's shape (test helper). A sequence shorter than
-    _FLAT is flat: a tuple of its stored length, with no finger and no
-    tree. A longer one is not: its left finger has exactly _flen cells,
-    its right finger exactly _rlen, the cached length is the two fingers
-    plus the tree, and every tree node has a correct size and meets the
+def tree_is_balanced(env: tuple | TreeEnv) -> bool:
+    """Check a TreeEnv backend sequence's shape (test helper). One
+    shorter than _FLAT is an exact tuple. A TreeEnv object holds at least
+    _FLAT elements: its left finger has exactly _flen cells, its right
+    finger exactly _rlen, the cached length is the two fingers plus the
+    tree, and every tree node has a correct size and meets the
     weight-balance criterion."""
-    flat = env._flat
-    if flat is not None:
-        return (
-            type(flat) is tuple
-            and env._finger is None
-            and env._flen == 0
-            and env._node is None
-            and env._rfinger is None
-            and env._rlen == 0
-            and env._length == len(flat) < _FLAT
-        )
+    if type(env) is tuple:
+        return len(env) < _FLAT
+    if type(env) is not TreeEnv:
+        return False
     cells = len(_heads(env._finger, []))
     rcells = len(_heads(env._rfinger, []))
     if env._length < _FLAT or cells != env._flen or rcells != env._rlen:

@@ -16,12 +16,19 @@ Evaluation dispatches six ways, each costing one fuel unit:
   environment at the binder's positions and evaluates the body.
 
 The six rules are written once, in the big-step evaluator's loop
-(_run). The one-step machine that the trace checker (verify_trace)
-steps is that loop refocused: step decomposes a machine expression into
-_run's configuration (control, is_value, stack), runs one rule on one
-unit of fuel, and plugs the configuration where _run stops back into
-an expression. Printing turns terms, values and machine expressions
-back into named terms.
+(_run). An environment is a ListEnv, a TreeEnv or, for a tree-backend
+sequence shorter than envseq._FLAT, a bare tuple. _run calls a tuple's
+split and insert through the class, as TreeEnv.split_at(env, k), and
+any other environment's through its own methods, so every split and
+insert is a call to the backend class's attribute; it reads a dot's
+value off a tuple by index, after checking its length.
+
+The one-step machine that the trace checker (verify_trace) steps is
+that loop refocused: step decomposes a machine expression into _run's
+configuration (control, is_value, stack), runs one rule on one unit of
+fuel, and plugs the configuration where _run stops back into an
+expression. Printing turns terms, values and machine expressions back
+into named terms.
 Every walk here, readback included, is an explicit-stack loop, so term
 and value depth is bounded by memory, not by the recursion limit.
 
@@ -135,13 +142,13 @@ class Closure:
     __hash__ = None
 
     def __repr__(self):
-        return f"Closure({self.lam!r}, {self.env.to_list()!r})"
+        return f"Closure({self.lam!r}, {list(self.env)!r})"
 
     # The value-walk protocol, which baselines.DbClosure provides too.
 
     def captured(self) -> list:
         """The values the closure holds."""
-        return self.env.to_list()
+        return list(self.env)
 
     def body_names(self) -> frozenset[str]:
         """Names free in the closure's body."""
@@ -173,7 +180,7 @@ def _equal(a, b) -> bool:
         elif kind is Pending:
             if a.term != b.term or len(a.env) != len(b.env):
                 return False
-            stack.extend(zip(a.env.to_list(), b.env.to_list()))
+            stack.extend(zip(a.env, b.env))
         elif kind is Done:
             stack.append((a.value, b.value))
         elif kind is Pair:
@@ -221,11 +228,22 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
             spent += 1
             kind = type(term)
             if kind is OApp:
-                env_fun, env_arg = env.split_at(term.split)
+                if type(env) is tuple:
+                    env_fun, env_arg = TreeEnv.split_at(env, term.split)
+                else:
+                    env_fun, env_arg = env.split_at(term.split)
                 stack.append((_FRAME_ARG, term.arg, env_arg))
                 control = (term.fun, env_fun)
             elif kind is Dot:
-                control = env.sole()
+                if type(env) is tuple:
+                    if len(env) != 1:
+                        _sync()
+                        raise InvariantError(
+                            f"dot evaluated in environment of length {len(env)}"
+                        )
+                    control = env[0]
+                else:
+                    control = env.sole()
                 is_value = True
             elif kind is OLam:
                 control = Closure(term, env)
@@ -262,7 +280,12 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
                     control = Spine(fun.head, _Cons(control, fun.args))
                 else:
                     lam = fun.lam
-                    control = (lam.body, fun.env.multi_insert(lam.kvec, control))
+                    env = fun.env
+                    if type(env) is tuple:
+                        env = TreeEnv.multi_insert(env, lam.kvec, control)
+                    else:
+                        env = env.multi_insert(lam.kvec, control)
+                    control = (lam.body, env)
                     is_value = False
 
 
@@ -401,7 +424,7 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
                     work.append(_APP_TASK)
                     work.append((_VALUE, arg))
             elif type(v) is Closure:
-                values = v.env.to_list()
+                values = list(v.env)
                 work.append((_TERM, v.lam, values, 0, len(values)))
             else:
                 raise TypeError(f"not a value: {v!r}")
@@ -413,7 +436,7 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
         else:
             e = task[1]
             if isinstance(e, Pending):
-                values = e.env.to_list()
+                values = list(e.env)
                 work.append((_TERM, e.term, values, 0, len(values)))
             elif isinstance(e, Done):
                 work.append((_VALUE, e.value))
@@ -647,7 +670,7 @@ def print_expr(e: MachineExpr) -> NamedTerm:
     names: set[str] = set()
     for term, env in pending:
         names |= ordered_free_names(term)
-        values += env.to_list()
+        values.extend(env)
     for v in values:
         names |= names_in_value(v)
     return _print((_EXPR, e), fresh_names(names))

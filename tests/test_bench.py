@@ -133,6 +133,24 @@ class TestDigest:
     def test_canonical_binders_skip_free_names(self, source, expected):
         assert canonical_text(parse_surface(source)) == expected
 
+    def test_digest_prints_through_the_named_module(self, monkeypatch):
+        # A wrapper installed on named.print_surface (perfbench's
+        # named.print span) sees the digest's print; the text is the same.
+        from ordlam import named
+
+        printed = []
+        print_surface = named.print_surface
+
+        def recorded(t):
+            printed.append(print_surface(t))
+            return printed[-1]
+
+        t = parse_surface(r"(\x. \y. x (z0 y) (\z1. z1 y)) z2")
+        monkeypatch.setattr(named, "print_surface", recorded)
+        text = canonical_text(t)
+        assert printed == [text]
+        assert text == r"(\z1. \z3. z1 (z0 z3) (\z4. z4 z3)) z2"
+
 
 class TestRunStrategy:
     @pytest.mark.parametrize("strategy", STRATEGIES)

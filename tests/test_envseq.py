@@ -14,72 +14,78 @@ def backend(request):
     return BACKENDS[request.param]
 
 
+def _fingers(env):
+    """A tree-backend sequence's left and right finger lengths; a tuple
+    has no fingers."""
+    return (0, 0) if type(env) is tuple else (env._flen, env._rlen)
+
+
 class TestBasics:
     def test_empty(self, backend):
-        assert backend.empty().to_list() == []
+        assert list(backend.empty()) == []
         assert len(backend.empty()) == 0
 
     def test_singleton(self, backend):
         env = backend.singleton("v")
         assert len(env) == 1
-        assert env.to_list() == ["v"]
+        assert list(env) == ["v"]
 
     def test_from_values(self, backend):
         vals = list(range(17))
-        assert backend.from_values(vals).to_list() == vals
+        assert list(backend.from_values(vals)) == vals
 
 
 class TestSplitAt:
     def test_worked_example(self, backend):
         env = backend.from_values(["g", "n", "f", "n"])
-        first, second = env.split_at(2)
-        assert first.to_list() == ["g", "n"]
-        assert second.to_list() == ["f", "n"]
+        first, second = backend.split_at(env, 2)
+        assert list(first) == ["g", "n"]
+        assert list(second) == ["f", "n"]
 
     def test_zero_prefix(self, backend):
         env = backend.from_values([1, 2, 3])
-        first, second = env.split_at(0)
-        assert first.to_list() == []
-        assert second.to_list() == [1, 2, 3]
+        first, second = backend.split_at(env, 0)
+        assert list(first) == []
+        assert list(second) == [1, 2, 3]
 
     def test_full_prefix(self, backend):
         env = backend.from_values(["a", "b", "c"])
-        first, second = env.split_at(3)
-        assert first.to_list() == ["a", "b", "c"]
-        assert second.to_list() == []
+        first, second = backend.split_at(env, 3)
+        assert list(first) == ["a", "b", "c"]
+        assert list(second) == []
 
     def test_out_of_range(self, backend):
         env = backend.from_values([1, 2])
         with pytest.raises(InvariantError):
-            env.split_at(3)
+            backend.split_at(env, 3)
         with pytest.raises(InvariantError):
-            env.split_at(-1)
+            backend.split_at(env, -1)
 
     def test_split_then_concat_identity(self, backend):
         vals = list(range(23))
         env = backend.from_values(vals)
         for k in range(len(vals) + 1):
-            first, second = env.split_at(k)
-            assert first.to_list() + second.to_list() == vals
+            first, second = backend.split_at(env, k)
+            assert list(first) + list(second) == vals
 
     def test_elements_shared_not_copied(self, backend):
         marker = ["mutable marker"]
         env = backend.from_values([marker, marker])
-        first, _ = env.split_at(1)
-        assert first.to_list()[0] is marker
+        first, _ = backend.split_at(env, 1)
+        assert list(first)[0] is marker
 
 
 class TestMultiInsert:
     def test_worked_example(self, backend):
         env = backend.from_values(["g", "f"])
-        assert env.multi_insert((1, 1), "n").to_list() == ["g", "n", "f", "n"]
+        assert list(backend.multi_insert(env, (1, 1), "n")) == ["g", "n", "f", "n"]
 
     def test_insert_into_empty(self, backend):
-        assert backend.empty().multi_insert((0,), "w").to_list() == ["w"]
+        assert list(backend.multi_insert(backend.empty(), (0,), "w")) == ["w"]
 
     def test_insert_at_both_ends(self, backend):
         env = backend.from_values(["v1", "v2", "v3"])
-        assert env.multi_insert((0, 3), "w").to_list() == [
+        assert list(backend.multi_insert(env, (0, 3), "w")) == [
             "w",
             "v1",
             "v2",
@@ -89,22 +95,22 @@ class TestMultiInsert:
 
     def test_empty_kvec_returns_input(self, backend):
         env = backend.from_values([1, 2])
-        assert env.multi_insert((), "w") is env
+        assert backend.multi_insert(env, (), "w") is env
 
     def test_length_law(self, backend):
         env = backend.from_values(list(range(10)))
         for kvec in [(0,), (10,), (2, 3, 5), (0, 0, 0, 0)]:
-            assert len(env.multi_insert(kvec, "w")) == 10 + len(kvec)
+            assert len(backend.multi_insert(env, kvec, "w")) == 10 + len(kvec)
 
     def test_overcommitted_positions(self, backend):
         env = backend.from_values([1, 2])
         with pytest.raises(InvariantError):
-            env.multi_insert((3,), "w")
+            backend.multi_insert(env, (3,), "w")
 
     def test_inserted_value_shared(self, backend):
         marker = ["shared"]
-        result = backend.from_values([1, 2]).multi_insert((0, 2), marker)
-        out = result.to_list()
+        result = backend.multi_insert(backend.from_values([1, 2]), (0, 2), marker)
+        out = list(result)
         assert out[0] is marker and out[3] is marker
 
 
@@ -209,18 +215,18 @@ def _check_agreement(
                 else:
                     keep_first = rng.random() < keep_first_share
                 kept = 0 if keep_first else 1
-                lst = lst.split_at(k)[kept]
-                parts = tree.split_at(k)
+                lst = ListEnv.split_at(lst, k)[kept]
+                parts = TreeEnv.split_at(tree, k)
                 tree = parts[kept]
                 dropped = parts[1 - kept]
-                assert dropped.to_list() == (model[k:] if keep_first else model[:k])
+                assert list(dropped) == (model[k:] if keep_first else model[:k])
                 assert tree_is_balanced(dropped)
                 model = model[:k] if keep_first else model[k:]
             else:
-                kvec = draw_kvec(rng, len(model), tree._flen)
+                kvec = draw_kvec(rng, len(model), _fingers(tree)[0])
                 w = rng.randint(100, 999)
-                lst = lst.multi_insert(kvec, w)
-                tree = tree.multi_insert(kvec, w)
+                lst = ListEnv.multi_insert(lst, kvec, w)
+                tree = TreeEnv.multi_insert(tree, kvec, w)
                 expected = []
                 rest = model[:]
                 for gap in kvec:
@@ -228,20 +234,21 @@ def _check_agreement(
                     expected.append(w)
                     rest = rest[gap:]
                 model = expected + rest
-            assert lst.to_list() == model
-            assert tree.to_list() == model
+            assert list(lst) == model
+            assert list(tree) == model
             assert len(lst) == len(tree) == len(model)
             assert tree_is_balanced(tree)
-            seen.with_finger += tree._flen > 0
-            seen.with_rfinger += tree._rlen > 0
-            seen.with_both += tree._flen > 0 and tree._rlen > 0
+            flen, rlen = _fingers(tree)
+            seen.with_finger += flen > 0
+            seen.with_rfinger += rlen > 0
+            seen.with_both += flen > 0 and rlen > 0
             seen.up += before < _FLAT <= len(model)
             seen.down += len(model) < _FLAT <= before
             history.append((model[:], lst, tree))
         # Persistence: every earlier version still reads back unchanged.
         for snapshot, lst_old, tree_old in history:
-            assert lst_old.to_list() == snapshot
-            assert tree_old.to_list() == snapshot
+            assert list(lst_old) == snapshot
+            assert list(tree_old) == snapshot
             assert tree_is_balanced(tree_old)
     return seen
 
@@ -291,14 +298,14 @@ class TestBackendAgreement:
     def test_splits_near_the_ends_of_a_sequence_with_both_fingers(self, size):
         # At 5000 each finger holds ten elements, past the flat bound.
         env = TreeEnv.from_values(range(size + 2))
-        _, env = env.split_at(1)  # refills the left finger
-        env, _ = env.split_at(size)  # refills the right finger
+        _, env = TreeEnv.split_at(env, 1)  # refills the left finger
+        env, _ = TreeEnv.split_at(env, size)  # refills the right finger
         values = list(range(1, size + 1))
-        assert env.to_list() == values and env._flen and env._rlen
+        assert list(env) == values and env._flen and env._rlen
         near_ends = set(range(min(size, 40))) | set(range(max(size - 40, 0), size + 1))
         for k in sorted(near_ends | {size // 2}):
-            first, rest = env.split_at(k)
-            assert first.to_list() == values[:k] and rest.to_list() == values[k:]
+            first, rest = TreeEnv.split_at(env, k)
+            assert list(first) == values[:k] and list(rest) == values[k:]
             assert tree_is_balanced(first) and tree_is_balanced(rest)
 
     @pytest.mark.parametrize("size", (0, 1, 2, 3, 7, 100))
@@ -307,8 +314,8 @@ class TestBackendAgreement:
         model = list(range(size))
         for pos in sorted({0, size // 2, size}):
             kvec = (pos,) + (0,) * (copies - 1)
-            tree = TreeEnv.from_values(model).multi_insert(kvec, "w")
-            assert tree.to_list() == model[:pos] + ["w"] * copies + model[pos:]
+            tree = TreeEnv.multi_insert(TreeEnv.from_values(model), kvec, "w")
+            assert list(tree) == model[:pos] + ["w"] * copies + model[pos:]
             assert tree_is_balanced(tree)
 
 
@@ -337,16 +344,18 @@ class TestPublicCalls:
         for _ in range(3000):
             if rng.random() < 0.6 and len(env):
                 k = rng.choice((_short_k, _end_k, _uniform_k))(rng, len(env))
-                first, rest = env.split_at(k)
+                first, rest = TreeEnv.split_at(env, k)
                 env = first if 2 * k >= len(env) else rest
                 made["split_at"] += 1
             else:
-                kvec = rng.choice((_finger_kvec, _few_kvec))(rng, len(env), env._flen)
-                env = env.multi_insert(kvec, "w")
+                flen = _fingers(env)[0]
+                kvec = rng.choice((_finger_kvec, _few_kvec))(rng, len(env), flen)
+                env = TreeEnv.multi_insert(env, kvec, "w")
                 made["multi_insert"] += 1
-            seen.finger += env._flen > 0
-            seen.rfinger += env._rlen > 0
-            seen.flat += env._flat is not None
+            flen, rlen = _fingers(env)
+            seen.finger += flen > 0
+            seen.rfinger += rlen > 0
+            seen.flat += type(env) is tuple
         assert calls == made
         assert seen.finger > 100 and seen.rfinger > 100 and seen.flat > 100
 
@@ -356,12 +365,12 @@ class TestTreeBalanceStress:
         # The classic worst case for naive rebalancing schemes.
         env = TreeEnv.empty()
         for i in range(2000):
-            env = env.multi_insert((len(env),), i)
+            env = TreeEnv.multi_insert(env, (len(env),), i)
         assert tree_is_balanced(env)
         for i in range(2000):
-            env = env.multi_insert((0,), -i)
+            env = TreeEnv.multi_insert(env, (0,), -i)
         assert tree_is_balanced(env)
-        first, rest = env.split_at(1)
+        first, rest = TreeEnv.split_at(env, 1)
         assert tree_is_balanced(first) and tree_is_balanced(rest)
 
     def test_large_random_split_insert_cycles(self):
@@ -372,11 +381,11 @@ class TestTreeBalanceStress:
             if rng.random() < 0.5 and len(model) > 1:
                 k = rng.randint(0, len(model))
                 side = rng.random() < 0.5
-                env = env.split_at(k)[0 if side else 1]
+                env = TreeEnv.split_at(env, k)[0 if side else 1]
                 model = model[:k] if side else model[k:]
             else:
                 kvec = _random_kvec(rng, len(model), 0)
-                env = env.multi_insert(kvec, -1)
+                env = TreeEnv.multi_insert(env, kvec, -1)
                 rebuilt = []
                 rest = model
                 for gap in kvec:
@@ -386,7 +395,7 @@ class TestTreeBalanceStress:
                 model = rebuilt + rest
             assert tree_is_balanced(env)
             assert len(env) == len(model)
-        assert env.to_list() == model
+        assert list(env) == model
 
 
 class TestAllocationCosts:
@@ -407,13 +416,13 @@ class TestAllocationCosts:
     def _split_allocs(self, cells, backend, size):
         env = backend.from_values(range(size))
         cells.built = 0
-        env.split_at(size // 2)
+        backend.split_at(env, size // 2)
         return cells.built
 
     def _insert_allocs(self, cells, backend, size, kvec):
         env = backend.from_values(range(size))
         cells.built = 0
-        env.multi_insert(kvec, "w")
+        backend.multi_insert(env, kvec, "w")
         return cells.built
 
     def test_list_split_linear(self, cells):
@@ -434,9 +443,9 @@ class TestAllocationCosts:
         env = TreeEnv.from_values(range(size))
         cells.built = 0
         for i in range(size - 1):
-            first, env = env.split_at(1)
-            assert first.sole() == i
-        assert env.sole() == size - 1
+            first, env = TreeEnv.split_at(env, 1)
+            assert first == (i,)
+        assert env == (size - 1,)
         assert cells.built <= 4 * size
 
     @pytest.mark.parametrize("size", (64, 256, 1024, 4096))
@@ -449,18 +458,19 @@ class TestAllocationCosts:
         env = TreeEnv.from_values(range(size))
         cells.built = 0
         for i in range(size - 1, 0, -1):
-            env, last = env.split_at(i)
-            assert last.sole() == i
-        assert env.sole() == 0
+            env, last = TreeEnv.split_at(env, i)
+            assert last == (i,)
+        assert env == (0,)
         assert cells.built <= 4 * size
 
     @pytest.mark.parametrize("size", range(1, 8))
     def test_tiny_tree_never_takes_a_finger(self, size):
         env = TreeEnv.from_values(range(size))
         for k in range(size + 1):
-            for part in env.split_at(k):
-                assert part._flen == 0
-                assert part.multi_insert((0, 1)[: len(part) + 1], "w")._flen == 0
+            for part in TreeEnv.split_at(env, k):
+                assert _fingers(part) == (0, 0)
+                kvec = (0, 1)[: len(part) + 1]
+                assert _fingers(TreeEnv.multi_insert(part, kvec, "w")) == (0, 0)
 
     def test_tree_insert_logarithmic_per_position(self, cells):
         for size in (1024, 4096, 16384):
@@ -475,13 +485,13 @@ class TestAllocationCosts:
     ):
         # The insert folds both fingers into the tree first.
         env = TreeEnv.from_values(range(size))
-        _, env = env.split_at(1)  # refills the left finger
-        env, _ = env.split_at(len(env) - 1)  # refills the right finger
+        _, env = TreeEnv.split_at(env, 1)  # refills the left finger
+        env, _ = TreeEnv.split_at(env, len(env) - 1)  # refills the right finger
         assert env._flen and env._rlen
         n = len(env)
         for kvec in [(n // 2,), (n // 4, n // 4), (0, 1, 2, 3), (n,)]:
             cells.built = 0
-            result = env.multi_insert(kvec, "w")
+            result = TreeEnv.multi_insert(env, kvec, "w")
             assert cells.built <= (1 + len(kvec)) * (10 * math.log2(size) + 10)
             assert len(result) == n + len(kvec) and tree_is_balanced(result)
 
@@ -492,9 +502,9 @@ class TestAllocationCosts:
         for size in range(_FLAT):
             env = TreeEnv.from_values(range(size))
             cells.built = 0
-            result = env.multi_insert((0,) * copies, "w")
+            result = TreeEnv.multi_insert(env, (0,) * copies, "w")
             assert cells.built == size + copies
-            assert result.to_list() == ["w"] * copies + list(range(size))
+            assert list(result) == ["w"] * copies + list(range(size))
             assert tree_is_balanced(result)
 
     @pytest.mark.parametrize("size", (1, 2, 3, 10, 600, 4096))
@@ -515,9 +525,9 @@ class TestAllocationCosts:
         assert envseq._run_length(4096) == 11
         counter = self._counting_cons(monkeypatch)
         env = TreeEnv.from_values(range(4096))
-        first, rest = env.split_at(k)
+        first, rest = TreeEnv.split_at(env, k)
         assert counter.built == 11 - k
-        assert first.to_list() + rest.to_list() == list(range(4096))
+        assert list(first) + list(rest) == list(range(4096))
         assert tree_is_balanced(first) and tree_is_balanced(rest)
 
     @pytest.mark.parametrize("k", (1, 2, 3))
@@ -527,44 +537,43 @@ class TestAllocationCosts:
         # other 11 - k become cons cells.
         counter = self._counting_cons(monkeypatch)
         env = TreeEnv.from_values(range(4096))
-        first, rest = env.split_at(4096 - k)
+        first, rest = TreeEnv.split_at(env, 4096 - k)
         assert counter.built == 11 - k
         assert first._rlen == 11 - k
-        assert first.to_list() + rest.to_list() == list(range(4096))
+        assert list(first) + list(rest) == list(range(4096))
         assert tree_is_balanced(first) and tree_is_balanced(rest)
 
 
 class TestTreeShapeCheck:
     def test_finger_cells_must_match_stored_length(self):
         node = envseq._build(list("bcdefgh"), 0, 7)
-        good = TreeEnv(None, envseq._Cons("a", None), 1, node, 8)
-        assert tree_is_balanced(good) and good.to_list() == list("abcdefgh")
-        assert not tree_is_balanced(TreeEnv(None, envseq._Cons("a", None), 2, node, 9))
-        assert not tree_is_balanced(TreeEnv(None, envseq._Cons("a", None), 1, node, 9))
+        good = TreeEnv(envseq._Cons("a", None), 1, node, 8)
+        assert tree_is_balanced(good) and list(good) == list("abcdefgh")
+        assert not tree_is_balanced(TreeEnv(envseq._Cons("a", None), 2, node, 9))
+        assert not tree_is_balanced(TreeEnv(envseq._Cons("a", None), 1, node, 9))
 
     def test_right_finger_cells_must_match_stored_length(self):
         node = envseq._build(list("abcdefg"), 0, 7)
-        good = TreeEnv(None, None, 0, node, 8, envseq._Cons("h", None), 1)
-        assert tree_is_balanced(good) and good.to_list() == list("abcdefgh")
+        good = TreeEnv(None, 0, node, 8, envseq._Cons("h", None), 1)
+        assert tree_is_balanced(good) and list(good) == list("abcdefgh")
         for bad in (
-            TreeEnv(None, None, 0, node, 9, envseq._Cons("h", None), 2),
-            TreeEnv(None, None, 0, node, 9, envseq._Cons("h", None), 1),
-            TreeEnv(None, None, 0, node, 8, envseq._Cons("h", None), 2),
-            TreeEnv(("a",), None, 0, None, 1, envseq._Cons("h", None), 1),
+            TreeEnv(None, 0, node, 9, envseq._Cons("h", None), 2),
+            TreeEnv(None, 0, node, 9, envseq._Cons("h", None), 1),
+            TreeEnv(None, 0, node, 8, envseq._Cons("h", None), 2),
+            TreeEnv(None, 0, None, 1, envseq._Cons("h", None), 1),  # short
         ):
             assert not tree_is_balanced(bad)
 
     def test_flat_state_must_be_a_short_tuple_alone(self):
-        assert tree_is_balanced(TreeEnv(("a", "b"), None, 0, None, 2))
-        assert tree_is_balanced(TreeEnv((), None, 0, None, 0))
+        assert tree_is_balanced(("a", "b"))
+        assert tree_is_balanced(())
         leaf = envseq._node(None, "b", None)
         for bad in (
-            TreeEnv(("a", "b"), None, 0, None, 3),  # stored length is wrong
-            TreeEnv(["a", "b"], None, 0, None, 2),  # not a tuple
-            TreeEnv(("a",), envseq._Cons("b", None), 1, None, 2),  # has a finger
-            TreeEnv(("a",), None, 0, leaf, 2),  # has a tree
-            TreeEnv(tuple("abcdefgh"), None, 0, None, 8),  # at the bound
-            TreeEnv(None, envseq._Cons("a", None), 1, leaf, 2),  # short, not flat
+            ["a", "b"],  # not a tuple
+            tuple("abcdefgh"),  # at the bound
+            TreeEnv(None, 0, None, 0),  # an empty object
+            TreeEnv(envseq._Cons("a", None), 1, leaf, 2),  # short, not a tuple
+            TreeEnv(None, 0, envseq._build(list("abcdefg"), 0, 7), 7),
         ):
             assert not tree_is_balanced(bad)
 
@@ -572,7 +581,7 @@ class TestTreeShapeCheck:
         node = None
         for i in range(100_000):
             node = envseq._node(node, i, None)
-        assert not tree_is_balanced(TreeEnv(None, None, 0, node, 100_000))
+        assert not tree_is_balanced(TreeEnv(None, 0, node, 100_000))
 
 
 class TestFlatState:
@@ -581,7 +590,7 @@ class TestFlatState:
 
     @staticmethod
     def _check_state(env):
-        assert (env._flat is not None) == (len(env) < _FLAT)
+        assert (type(env) is tuple) == (len(env) < _FLAT)
         assert tree_is_balanced(env)
 
     @pytest.mark.parametrize("size", range(0, 25))
@@ -592,23 +601,23 @@ class TestFlatState:
         self._check_state(TreeEnv.singleton("v"))
         self._check_state(TreeEnv.empty())
         for k in range(size + 1):
-            first, rest = env.split_at(k)
+            first, rest = TreeEnv.split_at(env, k)
             self._check_state(first)
             self._check_state(rest)
-            assert first.to_list() + rest.to_list() == values
+            assert list(first) + list(rest) == values
         for kvec in [(0,), (size,), (0,) * 9, (1,) * min(size, 9), (size // 2, 0)]:
-            result = env.multi_insert(kvec, "w")
+            result = TreeEnv.multi_insert(env, kvec, "w")
             self._check_state(result)
             assert len(result) == size + len(kvec)
 
     def test_flat_operations_build_only_their_slots(self, cells):
         env = TreeEnv.from_values(range(6))
         cells.built = 0
-        first, rest = env.split_at(2)
-        assert first.to_list() == [0, 1] and rest.to_list() == [2, 3, 4, 5]
+        first, rest = TreeEnv.split_at(env, 2)
+        assert list(first) == [0, 1] and list(rest) == [2, 3, 4, 5]
         assert cells.built == 6  # the two slices, no _Cons or _Node
         cells.built = 0
-        assert rest.multi_insert((0, 4), "w").to_list() == ["w", 2, 3, 4, 5, "w"]
+        assert list(TreeEnv.multi_insert(rest, (0, 4), "w")) == ["w", 2, 3, 4, 5, "w"]
         assert cells.built == 6
 
 
@@ -619,18 +628,18 @@ class TestTreeSharing:
         # Every position falls in the root's left half: the right subtree
         # comes through as the same object.
         assert root.left.size > 5
-        result = env.multi_insert((3, 1, 0, 1), "w")
-        assert result.to_list()[:9] == [0, 1, 2, "w", 3, "w", "w", 4, "w"]
+        result = TreeEnv.multi_insert(env, (3, 1, 0, 1), "w")
+        assert list(result)[:9] == [0, 1, 2, "w", 3, "w", "w", 4, "w"]
         assert result._node.right is root.right
 
     def test_split_inside_the_right_finger_shares_the_rest(self):
         env = TreeEnv.from_values(range(1000))
-        _, env = env.split_at(1)  # refills the left finger
-        env, _ = env.split_at(len(env) - 1)  # refills the right finger
+        _, env = TreeEnv.split_at(env, 1)  # refills the left finger
+        env, _ = TreeEnv.split_at(env, len(env) - 1)  # refills the right finger
         assert env._flen > 0 and env._rlen >= 3
-        first, rest = env.split_at(len(env) - 2)
-        assert rest.to_list() == [997, 998]
-        assert first.to_list() == list(range(1, 997))
+        first, rest = TreeEnv.split_at(env, len(env) - 2)
+        assert list(rest) == [997, 998]
+        assert list(first) == list(range(1, 997))
         assert first._finger is env._finger
         assert first._node is env._node
         assert first._rfinger is env._rfinger.tail.tail
@@ -638,11 +647,11 @@ class TestTreeSharing:
 
     def test_front_split_of_a_right_finger_alone(self):
         env = TreeEnv.from_values(range(4096))
-        env, _ = env.split_at(4095)  # refills the right finger with 11
-        _, rest = env.split_at(4095 - 9)
+        env, _ = TreeEnv.split_at(env, 4095)  # refills the right finger with 11
+        _, rest = TreeEnv.split_at(env, 4095 - 9)
         # rest is nine values held by a right finger alone.
         assert rest._flen == 0 and rest._node is None and rest._rlen == 9
-        first, second = rest.split_at(1)
-        assert first.to_list() == [4086]
-        assert second.to_list() == list(range(4087, 4095))
+        first, second = TreeEnv.split_at(rest, 1)
+        assert list(first) == [4086]
+        assert list(second) == list(range(4087, 4095))
         assert tree_is_balanced(first) and tree_is_balanced(second)

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from ordlam import machine
-from ordlam.envseq import BACKENDS, ListEnv, TreeEnv, _Cons
+from ordlam.envseq import _FLAT, BACKENDS, ListEnv, TreeEnv, _Cons
 from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
 from ordlam.machine import (
@@ -49,7 +49,7 @@ from ordlam.named import (
     reduce_once_all,
 )
 from ordlam.ordered import DOT, Free, OApp, OLam, parse_closed
-from ordlam.workloads import wide_binder
+from ordlam.workloads import build_workload, wide_binder
 
 S_NAMED = parse_surface(r"\x.\y.\z. x z (y z)")
 S_BODY3 = OApp(OApp(DOT, 1, DOT), 2, OApp(DOT, 1, DOT))
@@ -113,6 +113,32 @@ class TestEvaluate:
             evaluate(DOT, ListEnv.empty())
         with pytest.raises(InvariantError, match=too_short):
             Pending(DOT, ListEnv.empty())
+
+    @pytest.mark.parametrize("backend", [ListEnv, TreeEnv], ids=["list", "tree"])
+    def test_free_variable_under_a_non_empty_environment(self, backend):
+        # The split hands the one value to the free variable, none to the dot.
+        message = "^free variable evaluated in environment of length 1$"
+        with pytest.raises(InvariantError, match=message):
+            evaluate(OApp(Free("a"), 1, DOT), backend.singleton(spine("v")))
+
+    @pytest.mark.parametrize(
+        "backend, message",
+        [
+            (ListEnv, r"^sole\(\) on sequence of length 0$"),
+            (TreeEnv, "^dot evaluated in environment of length 0$"),
+        ],
+        ids=["list", "tree"],
+    )
+    def test_dot_under_a_non_singleton_environment(self, backend, message):
+        # The split hands the dot no value and the free variable one.
+        with pytest.raises(InvariantError, match=message):
+            evaluate(OApp(DOT, 0, Free("a")), backend.singleton(spine("v")))
+
+    @pytest.mark.parametrize("backend", [ListEnv, TreeEnv], ids=["list", "tree"])
+    def test_split_past_the_end_of_the_environment(self, backend):
+        message = "^split position 2 outside sequence of length 1$"
+        with pytest.raises(InvariantError, match=message):
+            evaluate(OApp(DOT, 2, Free("a")), backend.singleton(spine("v")))
 
     def test_closure_exactness_enforced(self):
         with pytest.raises(InvariantError):
@@ -246,9 +272,9 @@ class TestPrinting:
         # the printer refuses it as every backend's multi_insert does.
         lam = OLam((5,), DOT)
         message = "^insert positions need 5 elements, sequence has 0$"
-        for env in BACKENDS.values():
+        for backend in BACKENDS.values():
             with pytest.raises(InvariantError, match=message):
-                env.empty().multi_insert(lam.kvec, spine("w"))
+                backend.multi_insert(backend.empty(), lam.kvec, spine("w"))
         with pytest.raises(InvariantError, match=message):
             print_ordered(lam, [])
         with pytest.raises(InvariantError, match=message):
@@ -646,6 +672,75 @@ class TestNormalizeByEvaluation:
         text = print_surface(normalize_by_evaluation(term, backend=TreeEnv))
         assert text == "c" + " a" * n
         assert print_surface(normalize_by_evaluation(term, backend=ListEnv)) == text
+
+
+class TestEnvironmentCalls:
+    """perfbench's tracer counts environment work by wrapping each backend
+    class's split_at and multi_insert, so every split and insert the
+    evaluator makes must be a call to that class attribute, on either
+    backend, whether the environment is an object or a bare tuple."""
+
+    def test_backends_make_the_same_calls_and_short_parts_are_tuples(
+        self, monkeypatch
+    ):
+        work = Counter()  # (backend, operation) -> [calls, cells, max length]
+        tree_lengths = []  # the length of every TreeEnv object built
+
+        def counting(backend, name, cells):
+            operation = getattr(backend, name)
+
+            def counted(env, *args):
+                key = backend.__name__, name
+                work[key + ("calls",)] += 1
+                work[key + ("cells",)] += cells(len(env), *args)
+                work[key + ("max_len",)] = max(work[key + ("max_len",)], len(env))
+                result = operation(env, *args)
+                if backend is TreeEnv:
+                    for part in result if name == "split_at" else (result,):
+                        assert (type(part) is tuple) == (len(part) < _FLAT)
+                return result
+
+            return counted
+
+        for backend in (ListEnv, TreeEnv):
+            for name, cells in (
+                ("split_at", lambda n, k: k if 0 < k < n else 0),
+                ("multi_insert", lambda n, kvec, _: sum(kvec) + len(kvec)),
+            ):
+                monkeypatch.setattr(backend, name, counting(backend, name, cells))
+        init = TreeEnv.__init__
+
+        def counting_init(self, finger, flen, node, length, *rest):
+            tree_lengths.append(length)
+            init(self, finger, flen, node, length, *rest)
+
+        monkeypatch.setattr(TreeEnv, "__init__", counting_init)
+        # Criterion 6's terms to WHNF, criterion 7.1's typed terms and
+        # workloads whose environments cross _FLAT to normal form.
+        terms = gen_terms(1006, 10_000, 100, 0.3)
+        typed = gen_terms(1007, 300, 40, 1.0)
+        workloads = [
+            build_workload(name, size)
+            for name, size in (
+                ("wide-binder", 33),
+                ("distinct-spine", 33),
+                ("church-mul", 30),
+                ("church-exp", 5),
+            )
+        ]
+        for backend in (ListEnv, TreeEnv):
+            for term in terms:
+                evaluate(parse_closed(term), backend.empty(), 500)
+            for term in typed + workloads:
+                assert not isinstance(
+                    normalize_by_evaluation(term, 100_000, backend), FuelExhausted
+                )
+        for name in ("split_at", "multi_insert"):
+            for measure in ("calls", "cells", "max_len"):
+                listed = work["ListEnv", name, measure]
+                assert listed == work["TreeEnv", name, measure] > 0
+        assert work["TreeEnv", "split_at", "max_len"] >= 33
+        assert tree_lengths and min(tree_lengths) >= _FLAT
 
 
 class TestVerifyTrace:
