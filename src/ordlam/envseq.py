@@ -9,29 +9,33 @@ Two observationally equal backends:
 
 * ListEnv: a shared-tail linked list; split and insert rebuild the
   prefix (linear in the split position).
-* TreeEnv: a sequence of fewer than eight elements is a bare tuple,
-  with no wrapper object; a longer one is a TreeEnv object, a
+* TreeEnv: a sequence of fewer than _FLAT (512) elements is a bare
+  tuple, with no wrapper object; a longer one is a TreeEnv object, a
   weight-balanced binary tree (one element per node, weight ratio 3,
   single/double rotations) between two short cons chains, the left and
   right fingers. Exact environments hold only the values a body uses,
   so nearly all are short: a flat closure is one vector of exactly its
   free values (Appel, Compiling with Continuations, 1992, ch. 10), and
   on it a split is two slices and a multi-insert one _gap_insert,
-  followed by one balanced build if the result reaches eight. The
+  followed by one balanced build if the result reaches _FLAT. The
   class's operations take such a tuple as their first argument, so a
-  caller reaches them through the class. Evaluation nearly always
-  splits off a prefix of one or two elements, or, in a left-nested
-  spine c M1 ... Mn, the last argument's values off the end; on a long
-  sequence the finger at that end serves those splits in O(1) cells
-  each. A split just past a finger first tops the finger up with a run
-  of O(log n) elements, taken off the tree's end by one logarithmic
-  split, and then splits inside it (Hinze and Paterson's finger trees,
-  JFP 2006, refill an exhausted digit from the middle the same way).
-  Eight is the least length at which such a run is longer than one.
-  Any other split is logarithmic in the length. A multi-insert of m
-  positions into n tree-held elements folds both fingers into the tree
-  and makes one pass over it that rebuilds only the paths the
-  positions reach, O(m log(n/m + 1)) node builds.
+  caller reaches them through the class. The bound is where a tuple
+  peel, which copies all but one value, costs about what a tree peel
+  costs; like a rope's flat leaves (Boehm, Atkinson and Plass, SPE
+  1995), a split of a tuple below it copies fewer than _FLAT slots, and
+  never shares a larger tuple through an offset, which would keep the
+  values cut off alive. Evaluation nearly always splits off a prefix
+  of one or two elements, or, in a left-nested spine c M1 ... Mn, the
+  last argument's values off the end; on a long sequence the finger at
+  that end serves those splits in O(1) cells each. A split just past a
+  finger first tops the finger up with a chunk of _CHUNK (64)
+  elements, taken off the tree's end by one logarithmic split, and then
+  splits inside it (Hinze and Paterson's finger trees, JFP 2006, refill
+  an exhausted digit from the middle the same way). Any other split is
+  logarithmic in the length. A multi-insert of m positions into n
+  tree-held elements folds both fingers into the tree and makes one
+  pass over it that rebuilds only the paths the positions reach,
+  O(m log(n/m + 1)) node builds.
 
 Elements are always held by reference, never copied. Every backend cell
 is built through the module's _Cons or _Node class, which the tests
@@ -317,22 +321,19 @@ def _peel(cell: _Cons, count: int) -> tuple[list, Optional[_Cons]]:
     return values, cell
 
 
-def _run_length(size: int) -> int:
-    """How many elements a finger refill takes off a tree of size elements.
+# How many elements a finger refill takes off the tree's end: one
+# logarithmic _split then serves about this many constant-time peels.
+# Past 64 a peel got at most 7 % cheaper (BENCH_23.json's sweep), while a
+# multi-insert after a refill folds the whole finger back into the tree.
+_CHUNK = 64
 
-    It is the bit length of size // 4, about log2(size) - 1, so one
-    logarithmic split pays for about as many constant-time ones. A tree
-    of fewer than _FLAT elements yields a run of at most one, which no
-    split is short enough to use, so such a tree would never refill.
-    """
-    return (size >> 2).bit_length()
-
-
-# The least length whose finger refill takes more than one element
-# (_run_length(7) == 1 < _run_length(8)). A sequence shorter than this is
-# a bare tuple, not a TreeEnv: there a finger would never form, and a
-# tuple split or insert builds no cells and no wrapper object.
-_FLAT = 8
+# The least length held as a TreeEnv object; a shorter sequence is a bare
+# tuple. It is about where a tuple peel, a slice of all but one value,
+# costs as much as a tree peel (BENCH_23.json's sweep). A finger holds at
+# most _CHUNK elements, so the tree between two fingers holds at least
+# _FLAT - 2 * _CHUNK, enough for a chunk, and a part cut out of a finger,
+# with a refill's chunk, holds fewer than 2 * _CHUNK and is a tuple.
+_FLAT = 512
 
 
 def _gap_insert(
@@ -391,49 +392,50 @@ class TreeEnv:
     as a weight-balanced tree between two short cons chains, the left and
     right fingers.
 
-    A sequence of fewer than _FLAT (8) elements is a plain tuple, not a
-    TreeEnv: empty(), singleton() and from_values() return one, and so do
-    split_at and multi_insert for every part under the bound. Exact
+    A sequence of fewer than _FLAT (512) elements is a plain tuple, not
+    a TreeEnv: empty(), singleton() and from_values() return one, and so
+    do split_at and multi_insert for every part under the bound. Exact
     environments are that short nearly always (they hold only the values
     a body uses), so there a split is two slices and a multi-insert one
     _gap_insert, and no wrapper object is built. The operations take
     such a tuple as their first argument, so they are called through the
-    class, TreeEnv.split_at(env, k), whichever form env has. Below _FLAT
-    a finger would never form, since a refill there takes at most one
-    element. A tuple multi-insert whose result reaches the bound makes
-    the same one list build and then one balanced _build of it, one node
-    per element.
+    class, TreeEnv.split_at(env, k), whichever form env has. A split of
+    a tuple copies fewer than _FLAT slots. A tuple multi-insert whose
+    result reaches the bound makes the same one list build and then one
+    balanced _build of it, one node per element.
 
     A TreeEnv object holds at least _FLAT elements. Its left finger holds
     the first _flen elements as a chain of exactly that many _Cons cells
     ending in None; its right finger holds the last _rlen elements the
     same way, last element first; the tree under _node holds the
     elements between them; _length caches the total. The fingers are not
-    kept as tuples: a tuple finger would copy O(log n) slots on every
+    kept as tuples: a tuple finger would copy up to _CHUNK slots on every
     short split, where a cons finger copies O(1) amortized. A split at
     k, leaving n - k elements past it, costs:
 
     * k new cells when k lies inside the left finger, as on ListEnv, and
       n - k new cells when it lies inside the right finger;
-    * when k falls less than _run_length(tree size) past the left
-      finger, first one _split that moves a run of that many elements
-      off the tree's left end onto the finger, which then holds k: the
-      rest keeps the finger's cells past k, so one O(log n) split pays
-      for the constant-time splits that follow. Evaluation nearly always
+    * when k falls less than _CHUNK past the left finger, first one
+      _split that moves a chunk of _CHUNK elements off the tree's left
+      end onto the finger, which then holds k: the rest keeps the
+      finger's cells past k, so one O(log n) split pays for the _CHUNK
+      or so constant-time splits that follow. Evaluation nearly always
       splits off a prefix of one or two elements, and this is the case
       that serves it;
-    * the mirror image when k falls less than such a run before the
-      right finger. A left-nested spine c M1 ... Mn splits off its last
+    * the mirror image when k falls less than _CHUNK before the right
+      finger. A left-nested spine c M1 ... Mn splits off its last
       argument at each application, so this serves the spine's
       successive splits at n - 1, n - 2, ...;
     * otherwise one _split of the tree, O(log n), with both fingers
       shared.
 
-    Every part that keeps finger or tree cells is made by _tree_env, so
-    a part shorter than _FLAT comes back a tuple, at a cost of its
-    length. A multi-insert folds each finger into the tree with one
-    _join and then inserts every position in one pass. Only splits make
-    fingers, so no finger grows past O(log n).
+    A part cut out of a finger, with a refill's chunk, holds fewer than
+    2 * _CHUNK elements and is a tuple. Every other part that keeps finger
+    or tree cells is made by _tree_env, so a part shorter than _FLAT comes
+    back a tuple, at a cost of its length. A multi-insert folds each
+    finger into the tree with one _join and then inserts every position
+    in one pass. Only splits make fingers, so no finger holds more than
+    _CHUNK elements.
     """
 
     __slots__ = ("_finger", "_flen", "_node", "_rfinger", "_rlen", "_length")
@@ -499,24 +501,23 @@ class TreeEnv:
         m = n - k
         if k >= flen and m >= rlen:
             size = n - flen - rlen
-            run = _run_length(size)
             j = k - flen
-            if j < run:
-                # Refill: move a run off the tree's left end. The split
-                # falls inside the finger's values and the run's, so their
+            if j < _CHUNK:
+                # Refill: move a chunk off the tree's left end. The split
+                # falls inside the finger's values and the chunk's, so their
                 # first k values make the first part and only the others
                 # are chained into the new finger.
-                a, node = _split(node, run)
+                a, node = _split(node, _CHUNK)
                 values = _values(a, _heads(finger, []))
-                flen += run
+                flen += _CHUNK
                 cell = _chain(values, k, flen)
                 del values[k:]
-            elif size - j < run:
+            elif size - j < _CHUNK:
                 # The mirror image onto the right finger: its last m values
                 # make the rest and only the others are chained.
-                node, b = _split(node, size - run)
+                node, b = _split(node, size - _CHUNK)
                 values = _rheads(rfinger, _values(b, []))
-                rlen += run
+                rlen += _CHUNK
                 cell = _rchain(values, 0, rlen - m)
                 del values[: rlen - m]
             else:
@@ -540,19 +541,11 @@ class TreeEnv:
             values, cell = _peel(rfinger, m)
             values.reverse()
         if k < flen:
-            # The first k values are copied, a tuple below _FLAT; the rest
-            # shares the finger's other cells.
-            if k < _FLAT:
-                first = tuple(values)
-            else:
-                first = TreeEnv(_chain(values, 0, k), k, None, k)
-            return first, _tree_env(cell, flen - k, node, rfinger, rlen, m)
+            # The first k values, fewer than 2 * _CHUNK, are copied into a
+            # tuple; the rest shares the finger's other cells.
+            return tuple(values), _tree_env(cell, flen - k, node, rfinger, rlen, m)
         # The mirror image: the last m values are copied.
-        if m < _FLAT:
-            rest = tuple(values)
-        else:
-            rest = TreeEnv(None, 0, None, m, _rchain(values, 0, m), m)
-        return _tree_env(finger, flen, node, cell, rlen - m, k), rest
+        return _tree_env(finger, flen, node, cell, rlen - m, k), tuple(values)
 
     def multi_insert(self, kvec: tuple[int, ...], value: Any) -> tuple | TreeEnv:
         if not kvec:
@@ -589,9 +582,9 @@ def tree_is_balanced(env: tuple | TreeEnv) -> bool:
     """Check a TreeEnv backend sequence's shape (test helper). One
     shorter than _FLAT is an exact tuple. A TreeEnv object holds at least
     _FLAT elements: its left finger has exactly _flen cells, its right
-    finger exactly _rlen, the cached length is the two fingers plus the
-    tree, and every tree node has a correct size and meets the
-    weight-balance criterion."""
+    finger exactly _rlen, neither more than _CHUNK, the cached length is
+    the two fingers plus the tree, and every tree node has a correct size
+    and meets the weight-balance criterion."""
     if type(env) is tuple:
         return len(env) < _FLAT
     if type(env) is not TreeEnv:
@@ -600,19 +593,19 @@ def tree_is_balanced(env: tuple | TreeEnv) -> bool:
     rcells = len(_heads(env._rfinger, []))
     if env._length < _FLAT or cells != env._flen or rcells != env._rlen:
         return False
+    if max(cells, rcells) > _CHUNK:
+        return False
     if env._length != cells + _size(env._node) + rcells:
         return False
     stack = [env._node]
     while stack:
         node = stack.pop()
-        if node is None:
-            continue
-        if node.size != _size(node.left) + _size(node.right) + 1:
-            return False
-        if not _balanced_sizes(_size(node.left), _size(node.right)):
-            return False
-        stack.append(node.left)
-        stack.append(node.right)
+        if node is not None:
+            left, right = node.left, node.right
+            a, b = _size(left), _size(right)
+            if node.size != a + b + 1 or not _balanced_sizes(a, b):
+                return False
+            stack += (left, right)
     return True
 
 

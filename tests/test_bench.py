@@ -19,6 +19,8 @@ from ordlam.bench import (
     run_config,
     run_strategy,
 )
+from ordlam import envseq
+from ordlam.envseq import _FLAT
 from ordlam.named import alpha_eq, normalize, parse_surface
 from ordlam.workloads import (
     WORKLOADS,
@@ -240,19 +242,28 @@ class TestRunComparison:
         with pytest.raises(DigestMismatch):
             run_comparison("church-add", 4, ("ordered-list", "closures"), 10_000, 1)
 
-    @pytest.mark.parametrize("size", (9, 33, 300))
+    @pytest.mark.parametrize(
+        "size", (9, 33, 300, _FLAT - 1, _FLAT, _FLAT + 1, 2 * _FLAT + 33)
+    )
     def test_reordered_environment_refused(self, monkeypatch, size):
         # Tree backends that reorder their values: the spine over distinct
         # values reads back its arguments out of order, and the digests
-        # differ. One reads its tree's values back to front. The other
-        # holds a right finger in sequence order instead of last first;
-        # at 9 every right finger is one cell long, so it shows only at
-        # 33 and 300.
-        from ordlam import envseq
-
+        # differ. Below the flat bound every environment is a tuple, and
+        # one mutant reverses what each tuple insert builds. From the
+        # bound up the environment becomes a tree: one mutant reads its
+        # tree's values back to front, and one holds a right finger in
+        # sequence order instead of last first; past _FLAT + 1 the spine's
+        # splits refill that finger with a chunk again and again. The
+        # closure machine is
+        # the reference; the list backend's splits near the end make it
+        # quadratic at these sizes.
+        gap_insert = envseq._gap_insert
         tree_values = envseq._values
-        mutants = [("_values", lambda node, out: out + tree_values(node, [])[::-1])]
-        if size > 9:
+        mutants = [("_gap_insert", lambda *args: gap_insert(*args)[::-1])]
+        if size >= _FLAT:
+            mutants.append(
+                ("_values", lambda node, out: out + tree_values(node, [])[::-1])
+            )
             mutants.append(("_rchain", envseq._chain))
         for name, mutant in mutants:
             with monkeypatch.context() as patch:
@@ -261,7 +272,7 @@ class TestRunComparison:
                     run_comparison(
                         "distinct-spine",
                         size,
-                        ("ordered-list", "ordered-tree"),
+                        ("closures", "ordered-tree"),
                         100_000,
                         1,
                     )

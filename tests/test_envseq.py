@@ -1,5 +1,8 @@
+import __future__
+import inspect
 import math
 import random
+import textwrap
 from types import SimpleNamespace
 
 import pytest
@@ -107,6 +110,17 @@ class TestMultiInsert:
         with pytest.raises(InvariantError):
             backend.multi_insert(env, (3,), "w")
 
+    def test_window_inside_a_buffer(self):
+        # The printer inserts into a window of its buffer: the copy starts
+        # at lo, stops at hi, and the positions may not reach past hi even
+        # where the buffer goes on.
+        buffer = list(range(_FLAT + 40))
+        lo, hi = 7, _FLAT + 20
+        out = envseq._gap_insert(buffer, lo, hi, (0, 2, hi - lo - 2), "w")
+        assert out == ["w", 7, 8, "w"] + buffer[9:hi] + ["w"]
+        with pytest.raises(InvariantError):
+            envseq._gap_insert(buffer, lo, hi, (hi - lo + 1,), "w")
+
     def test_inserted_value_shared(self, backend):
         marker = ["shared"]
         result = backend.multi_insert(backend.from_values([1, 2]), (0, 2), marker)
@@ -161,9 +175,10 @@ def _finger_kvec(rng, length, flen):
 
 
 def _few_kvec(rng, length, _flen):
-    """Up to five positions anywhere, keeping the result at most 24 long."""
+    """Up to five positions anywhere, keeping the result at most 4 past
+    the flat bound."""
     positions = sorted(rng.randint(0, length) for _ in range(rng.randint(0, 5)))
-    positions = positions[: max(0, 24 - length)]
+    positions = positions[: max(0, _FLAT + 4 - length)]
     return tuple(b - a for a, b in zip([0] + positions, positions))
 
 
@@ -191,10 +206,11 @@ def _either_end_k(rng, length):
 
 
 def _check_agreement(
-    rng, max_len, programs, steps, draw_kvec, draw_k=_uniform_k, keep_first_share=0.5
+    rng, lengths, programs, steps, draw_kvec, draw_k=_uniform_k, keep_first_share=0.5
 ):
     """Run random split/insert programs on both backends against a list
-    model; the tree stays balanced and every version persists. A split
+    model, each from a length drawn from the lengths range (inclusive);
+    the tree stays balanced and every version persists. A split
     keeps its first part with probability keep_first_share, or, when
     that is None, its longer part; the other part is checked too. Returns
     how many tree versions had a non-empty left finger, right finger and
@@ -202,7 +218,7 @@ def _check_agreement(
     downwards."""
     seen = SimpleNamespace(with_finger=0, with_rfinger=0, with_both=0, up=0, down=0)
     for _ in range(programs):
-        model = list(range(rng.randint(0, max_len)))
+        model = list(range(rng.randint(*lengths)))
         lst = ListEnv.from_values(model)
         tree = TreeEnv.from_values(model)
         history = [(model[:], lst, tree)]
@@ -255,32 +271,38 @@ def _check_agreement(
 
 class TestBackendAgreement:
     def test_random_programs(self):
-        _check_agreement(random.Random(1234), 12, 60, 40, _random_kvec)
+        _check_agreement(random.Random(1234), (0, 12), 60, 40, _random_kvec)
 
     def test_random_programs_with_long_kvecs(self):
-        _check_agreement(random.Random(4321), 80, 40, 16, _long_kvec)
+        _check_agreement(random.Random(4321), (0, 80), 40, 16, _long_kvec)
 
     def test_short_splits_and_inserts_at_the_finger(self):
-        # Short splits that keep the rest refill the tree's finger; the
-        # inserts then fold it into the tree, with positions inside it,
+        # Short splits that keep the longer rest refill the tree's finger;
+        # the inserts then fold it into the tree, with positions inside it,
         # across its end and exactly on it.
+        lengths = (_FLAT, _FLAT + 300)
         seen = _check_agreement(
-            random.Random(2468), 300, 70, 60, _finger_kvec, _short_k, 0.2
+            random.Random(2468), lengths, 70, 60, _finger_kvec, _short_k, None
         )
         assert seen.with_finger > 500
 
     def test_programs_across_the_flat_bound(self):
-        # Lengths 0-24: short splits and inserts of up to five positions
-        # take sequences between the flat state and the tree, both ways.
-        seen = _check_agreement(random.Random(8642), 24, 100, 30, _few_kvec, _short_k)
+        # Lengths from 8 under the bound to 4 past it: short splits that
+        # keep the longer part and inserts of up to five positions take
+        # sequences between the flat state and the tree, both ways.
+        lengths = (_FLAT - 8, _FLAT + 4)
+        seen = _check_agreement(
+            random.Random(8642), lengths, 200, 30, _few_kvec, _short_k, None
+        )
         assert seen.up > 150 and seen.down > 150
         assert seen.with_finger > 100
 
     def test_end_splits_across_the_flat_bound(self):
         # Splits one to three elements before the end that keep the first
         # part form right fingers on sequences crossing the flat bound.
+        lengths = (_FLAT - 8, _FLAT + 4)
         seen = _check_agreement(
-            random.Random(9753), 24, 80, 30, _few_kvec, _end_k, 0.8
+            random.Random(9753), lengths, 200, 30, _few_kvec, _end_k, None
         )
         assert seen.up > 150 and seen.down > 150
         assert seen.with_rfinger > 100
@@ -288,22 +310,26 @@ class TestBackendAgreement:
     def test_splits_at_both_ends_with_inserts_at_the_finger(self):
         # Both fingers at once: inserts fold both into the tree, with
         # positions in, on and past the left one.
+        lengths = (_FLAT, _FLAT + 300)
         seen = _check_agreement(
-            random.Random(3579), 300, 50, 60, _finger_kvec, _either_end_k, None
+            random.Random(3579), lengths, 50, 60, _finger_kvec, _either_end_k, None
         )
         assert seen.with_finger > 300 and seen.with_rfinger > 300
         assert seen.with_both > 100
 
-    @pytest.mark.parametrize("size", (8, 9, 16, 24, 40, 100, 5000))
-    def test_splits_near_the_ends_of_a_sequence_with_both_fingers(self, size):
-        # At 5000 each finger holds ten elements, past the flat bound.
-        env = TreeEnv.from_values(range(size + 2))
+    @pytest.mark.parametrize("extra", (8, 9, 16, 24, 40, 100, 5000))
+    def test_splits_near_the_ends_of_a_sequence_with_both_fingers(self, extra):
+        # A sequence extra elements past the flat bound; once both fingers
+        # are refilled, each holds a chunk less the value split off.
+        n = _FLAT + extra
+        env = TreeEnv.from_values(range(n + 2))
         _, env = TreeEnv.split_at(env, 1)  # refills the left finger
-        env, _ = TreeEnv.split_at(env, size)  # refills the right finger
-        values = list(range(1, size + 1))
-        assert list(env) == values and env._flen and env._rlen
-        near_ends = set(range(min(size, 40))) | set(range(max(size - 40, 0), size + 1))
-        for k in sorted(near_ends | {size // 2}):
+        env, _ = TreeEnv.split_at(env, n)  # refills the right finger
+        values = list(range(1, n + 1))
+        assert list(env) == values
+        assert _fingers(env) == (envseq._CHUNK - 1, envseq._CHUNK - 1)
+        near_ends = set(range(80)) | set(range(n - 80, n + 1))
+        for k in sorted(near_ends | {n // 2}):
             first, rest = TreeEnv.split_at(env, k)
             assert list(first) == values[:k] and list(rest) == values[k:]
             assert tree_is_balanced(first) and tree_is_balanced(rest)
@@ -339,9 +365,11 @@ class TestPublicCalls:
         for name in calls:
             monkeypatch.setattr(TreeEnv, name, counting(name))
         rng = random.Random(1357)
-        env = TreeEnv.from_values(range(200))
         seen = SimpleNamespace(finger=0, rfinger=0, flat=0)
-        for _ in range(3000):
+        for step in range(3000):
+            if step % 20 == 0:
+                # 150 walks, each from 200 elements past the flat bound.
+                env = TreeEnv.from_values(range(_FLAT + 200))
             if rng.random() < 0.6 and len(env):
                 k = rng.choice((_short_k, _end_k, _uniform_k))(rng, len(env))
                 first, rest = TreeEnv.split_at(env, k)
@@ -436,34 +464,55 @@ class TestAllocationCosts:
             allocs = self._split_allocs(cells, TreeEnv, size)
             assert allocs <= 8 * math.log2(size) + 8
 
+    @staticmethod
+    def _peel_to_the_end(cells, env, peel):
+        """Peel the tuple a sequence ends as down to one value: each such
+        split copies its tuple, fewer than _FLAT slots."""
+        while len(env) > 1:
+            cells.built = 0
+            env = peel(env)
+            assert cells.built <= _FLAT
+        return env
+
     @pytest.mark.parametrize("size", (1024, 4096, 16384))
     def test_tree_successive_short_splits_constant_amortized(self, cells, size):
         # Evaluation peels one element at a time off the front of a long
-        # environment; the finger makes each peel O(1) cells amortized.
-        env = TreeEnv.from_values(range(size))
+        # environment. Above the flat bound the finger makes each peel
+        # O(1) cells amortized: one refill's O(log n) split and its chain
+        # of _CHUNK cells serve _CHUNK peels. Below it each peel slices a
+        # tuple, at most _FLAT slots.
+        env = TreeEnv.from_values(range(_FLAT + size))
         cells.built = 0
-        for i in range(size - 1):
+        for i in range(size):
             first, env = TreeEnv.split_at(env, 1)
             assert first == (i,)
-        assert env == (size - 1,)
         assert cells.built <= 4 * size
+        assert type(env) is TreeEnv and len(env) == _FLAT
+        last = self._peel_to_the_end(cells, env, lambda e: TreeEnv.split_at(e, 1)[1])
+        assert last == (_FLAT + size - 1,)
 
     @pytest.mark.parametrize("size", (64, 256, 1024, 4096))
     def test_tree_successive_last_element_splits_constant_amortized(
         self, cells, size
     ):
         # A spine c M1 ... Mn splits its environment just before the last
-        # element at each application; the right finger makes each such
-        # split O(1) cells amortized.
-        env = TreeEnv.from_values(range(size))
+        # element at each application; above the flat bound the right
+        # finger makes each such split O(1) cells amortized, and below it
+        # each slices a tuple, at most _FLAT slots.
+        n = _FLAT + size
+        env = TreeEnv.from_values(range(n))
         cells.built = 0
-        for i in range(size - 1, 0, -1):
+        for i in range(n - 1, _FLAT - 1, -1):
             env, last = TreeEnv.split_at(env, i)
             assert last == (i,)
-        assert env == (0,)
         assert cells.built <= 4 * size
+        assert type(env) is TreeEnv and len(env) == _FLAT
+        first = self._peel_to_the_end(
+            cells, env, lambda e: TreeEnv.split_at(e, len(e) - 1)[0]
+        )
+        assert first == (0,)
 
-    @pytest.mark.parametrize("size", range(1, 8))
+    @pytest.mark.parametrize("size", (*range(1, 8), _FLAT - 1))
     def test_tiny_tree_never_takes_a_finger(self, size):
         env = TreeEnv.from_values(range(size))
         for k in range(size + 1):
@@ -519,61 +568,80 @@ class TestAllocationCosts:
 
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_tree_refill_chains_only_the_new_finger(self, monkeypatch, k):
-        # A refill off 4096 elements moves a run of 11 onto an empty left
-        # finger. The first part is a flat copy of the run's first k
-        # values, so only the other 11 - k become cons cells.
-        assert envseq._run_length(4096) == 11
+        # A refill off 4096 elements moves a chunk of _CHUNK onto an empty
+        # left finger. The first part is a flat copy of the chunk's first k
+        # values, so only the other _CHUNK - k become cons cells.
         counter = self._counting_cons(monkeypatch)
         env = TreeEnv.from_values(range(4096))
         first, rest = TreeEnv.split_at(env, k)
-        assert counter.built == 11 - k
+        assert counter.built == envseq._CHUNK - k
+        assert rest._flen == envseq._CHUNK - k
         assert list(first) + list(rest) == list(range(4096))
         assert tree_is_balanced(first) and tree_is_balanced(rest)
 
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_tree_right_refill_chains_only_the_new_finger(self, monkeypatch, k):
-        # The mirror image: a run of 11 moves onto an empty right finger.
-        # The rest is a flat copy of the run's last k values, so only the
-        # other 11 - k become cons cells.
+        # The mirror image: a chunk moves onto an empty right finger. The
+        # rest is a flat copy of the chunk's last k values, so only the
+        # other _CHUNK - k become cons cells.
         counter = self._counting_cons(monkeypatch)
         env = TreeEnv.from_values(range(4096))
         first, rest = TreeEnv.split_at(env, 4096 - k)
-        assert counter.built == 11 - k
-        assert first._rlen == 11 - k
+        assert counter.built == envseq._CHUNK - k
+        assert first._rlen == envseq._CHUNK - k
         assert list(first) + list(rest) == list(range(4096))
         assert tree_is_balanced(first) and tree_is_balanced(rest)
 
 
 class TestTreeShapeCheck:
     def test_finger_cells_must_match_stored_length(self):
-        node = envseq._build(list("bcdefgh"), 0, 7)
-        good = TreeEnv(envseq._Cons("a", None), 1, node, 8)
-        assert tree_is_balanced(good) and list(good) == list("abcdefgh")
-        assert not tree_is_balanced(TreeEnv(envseq._Cons("a", None), 2, node, 9))
-        assert not tree_is_balanced(TreeEnv(envseq._Cons("a", None), 1, node, 9))
+        values = list(range(_FLAT))
+        node = envseq._build(values, 1, _FLAT)
+        good = TreeEnv(envseq._Cons(0, None), 1, node, _FLAT)
+        assert tree_is_balanced(good) and list(good) == values
+        assert not tree_is_balanced(TreeEnv(envseq._Cons(0, None), 2, node, _FLAT + 1))
+        assert not tree_is_balanced(TreeEnv(envseq._Cons(0, None), 1, node, _FLAT + 1))
+        # A finger longer than a chunk, which no refill makes.
+        chunk = envseq._CHUNK
+        long_finger = envseq._chain(values, 0, chunk + 1)
+        node = envseq._build(values, chunk + 1, _FLAT)
+        assert not tree_is_balanced(TreeEnv(long_finger, chunk + 1, node, _FLAT))
 
     def test_right_finger_cells_must_match_stored_length(self):
-        node = envseq._build(list("abcdefg"), 0, 7)
-        good = TreeEnv(None, 0, node, 8, envseq._Cons("h", None), 1)
-        assert tree_is_balanced(good) and list(good) == list("abcdefgh")
+        values = list(range(_FLAT))
+        last = envseq._Cons(_FLAT - 1, None)
+        node = envseq._build(values, 0, _FLAT - 1)
+        good = TreeEnv(None, 0, node, _FLAT, last, 1)
+        assert tree_is_balanced(good) and list(good) == values
+        chunk = envseq._CHUNK
         for bad in (
-            TreeEnv(None, 0, node, 9, envseq._Cons("h", None), 2),
-            TreeEnv(None, 0, node, 9, envseq._Cons("h", None), 1),
-            TreeEnv(None, 0, node, 8, envseq._Cons("h", None), 2),
-            TreeEnv(None, 0, None, 1, envseq._Cons("h", None), 1),  # short
+            TreeEnv(None, 0, node, _FLAT + 1, last, 2),
+            TreeEnv(None, 0, node, _FLAT + 1, last, 1),
+            TreeEnv(None, 0, node, _FLAT, last, 2),
+            TreeEnv(None, 0, None, 1, last, 1),  # short
+            TreeEnv(  # a right finger longer than a chunk
+                None,
+                0,
+                envseq._build(values, 0, _FLAT - chunk - 1),
+                _FLAT,
+                envseq._rchain(values, _FLAT - chunk - 1, _FLAT),
+                chunk + 1,
+            ),
         ):
             assert not tree_is_balanced(bad)
 
     def test_flat_state_must_be_a_short_tuple_alone(self):
         assert tree_is_balanced(("a", "b"))
         assert tree_is_balanced(())
+        assert tree_is_balanced(tuple(range(_FLAT - 1)))
         leaf = envseq._node(None, "b", None)
+        short = envseq._build(list(range(_FLAT - 1)), 0, _FLAT - 1)
         for bad in (
             ["a", "b"],  # not a tuple
-            tuple("abcdefgh"),  # at the bound
+            tuple(range(_FLAT)),  # at the bound
             TreeEnv(None, 0, None, 0),  # an empty object
             TreeEnv(envseq._Cons("a", None), 1, leaf, 2),  # short, not a tuple
-            TreeEnv(None, 0, envseq._build(list("abcdefg"), 0, 7), 7),
+            TreeEnv(None, 0, short, _FLAT - 1),
         ):
             assert not tree_is_balanced(bad)
 
@@ -585,15 +653,24 @@ class TestTreeShapeCheck:
 
 
 class TestFlatState:
-    def test_bound_is_where_a_refill_first_takes_two(self):
-        assert envseq._run_length(_FLAT - 1) <= 1 < envseq._run_length(_FLAT)
+    def test_a_refill_fills_a_finger_shorter_than_the_bound(self):
+        # A finger holds at most a chunk, so the tree of a TreeEnv holds
+        # at least _FLAT - 2 * _CHUNK elements, from which a refill takes
+        # a chunk; a part cut out of a finger, with a refill's chunk, has
+        # fewer than 2 * _CHUNK and comes back a tuple.
+        assert 1 < 3 * envseq._CHUNK <= _FLAT
+        env = TreeEnv.from_values(range(_FLAT + 1))
+        first, rest = TreeEnv.split_at(env, 1)
+        assert first == (0,) and _fingers(rest) == (envseq._CHUNK - 1, 0)
+        rest, last = TreeEnv.split_at(env, _FLAT)
+        assert last == (_FLAT,) and _fingers(rest) == (0, envseq._CHUNK - 1)
 
     @staticmethod
     def _check_state(env):
         assert (type(env) is tuple) == (len(env) < _FLAT)
         assert tree_is_balanced(env)
 
-    @pytest.mark.parametrize("size", range(0, 25))
+    @pytest.mark.parametrize("size", (*range(0, 25), _FLAT - 1, _FLAT, _FLAT + 1))
     def test_every_result_under_the_bound_is_flat(self, size):
         values = list(range(size))
         env = TreeEnv.from_values(values)
@@ -645,13 +722,192 @@ class TestTreeSharing:
         assert first._rfinger is env._rfinger.tail.tail
         assert tree_is_balanced(first) and tree_is_balanced(rest)
 
-    def test_front_split_of_a_right_finger_alone(self):
+    def test_front_split_of_a_right_finger(self):
         env = TreeEnv.from_values(range(4096))
-        env, _ = TreeEnv.split_at(env, 4095)  # refills the right finger with 11
-        _, rest = TreeEnv.split_at(env, 4095 - 9)
-        # rest is nine values held by a right finger alone.
-        assert rest._flen == 0 and rest._node is None and rest._rlen == 9
-        first, second = TreeEnv.split_at(rest, 1)
-        assert list(first) == [4086]
-        assert list(second) == list(range(4087, 4095))
-        assert tree_is_balanced(first) and tree_is_balanced(second)
+        env, _ = TreeEnv.split_at(env, 4095)  # refills the right finger
+        rlen = envseq._CHUNK - 1
+        assert env._rlen == rlen
+        # A split just past the right finger's first value: the others are
+        # copied into the rest, and the first part keeps that value's cell,
+        # the chain's last.
+        cut = 4095 - rlen + 1
+        first, rest = TreeEnv.split_at(env, cut)
+        assert list(rest) == list(range(cut, 4095))
+        assert list(first) == list(range(cut))
+        cell = env._rfinger
+        while cell.tail is not None:
+            cell = cell.tail
+        assert first._rfinger is cell and first._rlen == 1
+        assert first._node is env._node
+        assert tree_is_balanced(first) and tree_is_balanced(rest)
+
+
+class TestPeelScaling:
+    """Successive peels off either end of a long sequence build O(1) cells
+    each, so the cells built grow at most 2.5 times per doubling."""
+
+    @pytest.mark.parametrize("end", ("left", "right"))
+    def test_successive_peels_grow_linearly(self, cells, end):
+        built = []
+        for n in (2 * _FLAT, 4 * _FLAT, 8 * _FLAT, 16 * _FLAT):
+            # Peel the first (or last) half of n values: every peel is of
+            # a TreeEnv object, which keeps at least _FLAT values.
+            env = TreeEnv.from_values(range(n))
+            cells.built = 0
+            for k in range(n - 1, n // 2 - 1, -1):
+                if end == "left":
+                    env = TreeEnv.split_at(env, 1)[1]
+                else:
+                    env = TreeEnv.split_at(env, k)[0]
+            assert type(env) is TreeEnv and len(env) == n // 2
+            built.append(cells.built)
+        for smaller, larger in zip(built, built[1:]):
+            assert larger <= 2.5 * smaller
+
+
+def _mutated(function, line, mutant):
+    """function compiled again from its source with line, which must occur
+    in it exactly once, replaced by mutant, in the function's own module
+    namespace."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(line) == 1, line
+    code = compile(
+        source.replace(line, mutant),
+        inspect.getsourcefile(function),
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace = {}
+    exec(code, function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
+# envseq's order-sensitive choices, each as a one-line mutant and the test
+# that must fail under it: (owner, function, line, mutant line, test
+# class, test method, its arguments). Every test named runs at sizes
+# above the flat bound.
+MUTANTS = {
+    "left refill takes the tree's last chunk": (
+        TreeEnv,
+        "split_at",
+        "a, node = _split(node, _CHUNK)",
+        "node, a = _split(node, size - _CHUNK)",
+        "TestBackendAgreement",
+        "test_short_splits_and_inserts_at_the_finger",
+        (),
+    ),
+    "left refill reverses its chunk": (
+        TreeEnv,
+        "split_at",
+        "values = _values(a, _heads(finger, []))",
+        "values = _heads(finger, []) + _values(a, [])[::-1]",
+        "TestBackendAgreement",
+        "test_splits_at_both_ends_with_inserts_at_the_finger",
+        (),
+    ),
+    "right refill reverses its chunk": (
+        TreeEnv,
+        "split_at",
+        "values = _rheads(rfinger, _values(b, []))",
+        "values = _rheads(rfinger, _values(b, [])[::-1])",
+        "TestBackendAgreement",
+        "test_end_splits_across_the_flat_bound",
+        (),
+    ),
+    "left finger chained last first": (
+        TreeEnv,
+        "split_at",
+        "cell = _chain(values, k, flen)",
+        "cell = _rchain(values, k, flen)",
+        "TestBackendAgreement",
+        "test_splits_near_the_ends_of_a_sequence_with_both_fingers",
+        (8,),
+    ),
+    "right finger chained first first": (
+        TreeEnv,
+        "split_at",
+        "cell = _rchain(values, 0, rlen - m)",
+        "cell = _chain(values, 0, rlen - m)",
+        "TestTreeSharing",
+        "test_split_inside_the_right_finger_shares_the_rest",
+        (),
+    ),
+    "cut off a right finger, values kept last first": (
+        TreeEnv,
+        "split_at",
+        "values.reverse()",
+        "pass",
+        "TestTreeSharing",
+        "test_front_split_of_a_right_finger",
+        (),
+    ),
+    "_gap_insert copies from the buffer's start": (
+        envseq,
+        "_gap_insert",
+        "i = lo",
+        "i = 0",
+        "TestMultiInsert",
+        "test_window_inside_a_buffer",
+        (),
+    ),
+    "_gap_insert copies past its window": (
+        envseq,
+        "_gap_insert",
+        "out += values[i:hi]",
+        "out += values[i:]",
+        "TestMultiInsert",
+        "test_window_inside_a_buffer",
+        (),
+    ),
+    "_gap_insert checks its positions against the buffer": (
+        envseq,
+        "_gap_insert",
+        "if i > hi:",
+        "if i > len(values):",
+        "TestMultiInsert",
+        "test_window_inside_a_buffer",
+        (),
+    ),
+    "a split leaves a tuple of length _FLAT": (
+        envseq,
+        "_tree_env",
+        "if length >= _FLAT:",
+        "if length > _FLAT:",
+        "TestFlatState",
+        "test_every_result_under_the_bound_is_flat",
+        (_FLAT + 1,),
+    ),
+    "an insert leaves a tuple of length _FLAT": (
+        TreeEnv,
+        "multi_insert",
+        "if n < _FLAT:",
+        "if n <= _FLAT:",
+        "TestFlatState",
+        "test_every_result_under_the_bound_is_flat",
+        (_FLAT - 1,),
+    ),
+    "from_values keeps a tuple of length _FLAT": (
+        TreeEnv,
+        "from_values",
+        "if n < _FLAT:",
+        "if n <= _FLAT:",
+        "TestFlatState",
+        "test_every_result_under_the_bound_is_flat",
+        (_FLAT,),
+    ),
+}
+
+
+class TestMutants:
+    @pytest.mark.parametrize("name", list(MUTANTS))
+    def test_mutant_fails_its_test(self, monkeypatch, name):
+        owner, function, line, mutant, test_class, test, args = MUTANTS[name]
+        original = owner.__dict__[function]
+        if isinstance(original, classmethod):
+            mutated = classmethod(_mutated(original.__func__, line, mutant))
+        else:
+            mutated = _mutated(original, line, mutant)
+        monkeypatch.setattr(owner, function, mutated)
+        with pytest.raises((AssertionError, pytest.fail.Exception)):
+            getattr(globals()[test_class](), test)(*args)

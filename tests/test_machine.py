@@ -660,11 +660,15 @@ class TestNormalizeByEvaluation:
         # Each application of the spine c a ... a splits its environment
         # just before the last value; the tree's right finger serves those
         # splits in O(1) cells amortized, where a split of the tree itself
-        # would copy an O(log n) path each time.
-        term = wide_binder(n)
-        cells.built = 0
-        normalize_by_evaluation(term, backend=TreeEnv)
-        assert cells.built <= 5 * n
+        # would copy an O(log n) path each time. The last _FLAT - 1 splits
+        # slice tuples, the same work at every n, so the n more values of
+        # wide_binder(2n) cost at most 5 cells each.
+        built = []
+        for width in (n, 2 * n):
+            cells.built = 0
+            normalize_by_evaluation(wide_binder(width), backend=TreeEnv)
+            built.append(cells.built)
+        assert built[1] - built[0] <= 5 * n
 
     @pytest.mark.parametrize("n", (1000, 2000, 4000))
     def test_wide_binder_agrees_across_backends(self, n):
@@ -722,8 +726,8 @@ class TestEnvironmentCalls:
         workloads = [
             build_workload(name, size)
             for name, size in (
-                ("wide-binder", 33),
-                ("distinct-spine", 33),
+                ("wide-binder", _FLAT + 33),
+                ("distinct-spine", _FLAT + 33),
                 ("church-mul", 30),
                 ("church-exp", 5),
             )
@@ -739,7 +743,7 @@ class TestEnvironmentCalls:
             for measure in ("calls", "cells", "max_len"):
                 listed = work["ListEnv", name, measure]
                 assert listed == work["TreeEnv", name, measure] > 0
-        assert work["TreeEnv", "split_at", "max_len"] >= 33
+        assert work["TreeEnv", "split_at", "max_len"] >= _FLAT + 33
         assert tree_lengths and min(tree_lengths) >= _FLAT
 
 
