@@ -9,8 +9,9 @@ Two observationally equal backends:
 
 * ListEnv: a shared-tail linked list; split and insert rebuild the
   prefix (linear in the split position).
-* TreeEnv: a sequence of fewer than _FLAT (512) elements is a bare
-  tuple, with no wrapper object; a longer one is a TreeEnv object, a
+* TreeEnv: a sequence shorter than _FLAT (512) is a bare tuple, with
+  no wrapper object, unless it was cut from a longer one and holds at
+  least _TREE_MIN (384); any other is a TreeEnv object, a
   weight-balanced binary tree (one element per node, weight ratio 3,
   single/double rotations) between two short cons chains, the left and
   right fingers. Exact environments hold only the values a body uses,
@@ -327,13 +328,17 @@ def _peel(cell: _Cons, count: int) -> tuple[list, Optional[_Cons]]:
 # multi-insert after a refill folds the whole finger back into the tree.
 _CHUNK = 64
 
-# The least length held as a TreeEnv object; a shorter sequence is a bare
-# tuple. It is about where a tuple peel, a slice of all but one value,
-# costs as much as a tree peel (BENCH_23.json's sweep). A finger holds at
-# most _CHUNK elements, so the tree between two fingers holds at least
-# _FLAT - 2 * _CHUNK, enough for a chunk, and a part cut out of a finger,
-# with a refill's chunk, holds fewer than 2 * _CHUNK and is a tuple.
+# The length at which a tuple becomes a TreeEnv object: about where a
+# tuple peel, a slice of all but one value, costs as much as a tree peel
+# (BENCH_23.json's sweep). A TreeEnv part turns back into a tuple only
+# below _TREE_MIN, so a sequence that crosses _FLAT back and forth pays
+# the O(_FLAT) build or copy once per 2 * _CHUNK one-value steps, not at
+# each step. A finger holds at most _CHUNK elements, so the tree between
+# two fingers holds at least _TREE_MIN - 2 * _CHUNK, enough for a chunk,
+# and a part cut out of a finger, with a refill's chunk, holds fewer
+# than 2 * _CHUNK and is a tuple.
 _FLAT = 512
+_TREE_MIN = _FLAT - 2 * _CHUNK
 
 
 def _gap_insert(
@@ -381,20 +386,20 @@ def _tree_env(
     length: int,
 ) -> tuple | TreeEnv:
     """The sequence of finger, node's tree and the right finger rfinger: a
-    TreeEnv from _FLAT up, a tuple below."""
-    if length >= _FLAT:
+    TreeEnv from _TREE_MIN up, a tuple below."""
+    if length >= _TREE_MIN:
         return TreeEnv(finger, flen, node, length, rfinger, rlen)
     return tuple(_rheads(rfinger, _values(node, _heads(finger, []))))
 
 
 class TreeEnv:
     """Persistent sequence held as a bare tuple when short, and otherwise
-    as a weight-balanced tree between two short cons chains, the left and
-    right fingers.
+    as a weight-balanced tree between two cons chains, the fingers.
 
     A sequence of fewer than _FLAT (512) elements is a plain tuple, not
     a TreeEnv: empty(), singleton() and from_values() return one, and so
-    do split_at and multi_insert for every part under the bound. Exact
+    do split_at and multi_insert of a tuple for every part under the
+    bound, and split_at of a TreeEnv for every part under _TREE_MIN. Exact
     environments are that short nearly always (they hold only the values
     a body uses), so there a split is two slices and a multi-insert one
     _gap_insert, and no wrapper object is built. The operations take
@@ -404,14 +409,15 @@ class TreeEnv:
     result reaches the bound makes the same one list build and then one
     balanced _build of it, one node per element.
 
-    A TreeEnv object holds at least _FLAT elements. Its left finger holds
-    the first _flen elements as a chain of exactly that many _Cons cells
-    ending in None; its right finger holds the last _rlen elements the
-    same way, last element first; the tree under _node holds the
-    elements between them; _length caches the total. The fingers are not
-    kept as tuples: a tuple finger would copy up to _CHUNK slots on every
-    short split, where a cons finger copies O(1) amortized. A split at
-    k, leaving n - k elements past it, costs:
+    A TreeEnv object holds at least _TREE_MIN (384) elements, so that a
+    sequence going back and forth across _FLAT is not rebuilt at each
+    step. Its left finger holds the first _flen elements as a chain of
+    exactly that many _Cons cells ending in None; its right finger holds
+    the last _rlen elements the same way, last element first; the tree
+    under _node holds the elements between them; _length caches the
+    total. The fingers are not kept as tuples: a tuple finger would copy
+    up to _CHUNK slots on every short split, where a cons finger copies
+    O(1) amortized. A split at k, leaving n - k elements past it, costs:
 
     * k new cells when k lies inside the left finger, as on ListEnv, and
       n - k new cells when it lies inside the right finger;
@@ -431,8 +437,8 @@ class TreeEnv:
 
     A part cut out of a finger, with a refill's chunk, holds fewer than
     2 * _CHUNK elements and is a tuple. Every other part that keeps finger
-    or tree cells is made by _tree_env, so a part shorter than _FLAT comes
-    back a tuple, at a cost of its length. A multi-insert folds each
+    or tree cells is made by _tree_env, so a part shorter than _TREE_MIN
+    comes back a tuple, at a cost of its length. A multi-insert folds each
     finger into the tree with one _join and then inserts every position
     in one pass. Only splits make fingers, so no finger holds more than
     _CHUNK elements.
@@ -579,9 +585,9 @@ class TreeEnv:
 
 
 def tree_is_balanced(env: tuple | TreeEnv) -> bool:
-    """Check a TreeEnv backend sequence's shape (test helper). One
-    shorter than _FLAT is an exact tuple. A TreeEnv object holds at least
-    _FLAT elements: its left finger has exactly _flen cells, its right
+    """Check a TreeEnv backend sequence's shape (test helper). A tuple
+    is shorter than _FLAT. A TreeEnv object holds at least _TREE_MIN
+    elements: its left finger has exactly _flen cells, its right
     finger exactly _rlen, neither more than _CHUNK, the cached length is
     the two fingers plus the tree, and every tree node has a correct size
     and meets the weight-balance criterion."""
@@ -591,7 +597,7 @@ def tree_is_balanced(env: tuple | TreeEnv) -> bool:
         return False
     cells = len(_heads(env._finger, []))
     rcells = len(_heads(env._rfinger, []))
-    if env._length < _FLAT or cells != env._flen or rcells != env._rlen:
+    if env._length < _TREE_MIN or cells != env._flen or rcells != env._rlen:
         return False
     if max(cells, rcells) > _CHUNK:
         return False

@@ -18,11 +18,12 @@ Evaluation dispatches six ways, each costing one fuel unit:
 The six rules are written once, in the big-step evaluator's loop
 (_run). An environment is a ListEnv, a TreeEnv or, for a tree-backend
 sequence shorter than envseq._FLAT (512 values, so nearly every exact
-environment), a bare tuple. _run calls a tuple's split and insert
-through the class, as TreeEnv.split_at(env, k), and any other
-environment's through its own methods, so every split and insert is a
-call to the backend class's attribute; it reads a dot's value off a
-tuple by index, after checking its length.
+environment) that was not split off a longer one, a bare tuple. _run
+calls a tuple's split and insert through the class, as
+TreeEnv.split_at(env, k), and any other environment's through its own
+methods, so every split and insert is a call to the backend class's
+attribute; it reads a dot's value off a tuple by index, after checking
+its length.
 
 The one-step machine that the trace checker (verify_trace) steps is
 that loop refocused: step decomposes a machine expression into _run's

@@ -8,7 +8,14 @@ from types import SimpleNamespace
 import pytest
 
 from ordlam import envseq
-from ordlam.envseq import _FLAT, BACKENDS, ListEnv, TreeEnv, tree_is_balanced
+from ordlam.envseq import (
+    _FLAT,
+    _TREE_MIN,
+    BACKENDS,
+    ListEnv,
+    TreeEnv,
+    tree_is_balanced,
+)
 from ordlam.errors import InvariantError
 
 
@@ -21,6 +28,15 @@ def _fingers(env):
     """A tree-backend sequence's left and right finger lengths; a tuple
     has no fingers."""
     return (0, 0) if type(env) is tuple else (env._flen, env._rlen)
+
+
+def _tree_of(values):
+    """A TreeEnv object holding values, at least _TREE_MIN of them, however
+    few: the rest of a tree of at least _FLAT once a prefix is split off."""
+    pad = [None] * max(_FLAT - len(values), 1)
+    env = TreeEnv.split_at(TreeEnv.from_values(pad + list(values)), len(pad))[1]
+    assert type(env) is TreeEnv
+    return env
 
 
 class TestBasics:
@@ -206,24 +222,35 @@ def _either_end_k(rng, length):
 
 
 def _check_agreement(
-    rng, lengths, programs, steps, draw_kvec, draw_k=_uniform_k, keep_first_share=0.5
+    rng,
+    lengths,
+    programs,
+    steps,
+    draw_kvec,
+    draw_k=_uniform_k,
+    keep_first_share=0.5,
+    start=TreeEnv.from_values,
 ):
     """Run random split/insert programs on both backends against a list
-    model, each from a length drawn from the lengths range (inclusive);
-    the tree stays balanced and every version persists. A split
-    keeps its first part with probability keep_first_share, or, when
-    that is None, its longer part; the other part is checked too. Returns
-    how many tree versions had a non-empty left finger, right finger and
-    both, and how many steps took the length across _FLAT upwards and
-    downwards."""
-    seen = SimpleNamespace(with_finger=0, with_rfinger=0, with_both=0, up=0, down=0)
+    model, each from a length drawn from the lengths range (inclusive),
+    the tree backend's sequence made by start; the tree stays balanced
+    and every version persists. A split keeps its first part with
+    probability keep_first_share, or, when that is None, its longer part;
+    the other part is checked too. Returns how many tree versions were
+    TreeEnv objects and had a non-empty left finger, right finger and
+    both, how many steps took the length across _FLAT upwards and
+    downwards, and how many turned a TreeEnv object into a tuple."""
+    seen = SimpleNamespace(
+        trees=0, with_finger=0, with_rfinger=0, with_both=0, up=0, down=0, flattened=0
+    )
     for _ in range(programs):
         model = list(range(rng.randint(*lengths)))
         lst = ListEnv.from_values(model)
-        tree = TreeEnv.from_values(model)
+        tree = start(model)
         history = [(model[:], lst, tree)]
         for _ in range(steps):
             before = len(model)
+            was_tree = type(tree) is TreeEnv
             if rng.random() < 0.5 and model:
                 k = draw_k(rng, len(model))
                 if keep_first_share is None:
@@ -255,6 +282,8 @@ def _check_agreement(
             assert len(lst) == len(tree) == len(model)
             assert tree_is_balanced(tree)
             flen, rlen = _fingers(tree)
+            seen.trees += type(tree) is TreeEnv
+            seen.flattened += was_tree and type(tree) is tuple
             seen.with_finger += flen > 0
             seen.with_rfinger += rlen > 0
             seen.with_both += flen > 0 and rlen > 0
@@ -272,9 +301,24 @@ def _check_agreement(
 class TestBackendAgreement:
     def test_random_programs(self):
         _check_agreement(random.Random(1234), (0, 12), 60, 40, _random_kvec)
+        # The same programs on TreeEnv objects: lengths from the bound up,
+        # splits anywhere that keep the longer part, and one to three
+        # positions anywhere.
+        lengths = (_FLAT, _FLAT + 80)
+        seen = _check_agreement(
+            random.Random(1235), lengths, 60, 40, _random_kvec, _uniform_k, None
+        )
+        assert seen.trees > 100 and seen.flattened > 30
 
     def test_random_programs_with_long_kvecs(self):
         _check_agreement(random.Random(4321), (0, 80), 40, 16, _long_kvec)
+        # Dozens of positions inserted into TreeEnv objects in one pass,
+        # folding the fingers that splits at either end make.
+        lengths = (_FLAT, _FLAT + 80)
+        seen = _check_agreement(
+            random.Random(4322), lengths, 40, 16, _long_kvec, _either_end_k, None
+        )
+        assert seen.trees > 300 and seen.with_finger > 50 and seen.with_rfinger > 50
 
     def test_short_splits_and_inserts_at_the_finger(self):
         # Short splits that keep the longer rest refill the tree's finger;
@@ -289,7 +333,8 @@ class TestBackendAgreement:
     def test_programs_across_the_flat_bound(self):
         # Lengths from 8 under the bound to 4 past it: short splits that
         # keep the longer part and inserts of up to five positions take
-        # sequences between the flat state and the tree, both ways.
+        # sequences across the bound both ways; a tuple that reaches it
+        # becomes a tree, which stays one on the way back down.
         lengths = (_FLAT - 8, _FLAT + 4)
         seen = _check_agreement(
             random.Random(8642), lengths, 200, 30, _few_kvec, _short_k, None
@@ -317,6 +362,18 @@ class TestBackendAgreement:
         assert seen.with_finger > 300 and seen.with_rfinger > 300
         assert seen.with_both > 100
 
+    def test_programs_across_the_lower_bound(self):
+        # TreeEnv objects from _TREE_MIN to 4 past it: short splits that
+        # keep the longer part take them under _TREE_MIN, where a part
+        # turns back into a tuple, and inserts of up to five positions go
+        # into TreeEnv objects shorter than _FLAT.
+        lengths = (_TREE_MIN, _TREE_MIN + 4)
+        for seed, draw_k in ((7531, _short_k), (7532, _end_k)):
+            seen = _check_agreement(
+                random.Random(seed), lengths, 100, 30, _few_kvec, draw_k, None, _tree_of
+            )
+            assert seen.trees > 500 and seen.flattened > 40
+
     @pytest.mark.parametrize("extra", (8, 9, 16, 24, 40, 100, 5000))
     def test_splits_near_the_ends_of_a_sequence_with_both_fingers(self, extra):
         # A sequence extra elements past the flat bound; once both fingers
@@ -334,13 +391,18 @@ class TestBackendAgreement:
             assert list(first) == values[:k] and list(rest) == values[k:]
             assert tree_is_balanced(first) and tree_is_balanced(rest)
 
-    @pytest.mark.parametrize("size", (0, 1, 2, 3, 7, 100))
+    @pytest.mark.parametrize("size", (0, 1, 2, 3, 7, 100, _FLAT, _FLAT + 100))
     @pytest.mark.parametrize("copies", (1, 2, 5, 300))
     def test_copies_at_one_position_stay_balanced(self, size, copies):
+        # From _FLAT up the copies go into a TreeEnv object: _insert_all
+        # builds a run of them where they land in an empty subtree and
+        # joins it into the tree.
         model = list(range(size))
+        env = TreeEnv.from_values(model)
+        assert (type(env) is TreeEnv) == (size >= _FLAT)
         for pos in sorted({0, size // 2, size}):
             kvec = (pos,) + (0,) * (copies - 1)
-            tree = TreeEnv.multi_insert(TreeEnv.from_values(model), kvec, "w")
+            tree = TreeEnv.multi_insert(env, kvec, "w")
             assert list(tree) == model[:pos] + ["w"] * copies + model[pos:]
             assert tree_is_balanced(tree)
 
@@ -466,8 +528,10 @@ class TestAllocationCosts:
 
     @staticmethod
     def _peel_to_the_end(cells, env, peel):
-        """Peel the tuple a sequence ends as down to one value: each such
-        split copies its tuple, fewer than _FLAT slots."""
+        """Peel a sequence of _FLAT values down to one: each peel of its
+        TreeEnv object (a refill, or its one copy into a tuple under
+        _TREE_MIN) and each slice of the tuple it then is builds at most
+        _FLAT cells or slots."""
         while len(env) > 1:
             cells.built = 0
             env = peel(env)
@@ -479,8 +543,8 @@ class TestAllocationCosts:
         # Evaluation peels one element at a time off the front of a long
         # environment. Above the flat bound the finger makes each peel
         # O(1) cells amortized: one refill's O(log n) split and its chain
-        # of _CHUNK cells serve _CHUNK peels. Below it each peel slices a
-        # tuple, at most _FLAT slots.
+        # of _CHUNK cells serve _CHUNK peels. Below it each peel builds at
+        # most _FLAT cells or tuple slots.
         env = TreeEnv.from_values(range(_FLAT + size))
         cells.built = 0
         for i in range(size):
@@ -498,7 +562,7 @@ class TestAllocationCosts:
         # A spine c M1 ... Mn splits its environment just before the last
         # element at each application; above the flat bound the right
         # finger makes each such split O(1) cells amortized, and below it
-        # each slices a tuple, at most _FLAT slots.
+        # each builds at most _FLAT cells or tuple slots.
         n = _FLAT + size
         env = TreeEnv.from_values(range(n))
         cells.built = 0
@@ -543,6 +607,26 @@ class TestAllocationCosts:
             result = TreeEnv.multi_insert(env, kvec, "w")
             assert cells.built <= (1 + len(kvec)) * (10 * math.log2(size) + 10)
             assert len(result) == n + len(kvec) and tree_is_balanced(result)
+
+    @pytest.mark.parametrize("end", ("left", "right"))
+    def test_crossing_the_bound_back_and_forth_builds_one_tree(self, cells, end):
+        # A binder that binds one value and a split that drops it again,
+        # on a tuple one short of the bound. The first insert builds a
+        # tree of _FLAT nodes; its parts stay TreeEnv objects down to
+        # _TREE_MIN, so each later pair folds a finger into the tree and
+        # refills it, 2 * _CHUNK cells and two O(log n) paths, and never
+        # builds or copies the whole sequence again.
+        env = TreeEnv.from_values(range(_FLAT - 1))
+        cells.built = 0
+        for i in range(200):
+            if end == "left":
+                env = TreeEnv.multi_insert(env, (0,), i)
+                first, env = TreeEnv.split_at(env, 1)
+            else:
+                env = TreeEnv.multi_insert(env, (len(env),), i)
+                env, first = TreeEnv.split_at(env, len(env) - 1)
+            assert first == (i,) and type(env) is TreeEnv
+        assert cells.built <= _FLAT + 200 * 4 * envseq._CHUNK
 
     @pytest.mark.parametrize("copies", (1, 2, 3, 10, 100, 900))
     def test_tree_copies_into_empty_one_cell_each(self, cells, copies):
@@ -634,14 +718,17 @@ class TestTreeShapeCheck:
         assert tree_is_balanced(("a", "b"))
         assert tree_is_balanced(())
         assert tree_is_balanced(tuple(range(_FLAT - 1)))
+        # A TreeEnv object cut down to _TREE_MIN, under _FLAT, is kept.
+        least = envseq._build(list(range(_TREE_MIN)), 0, _TREE_MIN)
+        assert tree_is_balanced(TreeEnv(None, 0, least, _TREE_MIN))
         leaf = envseq._node(None, "b", None)
-        short = envseq._build(list(range(_FLAT - 1)), 0, _FLAT - 1)
+        short = envseq._build(list(range(_TREE_MIN - 1)), 0, _TREE_MIN - 1)
         for bad in (
             ["a", "b"],  # not a tuple
             tuple(range(_FLAT)),  # at the bound
             TreeEnv(None, 0, None, 0),  # an empty object
             TreeEnv(envseq._Cons("a", None), 1, leaf, 2),  # short, not a tuple
-            TreeEnv(None, 0, short, _FLAT - 1),
+            TreeEnv(None, 0, short, _TREE_MIN - 1),
         ):
             assert not tree_is_balanced(bad)
 
@@ -655,10 +742,10 @@ class TestTreeShapeCheck:
 class TestFlatState:
     def test_a_refill_fills_a_finger_shorter_than_the_bound(self):
         # A finger holds at most a chunk, so the tree of a TreeEnv holds
-        # at least _FLAT - 2 * _CHUNK elements, from which a refill takes
-        # a chunk; a part cut out of a finger, with a refill's chunk, has
-        # fewer than 2 * _CHUNK and comes back a tuple.
-        assert 1 < 3 * envseq._CHUNK <= _FLAT
+        # at least _TREE_MIN - 2 * _CHUNK elements, from which a refill
+        # takes a chunk; a part cut out of a finger, with a refill's chunk,
+        # has fewer than 2 * _CHUNK and comes back a tuple.
+        assert 1 < 3 * envseq._CHUNK <= _TREE_MIN < _FLAT
         env = TreeEnv.from_values(range(_FLAT + 1))
         first, rest = TreeEnv.split_at(env, 1)
         assert first == (0,) and _fingers(rest) == (envseq._CHUNK - 1, 0)
@@ -666,9 +753,25 @@ class TestFlatState:
         assert last == (_FLAT,) and _fingers(rest) == (0, envseq._CHUNK - 1)
 
     @staticmethod
-    def _check_state(env):
-        assert (type(env) is tuple) == (len(env) < _FLAT)
+    def _check_state(env, source=()):
+        # A tuple becomes a TreeEnv object at _FLAT; a part of a TreeEnv
+        # object turns back into a tuple only under _TREE_MIN.
+        bound = _FLAT if type(source) is tuple else _TREE_MIN
+        assert (type(env) is tuple) == (len(env) < bound)
         assert tree_is_balanced(env)
+
+    @classmethod
+    def _check_every_result(cls, env, values):
+        size = len(values)
+        for k in range(size + 1):
+            first, rest = TreeEnv.split_at(env, k)
+            cls._check_state(first, env)
+            cls._check_state(rest, env)
+            assert list(first) + list(rest) == values
+        for kvec in [(0,), (size,), (0,) * 9, (1,) * min(size, 9), (size // 2, 0)]:
+            result = TreeEnv.multi_insert(env, kvec, "w")
+            cls._check_state(result, env)
+            assert len(result) == size + len(kvec)
 
     @pytest.mark.parametrize("size", (*range(0, 25), _FLAT - 1, _FLAT, _FLAT + 1))
     def test_every_result_under_the_bound_is_flat(self, size):
@@ -677,15 +780,14 @@ class TestFlatState:
         self._check_state(env)
         self._check_state(TreeEnv.singleton("v"))
         self._check_state(TreeEnv.empty())
-        for k in range(size + 1):
-            first, rest = TreeEnv.split_at(env, k)
-            self._check_state(first)
-            self._check_state(rest)
-            assert list(first) + list(rest) == values
-        for kvec in [(0,), (size,), (0,) * 9, (1,) * min(size, 9), (size // 2, 0)]:
-            result = TreeEnv.multi_insert(env, kvec, "w")
-            self._check_state(result)
-            assert len(result) == size + len(kvec)
+        self._check_every_result(env, values)
+
+    @pytest.mark.parametrize("size", (_TREE_MIN, _TREE_MIN + 1, _FLAT - 1))
+    def test_a_tree_cut_under_the_bound_stays_a_tree(self, size):
+        values = list(range(size))
+        env = _tree_of(values)
+        assert list(env) == values and tree_is_balanced(env)
+        self._check_every_result(env, values)
 
     def test_flat_operations_build_only_their_slots(self, cells):
         env = TreeEnv.from_values(range(6))
@@ -869,14 +971,23 @@ MUTANTS = {
         "test_window_inside_a_buffer",
         (),
     ),
-    "a split leaves a tuple of length _FLAT": (
+    "a split leaves a tuple of length _TREE_MIN": (
         envseq,
         "_tree_env",
-        "if length >= _FLAT:",
-        "if length > _FLAT:",
+        "if length >= _TREE_MIN:",
+        "if length > _TREE_MIN:",
         "TestFlatState",
         "test_every_result_under_the_bound_is_flat",
         (_FLAT + 1,),
+    ),
+    "a split turns a tree back into a tuple under _FLAT": (
+        envseq,
+        "_tree_env",
+        "if length >= _TREE_MIN:",
+        "if length >= _FLAT:",
+        "TestFlatState",
+        "test_a_tree_cut_under_the_bound_stays_a_tree",
+        (_FLAT - 1,),
     ),
     "an insert leaves a tuple of length _FLAT": (
         TreeEnv,

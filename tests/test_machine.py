@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from ordlam import machine
-from ordlam.envseq import _FLAT, BACKENDS, ListEnv, TreeEnv, _Cons
+from ordlam.envseq import _FLAT, _TREE_MIN, BACKENDS, ListEnv, TreeEnv, _Cons
 from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
 from ordlam.machine import (
@@ -661,8 +661,9 @@ class TestNormalizeByEvaluation:
         # just before the last value; the tree's right finger serves those
         # splits in O(1) cells amortized, where a split of the tree itself
         # would copy an O(log n) path each time. The last _FLAT - 1 splits
-        # slice tuples, the same work at every n, so the n more values of
-        # wide_binder(2n) cost at most 5 cells each.
+        # (of a TreeEnv object down to _TREE_MIN, then of tuples) are the
+        # same work at every n, so the n more values of wide_binder(2n)
+        # cost at most 5 cells each.
         built = []
         for width in (n, 2 * n):
             cells.built = 0
@@ -700,8 +701,12 @@ class TestEnvironmentCalls:
                 work[key + ("max_len",)] = max(work[key + ("max_len",)], len(env))
                 result = operation(env, *args)
                 if backend is TreeEnv:
+                    # A tuple becomes a TreeEnv object at _FLAT, and a
+                    # TreeEnv object's part turns back into a tuple under
+                    # _TREE_MIN.
+                    bound = _FLAT if type(env) is tuple else _TREE_MIN
                     for part in result if name == "split_at" else (result,):
-                        assert (type(part) is tuple) == (len(part) < _FLAT)
+                        assert (type(part) is tuple) == (len(part) < bound)
                 return result
 
             return counted
@@ -744,7 +749,8 @@ class TestEnvironmentCalls:
                 listed = work["ListEnv", name, measure]
                 assert listed == work["TreeEnv", name, measure] > 0
         assert work["TreeEnv", "split_at", "max_len"] >= _FLAT + 33
-        assert tree_lengths and min(tree_lengths) >= _FLAT
+        assert tree_lengths and min(tree_lengths) >= _TREE_MIN
+        assert min(tree_lengths) < _FLAT
 
 
 class TestVerifyTrace:
