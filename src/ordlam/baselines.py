@@ -32,7 +32,6 @@ same front end as the ordered one.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from .envseq import _Cons, _heads
@@ -50,66 +49,50 @@ from .machine import (
     value_node_count,
 )
 from .named import App, FuelExhausted, Lam, NamedTerm, Var, fresh_names
-from .named import Term, _cache_bottom_up, _union
+from .named import Term
 
 
 class DbTerm(Term):
     """Base class for de Bruijn terms (BVar / FVar / DApp / DLam).
 
-    Terms compare and hash structurally, as every Term. Each node keeps
-    a __dict__ slot for its cached free_names.
+    Terms compare and hash structurally, as every Term. Nodes hold their
+    constructor fields and no caches; db_free_names walks for the names.
     """
 
     __slots__ = ()
 
 
 class BVar(DbTerm):
-    __slots__ = ("index", "__dict__")
+    __slots__ = ("index",)
     __match_args__ = ("index",)
 
     def __init__(self, index: int):
         _bvar_index(self, index)
 
-    @cached_property
-    def free_names(self) -> frozenset[str]:
-        return frozenset()
-
 
 class FVar(DbTerm):
-    __slots__ = ("name", "__dict__")
+    __slots__ = ("name",)
     __match_args__ = ("name",)
 
     def __init__(self, name: str):
         _fvar_name(self, name)
 
-    @cached_property
-    def free_names(self) -> frozenset[str]:
-        return frozenset((self.name,))
-
 
 class DApp(DbTerm):
-    __slots__ = ("fun", "arg", "__dict__")
+    __slots__ = ("fun", "arg")
     __match_args__ = ("fun", "arg")
 
     def __init__(self, fun: DbTerm, arg: DbTerm):
         _dapp_fun(self, fun)
         _dapp_arg(self, arg)
 
-    @cached_property
-    def free_names(self) -> frozenset[str]:
-        return _cache_bottom_up(self, "free_names", _free_names_here, DApp, DLam)
-
 
 class DLam(DbTerm):
-    __slots__ = ("body", "__dict__")
+    __slots__ = ("body",)
     __match_args__ = ("body",)
 
     def __init__(self, body: DbTerm):
         _dlam_body(self, body)
-
-    @cached_property
-    def free_names(self) -> frozenset[str]:
-        return _cache_bottom_up(self, "free_names", _free_names_here, DApp, DLam)
 
 
 # Each slot's member-descriptor setter, as in named.
@@ -120,10 +103,19 @@ _dapp_arg = DApp.__dict__["arg"].__set__
 _dlam_body = DLam.__dict__["body"].__set__
 
 
-def _free_names_here(u: DbTerm) -> frozenset[str]:
-    if type(u) is DApp:
-        return _union(u.fun.free_names, u.arg.free_names)
-    return u.body.free_names if type(u) is DLam else u.free_names
+def db_free_names(t: DbTerm) -> frozenset[str]:
+    """Names of all FVar nodes in t, which are its free names."""
+    names = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is DApp:
+            stack += (t.arg, t.fun)
+        elif type(t) is DLam:
+            stack.append(t.body)
+        elif type(t) is FVar:
+            names.append(t.name)
+    return frozenset(names)
 
 
 # Work items of the loops below, besides terms: None applies the second
@@ -246,7 +238,7 @@ class DbClosure:
 
     def body_names(self) -> frozenset[str]:
         """Names free in the closure's body."""
-        return self.lam.free_names
+        return db_free_names(self.lam)
 
 
 DbValue = Union[Spine, DbClosure]
@@ -340,7 +332,7 @@ def db_print_value(v: DbValue) -> NamedTerm:
 
 def from_debruijn(t: DbTerm, avoid: frozenset[str] = frozenset()) -> NamedTerm:
     """Name the binders of a de Bruijn term with deterministic fresh names."""
-    return _db_print((_TERM, t, 0, _UNBOUND), fresh_names(t.free_names | avoid))
+    return _db_print((_TERM, t, 0, _UNBOUND), fresh_names(db_free_names(t) | avoid))
 
 
 def _db_print(task: tuple, fresh: Iterator[str]) -> NamedTerm:

@@ -180,7 +180,8 @@ def _equal(a, b) -> bool:
                 return False
             stack.extend(zip(args_a, args_b))
         elif kind is Pending:
-            if a.term != b.term or len(a.env) != len(b.env):
+            # Equal terms have equal fv, so their environments equal length.
+            if a.term != b.term:
                 return False
             stack.extend(zip(a.env, b.env))
         elif kind is Done:
@@ -237,15 +238,12 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
                 stack.append((_FRAME_ARG, term.arg, env_arg))
                 control = (term.fun, env_fun)
             elif kind is Dot:
-                if type(env) is tuple:
-                    if len(env) != 1:
-                        _sync()
-                        raise InvariantError(
-                            f"dot evaluated in environment of length {len(env)}"
-                        )
-                    control = env[0]
-                else:
-                    control = env.sole()
+                if len(env) != 1:
+                    _sync()
+                    raise InvariantError(
+                        f"dot evaluated in environment of length {len(env)}"
+                    )
+                control = env[0] if type(env) is tuple else env.sole()
                 is_value = True
             elif kind is OLam:
                 control = Closure(term, env)

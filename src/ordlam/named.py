@@ -203,18 +203,18 @@ _lam_binder = Lam.__dict__["binder"].__set__
 _lam_body = Lam.__dict__["body"].__set__
 
 
-def _cache_bottom_up(t, attr: str, here, app=App, lam=Lam):
+def _cache_bottom_up(t, attr: str, here):
     """Cache attr on t and on every node below it that lacks it, children
-    first (app nodes have a fun and an arg, lam nodes a body); here(u)
-    computes u's value from its children's. Returns t's value."""
+    first; here(u) computes u's value from its children's. Returns t's
+    value."""
     stack = [t]
     while stack:
         u = stack.pop()
         if attr in u.__dict__:
             continue
-        if type(u) is app and not (attr in u.fun.__dict__ and attr in u.arg.__dict__):
+        if type(u) is App and not (attr in u.fun.__dict__ and attr in u.arg.__dict__):
             stack += (u, u.arg, u.fun)
-        elif type(u) is lam and attr not in u.body.__dict__:
+        elif type(u) is Lam and attr not in u.body.__dict__:
             stack += (u, u.body)
         else:
             u.__dict__[attr] = here(u)

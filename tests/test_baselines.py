@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,8 @@ from ordlam.baselines import (
     DbClosure,
     DLam,
     FVar,
+    db_apply,
+    db_free_names,
     db_normalize_by_evaluation,
     db_print_value,
     db_value_node_count,
@@ -18,6 +21,7 @@ from ordlam.baselines import (
     to_debruijn,
 )
 from ordlam.envseq import _Cons
+from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
 from ordlam.machine import Spine, value_node_count, whnf
 from ordlam.named import (
@@ -65,6 +69,18 @@ class TestToDebruijn:
 
     def test_free_names_preserved(self):
         assert to_debruijn(parse_surface("a b")) == DApp(FVar("a"), FVar("b"))
+
+    def test_free_names_are_the_fvar_names(self):
+        t = to_debruijn(parse_surface(r"\x. f x (\y. g y x) f"))
+        assert db_free_names(t) == {"f", "g"}
+        assert db_free_names(t.body.fun.arg) == {"g"}
+        assert db_free_names(BVar(0)) == frozenset()
+
+    def test_unbound_index_is_internal_error(self):
+        with pytest.raises(InvariantError, match="^unbound index 0 at depth 0$"):
+            from_debruijn(BVar(0))
+        with pytest.raises(InvariantError, match="^unbound index 1 at depth 1$"):
+            from_debruijn(DLam(BVar(1)))
 
     def test_shadowing(self):
         assert to_debruijn(parse_surface(r"\x.\x. x")) == DLam(DLam(BVar(0)))
@@ -120,6 +136,18 @@ class TestEvalClosures:
 
     def test_divergence(self):
         assert isinstance(db_whnf(OMEGA, fuel=500), FuelExhausted)
+
+    def test_fuel_runs_out_at_an_apply(self):
+        # Three steps reach the closure and its argument, the fourth enters
+        # the closure and the fifth looks up its bound index.
+        identity_applied = parse_surface(r"(\x. x) a")
+        assert db_whnf(identity_applied, fuel=3) == FuelExhausted(3)
+        assert db_whnf(identity_applied, fuel=5) == Spine("a")
+
+    def test_index_past_the_environment_is_internal_error(self):
+        closure = DbClosure(DLam(BVar(1)), None)
+        with pytest.raises(InvariantError, match="^environment too short for index 1$"):
+            db_apply(closure, Spine("a"))
 
     def test_scope_wide_environment_retains_dead_values(self):
         n = 50
@@ -196,7 +224,7 @@ class TestDeepDbTerms:
 
     def test_conversions(self):
         db = to_debruijn(self.numeral())
-        assert db.free_names == frozenset()
+        assert db_free_names(db) == frozenset()
         assert locally_closed(db)
         assert not locally_closed(db.body)
         assert print_surface(from_debruijn(db)) == self.numeral_text("z0", "z1")
@@ -323,3 +351,41 @@ class TestStrategyAgreement:
                 assert alpha_eq(result, oracle)
                 checked += 1
         assert checked > 100
+
+
+def distinct_names(n: int):
+    """c a0 ... a(n-1)."""
+    t = Var("c")
+    for i in range(n):
+        t = App(t, Var(f"a{i}"))
+    return t
+
+
+def peak_bytes(call, m) -> int:
+    """The tracemalloc peak of call(m); m is built before tracing starts."""
+    tracemalloc.start()
+    try:
+        call(m)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNameSpace:
+    # Printing reads a term's free names with one walk, so a spine of n
+    # distinct names costs O(n) space, not a set of names per node.
+    @pytest.mark.parametrize(
+        "build, call",
+        [
+            (
+                lambda n: Lam("x", App(distinct_names(n), Var("x"))),
+                lambda m: db_print_value(db_whnf(m)),
+            ),
+            (distinct_names, lambda m: from_debruijn(to_debruijn(m))),
+        ],
+        ids=["closure-print", "from-debruijn"],
+    )
+    def test_peak_grows_linearly(self, build, call):
+        peaks = [peak_bytes(call, build(n)) for n in (1000, 2000, 4000)]
+        assert all(b <= 2.5 * a for a, b in zip(peaks, peaks[1:])), peaks
+        assert peaks[-1] < 2 * 2**20, peaks

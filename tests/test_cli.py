@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import ordlam
-from ordlam import cli
+from ordlam import bench, cli, machine
 from ordlam.cli import main
-from ordlam.named import alpha_eq, parse_surface
+from ordlam.named import Var, alpha_eq, parse_surface
+from ordlam.ordered import DOT, Free, OApp
 
 
 def write(tmp_path, name, text):
@@ -363,6 +365,43 @@ class TestErrors:
         monkeypatch.setattr(cli, "cmd_eval", too_deep)
         assert main(["eval", write(tmp_path, "t.lam", "a")]) == 1
         assert capsys.readouterr().err == "input nested too deeply to process\n"
+
+
+class TestInvariantBreach:
+    """Exit 3, reached by a fault put into the program."""
+
+    def test_failed_check_obligation(self, tmp_path, capsys, monkeypatch):
+        # A weight that never grows fails the obligation on each non-beta step.
+        monkeypatch.setattr(machine, "weight", lambda e: 0)
+        assert main(["check", write(tmp_path, "t.lam", r"(\x. x) a")]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "RESULT: FAIL"
+        assert err and all(
+            line.endswith("weight did not increase") for line in err.splitlines()
+        )
+
+    def test_digest_mismatch(self, tmp_path, capsys, monkeypatch):
+        wrong = dataclasses.replace(
+            bench.STRATEGIES["beta-normal"], whnf=lambda m, fuel: Var("wrong")
+        )
+        monkeypatch.setitem(bench.STRATEGIES, "beta-normal", wrong)
+        argv = ["bench", "--workload", "church-add", "--size", "3", "--reps", "1"]
+        argv += ["--strategies", "ordered-tree,beta-normal"]
+        assert main(argv + ["--out", str(tmp_path / "runs" / "mismatch")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "refusing to emit records: strategies disagree on church-add size 3: "
+        )
+        assert not (tmp_path / "runs").exists()
+
+    def test_internal_error_of_any_command(self, tmp_path, capsys, monkeypatch):
+        # A translation that leaves a dot unbound: evaluation refuses it.
+        monkeypatch.setattr(machine, "parse_closed", lambda m: OApp(DOT, 0, Free("a")))
+        assert main(["eval", write(tmp_path, "t.lam", "a")]) == 3
+        assert capsys.readouterr().err == (
+            "internal invariant breach: "
+            "environment has 0 entries, term has 1 unbound dots\n"
+        )
 
 
 class TestFreshInterpreter:

@@ -53,6 +53,13 @@ class TestBasics:
         vals = list(range(17))
         assert list(backend.from_values(vals)) == vals
 
+    def test_sole_needs_exactly_one_value(self):
+        assert ListEnv.singleton("v").sole() == "v"
+        for vals in ([], [1, 2]):
+            message = rf"^sole\(\) on sequence of length {len(vals)}$"
+            with pytest.raises(InvariantError, match=message):
+                ListEnv.from_values(vals).sole()
+
 
 class TestSplitAt:
     def test_worked_example(self, backend):
@@ -74,11 +81,13 @@ class TestSplitAt:
         assert list(second) == []
 
     def test_out_of_range(self, backend):
-        env = backend.from_values([1, 2])
-        with pytest.raises(InvariantError):
-            backend.split_at(env, 3)
-        with pytest.raises(InvariantError):
-            backend.split_at(env, -1)
+        # On the tree backend, 2 values are a tuple, _FLAT + 88 a TreeEnv.
+        for n in (2, _FLAT + 88):
+            env = backend.from_values(range(n))
+            for k in (n + 1, -1):
+                message = f"^split position {k} outside sequence of length {n}$"
+                with pytest.raises(InvariantError, match=message):
+                    backend.split_at(env, k)
 
     def test_split_then_concat_identity(self, backend):
         vals = list(range(23))
@@ -122,9 +131,11 @@ class TestMultiInsert:
             assert len(backend.multi_insert(env, kvec, "w")) == 10 + len(kvec)
 
     def test_overcommitted_positions(self, backend):
-        env = backend.from_values([1, 2])
-        with pytest.raises(InvariantError):
-            backend.multi_insert(env, (3,), "w")
+        for n in (2, _FLAT + 88):
+            env = backend.from_values(range(n))
+            message = f"^insert positions need {n + 1} elements, sequence has {n}$"
+            with pytest.raises(InvariantError, match=message):
+                backend.multi_insert(env, (1, n), "w")
 
     def test_window_inside_a_buffer(self):
         # The printer inserts into a window of its buffer: the copy starts

@@ -122,17 +122,22 @@ class TestEvaluate:
             evaluate(OApp(Free("a"), 1, DOT), backend.singleton(spine("v")))
 
     @pytest.mark.parametrize(
-        "backend, message",
-        [
-            (ListEnv, r"^sole\(\) on sequence of length 0$"),
-            (TreeEnv, "^dot evaluated in environment of length 0$"),
-        ],
-        ids=["list", "tree"],
+        "backend, n",
+        [(ListEnv, 2), (TreeEnv, 2), (TreeEnv, _FLAT + 88)],
+        ids=["list", "tree", "tree-object"],
     )
-    def test_dot_under_a_non_singleton_environment(self, backend, message):
-        # The split hands the dot no value and the free variable one.
+    def test_dot_under_a_non_singleton_environment(self, backend, n):
+        # The split hands the dot all n values and the spine of dots none.
+        # The tree backend holds 2 values in a tuple, _FLAT + 88 in a
+        # TreeEnv object.
+        env = backend.from_values([spine(f"v{i}") for i in range(n)])
+        assert (type(env) is TreeEnv) == (n > _FLAT)
+        dots = DOT
+        for _ in range(n - 2):
+            dots = OApp(dots, dots.fv, DOT)
+        message = f"^dot evaluated in environment of length {n}$"
         with pytest.raises(InvariantError, match=message):
-            evaluate(OApp(DOT, 0, Free("a")), backend.singleton(spine("v")))
+            evaluate(OApp(DOT, n, dots), env)
 
     @pytest.mark.parametrize("backend", [ListEnv, TreeEnv], ids=["list", "tree"])
     def test_split_past_the_end_of_the_environment(self, backend):
@@ -293,6 +298,24 @@ class TestPrinting:
         with pytest.raises(InvariantError, match=message):
             print_expr(Pending(t, TreeEnv.from_values(values)))
 
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            (OApp(DOT, 3, DOT), "^application split exceeds environment length$"),
+            (OApp(DOT, 2, DOT), "^dot printed under environment of length 2$"),
+            (
+                OApp(Free("a"), 1, DOT),
+                "^free variable printed under a non-empty environment$",
+            ),
+        ],
+        ids=["split", "dot", "free"],
+    )
+    def test_split_disagreeing_with_its_function_is_internal_error(self, t, message):
+        # Each split differs from its function part's fv, so the printer
+        # meets a node whose window does not fit it.
+        with pytest.raises(InvariantError, match=message):
+            print_ordered(t, [spine(f"v{i}") for i in range(t.fv)])
+
     def test_pending_prints_as_its_term(self):
         e = Pending(parse_closed(S_NAMED), ListEnv.empty())
         assert alpha_eq(print_expr(e), S_NAMED)
@@ -364,6 +387,10 @@ class TestDeepEquality:
     def test_nested_spines(self):
         assert self._spine() == self._spine()
         assert self._spine() != self._spine("y")
+
+    def test_pending_terms_compare(self):
+        assert Pending(Free("a"), ListEnv.empty()) == Pending(Free("a"), TreeEnv.empty())
+        assert Pending(Free("a"), ListEnv.empty()) != Pending(Free("b"), ListEnv.empty())
 
     def test_closures_compare_bodies_and_environments(self):
         closure = Closure(self._numeral(), ListEnv.empty())

@@ -14,6 +14,7 @@ from ordlam.named import (
     App,
     FuelExhausted,
     Lam,
+    NamedTerm,
     Var,
     _fields,
     alpha_key,
@@ -67,7 +68,10 @@ def test_fields_cannot_be_assigned_or_deleted(t):
 
 @pytest.mark.parametrize("t", SAMPLES, ids=lambda t: type(t).__name__)
 def test_ordered_nodes_have_no_dict(t):
-    assert hasattr(t, "__dict__") == (not isinstance(t, ORDERED))
+    # Only named nodes cache free_names and node_count; ordered and de
+    # Bruijn nodes hold their fields alone.
+    named = isinstance(t, NamedTerm)
+    assert hasattr(t, "__dict__") == hasattr(t, "free_names") == named
 
 
 @pytest.mark.parametrize("t", SAMPLES, ids=lambda t: type(t).__name__)
@@ -85,10 +89,6 @@ def test_cached_properties_fill_their_cache():
         assert attr in t.__dict__
         assert attr in t.fun.body.arg.__dict__
     assert (t.free_names, t.node_count) == ({"f", "y"}, 6)
-    d = to_debruijn(t)
-    assert "free_names" not in d.__dict__
-    assert d.free_names == {"f", "y"}
-    assert "free_names" in d.__dict__ and "free_names" in d.fun.body.fun.__dict__
 
 
 def test_ordered_constructor_checks_and_fv():
@@ -217,12 +217,6 @@ def test_free_names_reuse_a_child_set_that_is_the_answer():
     assert t.free_names is t.body.free_names
     t = parse_surface(r"\x. f x")
     assert t.free_names == {"f"}
-    d = to_debruijn(parse_surface("f x x"))
-    assert d.free_names is d.fun.free_names
-    d = to_debruijn(parse_surface("x (f x)"))
-    assert d.free_names is d.arg.free_names
-    d = to_debruijn(parse_surface(r"\x. f x"))
-    assert d.free_names is d.body.free_names
 
 
 def unshared(t):
