@@ -10,17 +10,19 @@ Two classical evaluators to measure the ordered representation against:
   immediately reduces every redex it creates, so only normal forms are
   ever built.
 
-Both share the fuel discipline and print back to named terms so results
-can be compared across strategies. The closure machine differs from the
-ordered one only in its environment discipline: its loop, _db_run, has
-machine._run's configuration and frames; its scope-wide environments are
-chains of the envseq cons cells that also hold spine arguments; its
-values are the ordered machine's spines plus its own DbClosure, which
-compares through machine._equal; and readback and the value walks come
-from ordlam.machine. What is left here is de Bruijn specific: the
-terms (whose ==, hash() and repr() come from named.Term), to_debruijn,
-index lookup, printing and _hsub. Every walk over terms is an
-explicit-stack loop, so term depth is bounded by memory.
+Both spend named.Fuel as every reducer does, one unit per rule or
+contraction, and print back to named terms so results can be compared
+across strategies. The closure machine differs from the ordered one
+only in its environment discipline: its loop, _db_run, has
+machine._run's configuration, frames and fuel write-back; its
+scope-wide environments are chains of the envseq cons cells that also
+hold spine arguments; its values are the ordered machine's spines plus
+its own DbClosure, which compares through machine._equal; and readback
+and the value walks come from ordlam.machine. What is left here is de
+Bruijn specific: the terms (whose ==, hash() and repr() come from
+named.Term), to_debruijn, index lookup, printing and _hsub. Every walk
+over terms is an explicit-stack loop, so term depth is bounded by
+memory.
 
 to_debruijn shares work as ordered.to_ordered does: a lambda node met
 again in one conversion (parse_surface shares repeated subterms) reuses
@@ -40,16 +42,14 @@ from .machine import (
     _FRAME_APPLY,
     _FRAME_ARG,
     DEFAULT_FUEL,
-    Fuel,
     Spine,
-    _as_fuel,
     _equal,
     _normal_form,
     names_in_value,
     value_node_count,
 )
-from .named import App, FuelExhausted, Lam, NamedTerm, Var, fresh_names
-from .named import Term
+from .named import App, Fuel, FuelExhausted, Lam, NamedTerm, Term, Var, _as_fuel
+from .named import fresh_names
 
 
 class DbTerm(Term):
@@ -245,61 +245,52 @@ DbValue = Union[Spine, DbClosure]
 
 
 def _db_run(control, is_value: bool, stack: list, fuel: Fuel):
-    # machine._run's loop over de Bruijn terms: the same configuration
-    # and frames, with index lookup in place of split and a cons onto
-    # the whole environment in place of multi-insert.
+    # machine._run's loop over de Bruijn terms: the same configuration,
+    # frames and fuel write-back, with index lookup in place of split and
+    # a cons onto the whole environment in place of multi-insert.
     remaining = fuel.remaining
-    spent = fuel.spent
-
-    def _sync():
-        fuel.remaining = remaining
-        fuel.spent = spent
-
-    while True:
-        if not is_value:
-            term, env = control
-            if remaining == 0:
-                _sync()
-                return FuelExhausted(spent)
-            remaining -= 1
-            spent += 1
-            kind = type(term)
-            if kind is DApp:
-                stack.append((_FRAME_ARG, term.arg, env))
-                control = (term.fun, env)
-            elif kind is BVar:
-                control = _env_lookup(env, term.index)
-                is_value = True
-            elif kind is DLam:
-                control = DbClosure(term, env)
-                is_value = True
-            elif kind is FVar:
-                control = Spine(term.name)
-                is_value = True
-            else:
-                _sync()
-                raise TypeError(f"not a de Bruijn term: {term!r}")
-        else:
-            if not stack:
-                _sync()
-                return control
-            frame = stack.pop()
-            if frame[0] == _FRAME_ARG:
-                stack.append((_FRAME_APPLY, control))
-                control = (frame[1], frame[2])
-                is_value = False
-            else:
-                fun = frame[1]
+    try:
+        while True:
+            if not is_value:
+                term, env = control
                 if remaining == 0:
-                    _sync()
-                    return FuelExhausted(spent)
+                    return FuelExhausted(fuel.budget)
                 remaining -= 1
-                spent += 1
-                if type(fun) is Spine:
-                    control = Spine(fun.head, _Cons(control, fun.args))
+                kind = type(term)
+                if kind is DApp:
+                    stack.append((_FRAME_ARG, term.arg, env))
+                    control = (term.fun, env)
+                elif kind is BVar:
+                    control = _env_lookup(env, term.index)
+                    is_value = True
+                elif kind is DLam:
+                    control = DbClosure(term, env)
+                    is_value = True
+                elif kind is FVar:
+                    control = Spine(term.name)
+                    is_value = True
                 else:
-                    control = (fun.lam.body, _Cons(control, fun.env))
+                    raise TypeError(f"not a de Bruijn term: {term!r}")
+            else:
+                if not stack:
+                    return control
+                frame = stack.pop()
+                if frame[0] == _FRAME_ARG:
+                    stack.append((_FRAME_APPLY, control))
+                    control = (frame[1], frame[2])
                     is_value = False
+                else:
+                    fun = frame[1]
+                    if remaining == 0:
+                        return FuelExhausted(fuel.budget)
+                    remaining -= 1
+                    if type(fun) is Spine:
+                        control = Spine(fun.head, _Cons(control, fun.args))
+                    else:
+                        control = (fun.lam.body, _Cons(control, fun.env))
+                        is_value = False
+    finally:
+        fuel.remaining = remaining
 
 
 def db_apply(
@@ -398,6 +389,8 @@ def db_readback_normal_form(
 def db_normalize_by_evaluation(
     m: NamedTerm, fuel: Union[int, Fuel] = DEFAULT_FUEL
 ) -> Union[NamedTerm, FuelExhausted]:
+    """Beta-normal form of a named term via the closure machine: weak
+    head evaluation, then readback, both spending one budget."""
     fuel = _as_fuel(fuel)
     v = db_whnf(m, fuel)
     if isinstance(v, FuelExhausted):

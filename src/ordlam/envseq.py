@@ -486,15 +486,11 @@ class TreeEnv:
         return iter(_rheads(self._rfinger, values))
 
     def split_at(self, k: int) -> tuple[tuple | TreeEnv, tuple | TreeEnv]:
-        if type(self) is tuple:
-            if not 0 <= k <= len(self):
-                raise InvariantError(
-                    f"split position {k} outside sequence of length {len(self)}"
-                )
-            return self[:k], self[k:]
-        n = self._length
+        n = len(self)
         if not 0 <= k <= n:
             raise InvariantError(f"split position {k} outside sequence of length {n}")
+        if type(self) is tuple:
+            return self[:k], self[k:]
         if k == 0:
             return (), self
         if k == n:

@@ -142,11 +142,10 @@ def _eta_stub(
     rng: random.Random, ty: tuple, ctx: list[tuple[str, tuple]], counter: list[int]
 ) -> NamedTerm:
     # Cheapest closed-form inhabitant: absorb arguments, return a base term.
+    # ctx always holds FREE_POOL's base names, so base_vars is never empty.
     if len(ty) == 1:
         base_vars = [name for name, t in ctx if t == (_BASE,)]
-        if base_vars:
-            return Var(rng.choice(base_vars))
-        return Var("n")
+        return Var(rng.choice(base_vars))
     binders = []
     for arg_ty in ty[:-1]:
         name = f"t{counter[0]}"

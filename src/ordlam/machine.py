@@ -29,8 +29,8 @@ The one-step machine that the trace checker (verify_trace) steps is
 that loop refocused: step decomposes a machine expression into _run's
 configuration (control, is_value, stack), runs one rule on one unit of
 fuel, and plugs the configuration where _run stops back into an
-expression. Printing turns terms, values and machine expressions back
-into named terms.
+expression; run_machine does the same once around a whole run. Printing
+turns terms, values and machine expressions back into named terms.
 Every walk here, readback included, is an explicit-stack loop, so term
 and value depth is bounded by memory, not by the recursion limit.
 
@@ -48,8 +48,8 @@ from typing import Iterator, Optional, Union
 
 from .envseq import TreeEnv, _Cons, _gap_insert, _heads
 from .errors import InvariantError
-from .named import App, FuelExhausted, Lam, NamedTerm, Var, alpha_key, fresh_names
-from .named import reduct_keys
+from .named import App, Fuel, FuelExhausted, Lam, NamedTerm, Var, _as_fuel
+from .named import alpha_key, fresh_names, reduct_keys
 from .ordered import (
     Dot,
     Free,
@@ -71,30 +71,6 @@ RULE_BETA = "beta"
 
 # Every rule except beta leaves the printed term unchanged up to alpha.
 NON_BETA_RULES = (RULE_VAR, RULE_BOUND, RULE_SPLIT, RULE_CLOSE, RULE_SPINE)
-
-
-class Fuel:
-    """Mutable step budget; spent counts rule applications."""
-
-    __slots__ = ("remaining", "spent")
-
-    def __init__(self, budget: int):
-        if budget < 1:
-            raise ValueError("fuel must be positive")
-        self.remaining = budget
-        self.spent = 0
-
-    def take(self) -> bool:
-        """Consume one unit; False when the budget is gone."""
-        if self.remaining == 0:
-            return False
-        self.remaining -= 1
-        self.spent += 1
-        return True
-
-
-def _as_fuel(fuel: Union[int, Fuel]) -> Fuel:
-    return fuel if isinstance(fuel, Fuel) else Fuel(fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -209,84 +185,75 @@ _FRAME_APPLY = 1  # argument value arrived; apply the stored function value
 
 
 def _run(control, is_value: bool, stack: list, fuel: Fuel):
-    # The hot loop: fuel bookkeeping is inlined and types matched exactly,
+    # The hot loop: the fuel left is one local, which the finally writes
+    # back on every exit, a raise included, and types are matched exactly,
     # in dispatch-frequency order. Out of fuel, it leaves its configuration
     # on the caller's stack (the popped apply frame, then (control,
-    # is_value)) for step to plug back.
+    # is_value)) for step and run_machine to plug back.
     remaining = fuel.remaining
-    spent = fuel.spent
-
-    def _sync():
-        fuel.remaining = remaining
-        fuel.spent = spent
-
-    while True:
-        if not is_value:
-            term, env = control
-            if remaining == 0:
-                _sync()
-                stack.append((control, False))
-                return FuelExhausted(spent)
-            remaining -= 1
-            spent += 1
-            kind = type(term)
-            if kind is OApp:
-                if type(env) is tuple:
-                    env_fun, env_arg = TreeEnv.split_at(env, term.split)
-                else:
-                    env_fun, env_arg = env.split_at(term.split)
-                stack.append((_FRAME_ARG, term.arg, env_arg))
-                control = (term.fun, env_fun)
-            elif kind is Dot:
-                if len(env) != 1:
-                    _sync()
-                    raise InvariantError(
-                        f"dot evaluated in environment of length {len(env)}"
-                    )
-                control = env[0] if type(env) is tuple else env.sole()
-                is_value = True
-            elif kind is OLam:
-                control = Closure(term, env)
-                is_value = True
-            elif kind is Free:
-                if len(env) != 0:
-                    _sync()
-                    raise InvariantError(
-                        f"free variable evaluated in environment of length {len(env)}"
-                    )
-                control = Spine(term.name)
-                is_value = True
-            else:
-                _sync()
-                raise TypeError(f"not an ordered term: {term!r}")
-        else:
-            if not stack:
-                _sync()
-                return control
-            frame = stack.pop()
-            if frame[0] == _FRAME_ARG:
-                stack.append((_FRAME_APPLY, control))
-                control = (frame[1], frame[2])
-                is_value = False
-            else:
-                fun = frame[1]
+    try:
+        while True:
+            if not is_value:
+                term, env = control
                 if remaining == 0:
-                    _sync()
-                    stack += (frame, (control, True))
-                    return FuelExhausted(spent)
+                    stack.append((control, False))
+                    return FuelExhausted(fuel.budget)
                 remaining -= 1
-                spent += 1
-                if type(fun) is Spine:
-                    control = Spine(fun.head, _Cons(control, fun.args))
-                else:
-                    lam = fun.lam
-                    env = fun.env
+                kind = type(term)
+                if kind is OApp:
                     if type(env) is tuple:
-                        env = TreeEnv.multi_insert(env, lam.kvec, control)
+                        env_fun, env_arg = TreeEnv.split_at(env, term.split)
                     else:
-                        env = env.multi_insert(lam.kvec, control)
-                    control = (lam.body, env)
+                        env_fun, env_arg = env.split_at(term.split)
+                    stack.append((_FRAME_ARG, term.arg, env_arg))
+                    control = (term.fun, env_fun)
+                elif kind is Dot:
+                    if len(env) != 1:
+                        raise InvariantError(
+                            f"dot evaluated in environment of length {len(env)}"
+                        )
+                    control = env[0] if type(env) is tuple else env.sole()
+                    is_value = True
+                elif kind is OLam:
+                    control = Closure(term, env)
+                    is_value = True
+                elif kind is Free:
+                    if len(env) != 0:
+                        n = len(env)
+                        raise InvariantError(
+                            f"free variable evaluated in environment of length {n}"
+                        )
+                    control = Spine(term.name)
+                    is_value = True
+                else:
+                    raise TypeError(f"not an ordered term: {term!r}")
+            else:
+                if not stack:
+                    return control
+                frame = stack.pop()
+                if frame[0] == _FRAME_ARG:
+                    stack.append((_FRAME_APPLY, control))
+                    control = (frame[1], frame[2])
                     is_value = False
+                else:
+                    fun = frame[1]
+                    if remaining == 0:
+                        stack += (frame, (control, True))
+                        return FuelExhausted(fuel.budget)
+                    remaining -= 1
+                    if type(fun) is Spine:
+                        control = Spine(fun.head, _Cons(control, fun.args))
+                    else:
+                        lam = fun.lam
+                        env = fun.env
+                        if type(env) is tuple:
+                            env = TreeEnv.multi_insert(env, lam.kvec, control)
+                        else:
+                            env = env.multi_insert(lam.kvec, control)
+                        control = (lam.body, env)
+                        is_value = False
+    finally:
+        fuel.remaining = remaining
 
 
 def _check_exact(t: OrderedTerm, env) -> None:
@@ -656,12 +623,15 @@ def machine_trace(
 def run_machine(
     e: MachineExpr, fuel: Union[int, Fuel] = DEFAULT_FUEL
 ) -> tuple[MachineExpr, int]:
-    """Iterate the machine to a stuck expression; returns it with the step count."""
-    steps = 0
-    for _, after, _ in machine_trace(e, fuel):
-        e = after
-        steps += 1
-    return e, steps
+    """Run the machine to a stuck expression or until the fuel is gone;
+    returns the last expression of machine_trace with its step count.
+    The configuration is decomposed and plugged once, around one _run."""
+    fuel = _as_fuel(fuel)
+    before = fuel.spent
+    control, is_value, stack = _decompose(e)
+    result = _run(control, is_value, stack, fuel)
+    control, is_value = stack.pop() if stack else (result, True)
+    return _plug(control, is_value, stack), fuel.spent - before
 
 
 def print_expr(e: MachineExpr) -> NamedTerm:

@@ -3,7 +3,9 @@ capture-avoiding substitution, and normal-order reduction oracles.
 
 This module is the ground-truth side of the package: everything here is
 the textbook treatment, deliberately independent of the nameless
-representation it is used to check.
+representation it is used to check. It also defines Fuel, the step
+budget that every reducer of the package spends, the oracles here
+included.
 
 Surface grammar::
 
@@ -22,6 +24,7 @@ term depth is bounded by memory, not by the recursion limit.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -254,6 +257,38 @@ class FuelExhausted:
     """
 
     spent: int
+
+
+class Fuel:
+    """Mutable step budget, the one every reducer spends: each machine
+    rule or beta contraction takes one unit. A reducer that finds nothing
+    left to do returns its result without taking a unit, so a budget
+    that exactly covers the steps is enough."""
+
+    __slots__ = ("budget", "remaining")
+
+    def __init__(self, budget: int):
+        # An integer only: a float budget would step past 0 and never run out.
+        budget = operator.index(budget)
+        if budget < 1:
+            raise ValueError("fuel must be positive")
+        self.budget = self.remaining = budget
+
+    @property
+    def spent(self) -> int:
+        """Units taken so far."""
+        return self.budget - self.remaining
+
+    def take(self) -> bool:
+        """Consume one unit; False when the budget is gone."""
+        if self.remaining == 0:
+            return False
+        self.remaining -= 1
+        return True
+
+
+def _as_fuel(fuel: Union[int, Fuel]) -> Fuel:
+    return fuel if isinstance(fuel, Fuel) else Fuel(fuel)
 
 
 DEFAULT_FUEL = 100_000
@@ -592,7 +627,7 @@ def reduct_keys(t: NamedTerm) -> set[tuple]:
 
 def normalize(
     t: NamedTerm,
-    fuel: int = DEFAULT_FUEL,
+    fuel: Union[int, Fuel] = DEFAULT_FUEL,
     max_nodes: int = DEFAULT_NODE_CEILING,
 ) -> Union[NamedTerm, FuelExhausted]:
     """Normal-order reduction to beta-normal form within a step budget.
@@ -603,21 +638,19 @@ def normalize(
     DEFAULT_WORK_CEILING. Divergent terms can grow arbitrarily within a
     few steps, so a pure step budget would not keep this total.
     """
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-    spent = 0
+    fuel = _as_fuel(fuel)
     work = 0
-    while spent < fuel:
+    while True:
         reduced = next(_reducts(t), None)  # the leftmost-outermost reduct
         if reduced is None:
             return t
+        if not fuel.take():
+            return FuelExhausted(fuel.spent)
         t = reduced
-        spent += 1
         size = t.node_count
         work += size
         if size > max_nodes or work > DEFAULT_WORK_CEILING:
-            return FuelExhausted(spent)
-    return FuelExhausted(spent)
+            return FuelExhausted(fuel.spent)
 
 
 def is_normal(t: NamedTerm) -> bool:
@@ -626,7 +659,7 @@ def is_normal(t: NamedTerm) -> bool:
 
 def whnf_oracle(
     t: NamedTerm,
-    fuel: int = DEFAULT_FUEL,
+    fuel: Union[int, Fuel] = DEFAULT_FUEL,
     max_nodes: int = DEFAULT_NODE_CEILING,
 ) -> Union[NamedTerm, FuelExhausted]:
     """Head reduction to weak head normal form.
@@ -635,18 +668,16 @@ def whnf_oracle(
     or a free-variable-headed application. Arguments of an inert head
     are left untouched.
     """
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-    spent = 0
-    while spent < fuel:
+    fuel = _as_fuel(fuel)
+    while True:
         head = t
         while isinstance(head, App):
             head = head.fun
         if not isinstance(head, Lam) or head is t:
             return t
+        if not fuel.take():
+            return FuelExhausted(fuel.spent)
         # The head redex comes first in pre-order.
         t = next(_reducts(t))
-        spent += 1
         if t.node_count > max_nodes:
-            return FuelExhausted(spent)
-    return FuelExhausted(spent)
+            return FuelExhausted(fuel.spent)

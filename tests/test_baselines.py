@@ -26,6 +26,7 @@ from ordlam.gen import gen_terms
 from ordlam.machine import Spine, value_node_count, whnf
 from ordlam.named import (
     App,
+    Fuel,
     FuelExhausted,
     Lam,
     Var,
@@ -148,6 +149,32 @@ class TestEvalClosures:
         closure = DbClosure(DLam(BVar(1)), None)
         with pytest.raises(InvariantError, match="^environment too short for index 1$"):
             db_apply(closure, Spine("a"))
+        # Two past a one-value environment: the lookup runs off its end.
+        closure = DbClosure(DLam(BVar(2)), None)
+        with pytest.raises(InvariantError, match="^environment too short for index 2$"):
+            db_apply(closure, Spine("a"))
+
+    def test_fuel_counts_the_rule_that_raised(self):
+        # Entering the closure is one rule; the lookup that raises is the
+        # second.
+        fuel = Fuel(10)
+        with pytest.raises(InvariantError):
+            db_apply(DbClosure(DLam(BVar(1)), None), Spine("a"), fuel)
+        assert (fuel.spent, fuel.remaining) == (2, 8)
+
+    def test_named_body_is_not_a_de_bruijn_term(self):
+        fuel = Fuel(10)
+        closure = DbClosure(DLam(Var("a")), None)
+        with pytest.raises(TypeError, match=r"^not a de Bruijn term: Var\(name='a'\)$"):
+            db_apply(closure, Spine("b"), fuel)
+        assert fuel.spent == 2
+
+    def test_normalize_runs_out_before_weak_head_normal_form(self):
+        assert db_normalize_by_evaluation(OMEGA, fuel=50) == FuelExhausted(50)
+
+    def test_closure_repr(self):
+        closure = DbClosure(DLam(BVar(0)), _Cons(Spine("a"), None))
+        assert repr(closure) == "DbClosure(DLam(body=BVar(index=0)), [Spine('a', [])])"
 
     def test_scope_wide_environment_retains_dead_values(self):
         n = 50

@@ -82,6 +82,10 @@ class TestWorkloads:
         with pytest.raises(ValueError):
             build_workload("nope", 3)
 
+    def test_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="^workload size must be at least 1$"):
+            build_workload("church-add", 0)
+
     def test_all_workloads_buildable(self):
         for name in WORKLOADS:
             build_workload(name, 8)
@@ -163,6 +167,10 @@ class TestRunStrategy:
         assert alpha_eq(outcome.normal_form, parse_surface(r"\y. y"))
         assert outcome.steps > 0
 
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError, match="^unknown strategy 'quantum'$"):
+            run_strategy("quantum", parse_surface("a"), 100)
+
     def test_fuel_exhaustion_reported(self):
         term = parse_surface(r"(\x. x x) (\x. x x)")
         outcome = run_strategy("ordered-list", term, 100)
@@ -224,8 +232,10 @@ class TestRunComparison:
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             BenchConfig("church-add", 0, "ordered-list")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown strategy 'quantum'$"):
             BenchConfig("church-add", 4, "quantum")
+        with pytest.raises(ValueError, match="^unknown workload 'nope'$"):
+            BenchConfig("nope", 4, "ordered-list")
 
     def test_digest_mismatch_refused(self, monkeypatch):
         import ordlam.bench as bench_mod

@@ -60,6 +60,9 @@ class TestBasics:
             with pytest.raises(InvariantError, match=message):
                 ListEnv.from_values(vals).sole()
 
+    def test_list_repr(self):
+        assert repr(ListEnv.from_values([1, 2])) == "ListEnv([1, 2])"
+
 
 class TestSplitAt:
     def test_worked_example(self, backend):

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from ordlam import machine
+from ordlam import baselines, machine, named
 from ordlam.envseq import _FLAT, _TREE_MIN, BACKENDS, ListEnv, TreeEnv, _Cons
 from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
@@ -48,7 +48,7 @@ from ordlam.named import (
     print_surface,
     reduce_once_all,
 )
-from ordlam.ordered import DOT, Free, OApp, OLam, parse_closed
+from ordlam.ordered import DOT, Free, OApp, OLam, OrderedTerm, parse_closed
 from ordlam.workloads import build_workload, wide_binder
 
 S_NAMED = parse_surface(r"\x.\y.\z. x z (y z)")
@@ -159,6 +159,58 @@ class TestEvaluate:
         fuel = Fuel(10_000)
         whnf(MOTIVATING, fuel)
         assert 0 < fuel.spent < 10_000
+
+    @pytest.mark.parametrize(
+        "t, env, spent",
+        [
+            (OApp(Free("a"), 1, DOT), (spine("b"),), 2),
+            (OApp(DOT, 3, DOT), (spine("a"), spine("b")), 1),
+            (OApp(DOT, 3, DOT), ListEnv.from_values([spine("a"), spine("b")]), 1),
+        ],
+        ids=["loop-check", "tuple-split", "list-split"],
+    )
+    def test_fuel_counts_the_rule_that_raised(self, t, env, spent):
+        # The loop's own check raises on its second rule; an environment's
+        # split raises inside the first. Either way the Fuel holds the
+        # rules begun.
+        fuel = Fuel(10)
+        with pytest.raises(InvariantError):
+            evaluate(t, env, fuel)
+        assert (fuel.spent, fuel.remaining) == (spent, 10 - spent)
+
+    def test_unknown_ordered_term_class(self):
+        class Odd(OrderedTerm):
+            __slots__ = ()
+            fv = 0
+
+        with pytest.raises(TypeError, match=r"^not an ordered term: \S*Odd\(\)$"):
+            evaluate(Odd(), ())
+        with pytest.raises(TypeError, match=r"^not an ordered term: \S*Odd\(\)$"):
+            print_ordered(Odd(), [])
+
+
+class TestFuel:
+    def test_one_class_for_every_reducer(self):
+        assert machine.Fuel is named.Fuel is baselines.Fuel
+
+    def test_holds_a_budget_and_what_remains(self):
+        fuel = Fuel(2)
+        assert Fuel.__slots__ == ("budget", "remaining")
+        assert (fuel.budget, fuel.remaining, fuel.spent) == (2, 2, 0)
+        assert fuel.take() and fuel.take() and not fuel.take()
+        assert (fuel.budget, fuel.remaining, fuel.spent) == (2, 0, 2)
+        with pytest.raises(AttributeError):
+            fuel.spent = 0
+        with pytest.raises(ValueError, match="^fuel must be positive$"):
+            Fuel(0)
+
+    def test_budget_is_an_integer(self):
+        # A float budget would step from 0.5 to -0.5 and never run out.
+        with pytest.raises(TypeError):
+            Fuel(2.5)
+        with pytest.raises(TypeError):
+            whnf(MOTIVATING, fuel=2.5)
+        assert whnf(OMEGA, fuel=True) == FuelExhausted(1)
 
 
 class TestApply:
@@ -316,6 +368,15 @@ class TestPrinting:
         with pytest.raises(InvariantError, match=message):
             print_ordered(t, [spine(f"v{i}") for i in range(t.fv)])
 
+    def test_print_value_needs_a_value_of_this_machine(self):
+        closure = baselines.DbClosure(baselines.DLam(baselines.BVar(0)), None)
+        with pytest.raises(TypeError, match=r"^not a value: DbClosure\("):
+            print_value(closure)
+
+    def test_spine_repr(self):
+        text = "Spine('f', [Spine('a', []), Spine('b', [])])"
+        assert repr(spine("f", spine("a"), spine("b"))) == text
+
     def test_pending_prints_as_its_term(self):
         e = Pending(parse_closed(S_NAMED), ListEnv.empty())
         assert alpha_eq(print_expr(e), S_NAMED)
@@ -391,6 +452,8 @@ class TestDeepEquality:
     def test_pending_terms_compare(self):
         assert Pending(Free("a"), ListEnv.empty()) == Pending(Free("a"), TreeEnv.empty())
         assert Pending(Free("a"), ListEnv.empty()) != Pending(Free("b"), ListEnv.empty())
+        # Equal terms, environments holding different plain values.
+        assert Pending(DOT, (1,)) != Pending(DOT, (2,))
 
     def test_closures_compare_bodies_and_environments(self):
         closure = Closure(self._numeral(), ListEnv.empty())
@@ -483,6 +546,44 @@ class TestMachine:
 
     def test_stuck_on_done(self):
         assert step(Done(spine("x"))) is None
+        assert run_machine(Done(spine("x"))) == (Done(spine("x")), 0)
+
+    def test_step_needs_a_machine_expression(self):
+        with pytest.raises(TypeError, match="^not a machine expression: Spine$"):
+            step(spine("a"))
+
+    def test_run_machine_ends_where_the_trace_ends(self, backend):
+        # At full fuel and at every budget below the step count: the last
+        # expression machine_trace yields, and the number of its steps.
+        from ordlam.named import App as NApp
+
+        s_applied = NApp(NApp(NApp(S_NAMED, Var("g")), Var("f")), Var("n"))
+        cases = ((s_applied, DEFAULT_FUEL), (MOTIVATING, DEFAULT_FUEL), (OMEGA, 40))
+        for t, budget in cases:
+            e = Pending(parse_closed(t), backend.empty())
+            trace = list(machine_trace(e, budget))
+            for k in range(1, len(trace)):
+                assert run_machine(e, k) == (trace[k - 1][1], k)
+            assert run_machine(e, budget) == (trace[-1][1], len(trace))
+        # On a partly spent Fuel, the count is this run's steps alone.
+        e = Pending(parse_closed(MOTIVATING), backend.empty())
+        fuel = Fuel(DEFAULT_FUEL)
+        fuel.take()
+        steps = len(list(machine_trace(e)))
+        assert run_machine(e, fuel)[1] == fuel.spent - 1 == steps
+
+    def test_run_machine_decomposes_once(self, backend, monkeypatch):
+        calls = []
+
+        def counted(e):
+            calls.append(e)
+            return decompose(e)
+
+        decompose = machine._decompose
+        monkeypatch.setattr(machine, "_decompose", counted)
+        e = Pending(parse_closed(MOTIVATING), backend.empty())
+        _, steps = run_machine(e)
+        assert steps > 10 and calls == [e]
 
     def test_trace_reaches_big_step_result(self, backend):
         from ordlam.named import App as NApp

@@ -21,6 +21,7 @@ from ordlam.named import (
     subst,
     whnf_oracle,
 )
+from ordlam.ordered import Free
 
 S_COMBINATOR = Lam(
     "x",
@@ -472,3 +473,38 @@ class TestWhnfOracle:
     def test_divergent_exhausts_fuel(self):
         omega = parse_surface(r"(\x. x x) (\x. x x)")
         assert isinstance(whnf_oracle(omega, fuel=50), FuelExhausted)
+
+
+class TestOracleFuel:
+    # The oracles spend a Fuel as every reducer does: one unit per
+    # contraction, taken once a redex is found, so a budget of exactly
+    # the steps returns the result.
+    ONE_STEP = parse_surface(r"(\x. x) a")
+    TWO_STEPS = parse_surface(r"(\x. x) ((\y. y) a)")
+
+    @pytest.mark.parametrize("oracle", [normalize, whnf_oracle])
+    def test_a_budget_of_exactly_the_steps_is_enough(self, oracle):
+        assert oracle(self.ONE_STEP, fuel=1) == Var("a")
+        assert oracle(self.TWO_STEPS, fuel=1) == FuelExhausted(1)
+        assert oracle(self.TWO_STEPS, fuel=2) == Var("a")
+
+    @pytest.mark.parametrize("oracle", [normalize, whnf_oracle])
+    def test_a_shared_fuel_counts_the_contractions(self, oracle):
+        fuel = named.Fuel(10)
+        assert oracle(self.TWO_STEPS, fuel) == Var("a")
+        assert (fuel.spent, fuel.remaining) == (2, 8)
+
+    @pytest.mark.parametrize("oracle", [normalize, whnf_oracle])
+    def test_fuel_must_be_positive(self, oracle):
+        with pytest.raises(ValueError, match="^fuel must be positive$"):
+            oracle(self.ONE_STEP, fuel=0)
+
+    def test_whnf_oracle_gives_up_past_the_node_ceiling(self):
+        # Each head step adds 7 nodes to the 13 of the redex.
+        grower = parse_surface(r"(\x. x x x) (\x. x x x)")
+        assert whnf_oracle(grower, fuel=10**9, max_nodes=50) == FuelExhausted(6)
+
+
+def test_print_surface_needs_a_named_term():
+    with pytest.raises(TypeError, match=r"^not a named term: Free\(name='a'\)$"):
+        print_surface(Free("a"))

@@ -351,6 +351,15 @@ class TestTextFormat:
         with pytest.raises(OrderedSyntaxError):
             read_ordered(bad)
 
+    def test_end_of_input_where_an_integer_belongs(self):
+        message = "^unexpected end of input, expected an integer$"
+        with pytest.raises(OrderedSyntaxError, match=message):
+            read_ordered("(app")
+
+    def test_write_needs_an_ordered_term(self):
+        with pytest.raises(TypeError, match=r"^not an ordered term: Var\(name='a'\)$"):
+            write_ordered(Var("a"))
+
     @pytest.mark.parametrize("number", ["+0", "0_0", "1_0", "\u0660", "-1"])
     @pytest.mark.parametrize("form", ["(app {} x y)", "(lam (0 {}) (app 1 . .))"])
     def test_integers_are_ascii_digits_only(self, form, number):
