@@ -339,7 +339,7 @@ def _db_print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
         kind = task[0]
         if kind == _TERM:
             _, t, base, env = task
-            if isinstance(t, BVar):
+            if type(t) is BVar:
                 depth = len(scope) - base
                 if t.index < depth:
                     out.append(Var(scope[-1 - t.index]))
@@ -347,29 +347,32 @@ def _db_print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
                     raise InvariantError(f"unbound index {t.index} at depth {depth}")
                 else:
                     work.append((_VALUE, _env_lookup(env, t.index - depth)))
-            elif isinstance(t, FVar):
+            elif type(t) is FVar:
                 out.append(Var(t.name))
-            elif isinstance(t, DApp):
+            elif type(t) is DApp:
                 work.append(_APP_TASK)
                 work.append((_TERM, t.arg, base, env))
                 work.append((_TERM, t.fun, base, env))
-            else:
-                assert isinstance(t, DLam)
+            elif type(t) is DLam:
                 binder = next(fresh)
                 work.append((_LAM, binder))
                 work.append((_TERM, t.body, base, env))
                 scope.append(binder)
+            else:
+                raise TypeError(f"not a de Bruijn term: {t!r}")
         elif kind == _VALUE:
             value = task[1]
-            if isinstance(value, Spine):
+            if type(value) is Spine:
                 out.append(Var(value.head))
                 for arg in _heads(value.args, []):
                     work.append(_APP_TASK)
                     work.append((_VALUE, arg))
-            else:
+            elif type(value) is DbClosure:
                 # A closure's binder node opens a scope of its own: its body
                 # sees only that binder, then the closure's env.
                 work.append((_TERM, value.lam, len(scope), value.env))
+            else:
+                raise TypeError(f"not a closure-machine value: {value!r}")
         elif kind == _APP:
             arg = out.pop()
             out[-1] = App(out[-1], arg)
@@ -455,7 +458,9 @@ def normalize_hsub(
 ) -> Union[NamedTerm, FuelExhausted]:
     """Eager full beta-normal form; every created redex is reduced immediately."""
     fuel = _as_fuel(fuel)
-    nf = _hsub(to_debruijn(m), 0, None, fuel)
+    db = to_debruijn(m)
+    nf = _hsub(db, 0, None, fuel)
     if isinstance(nf, FuelExhausted):
         return nf
-    return from_debruijn(nf, m.free_names)
+    # db's FVar names are exactly m's free names.
+    return from_debruijn(nf, db_free_names(db))

@@ -49,11 +49,12 @@ class Strategy:
     """How one strategy normalizes: weak-head evaluation, then readback.
 
     Functions that take fuel share the caller's Fuel object, so the
-    steps of both phases add up; either may return FuelExhausted.
+    steps of both phases add up; either may return FuelExhausted. The
+    entry's readback alone picks the names its binders avoid.
     """
 
     whnf: Callable  # (term, fuel) -> value
-    readback: Callable  # (value, fuel, names to avoid) -> normal form
+    readback: Callable  # (value, fuel, term) -> normal form of that term
     print_value: Callable  # value -> named term, reducing nothing
     node_count: Callable  # value -> distinct nodes it retains
 
@@ -63,7 +64,7 @@ class Strategy:
 def _ordered(backend) -> Strategy:
     return Strategy(
         lambda m, fuel: machine.whnf(m, fuel, backend),
-        lambda v, fuel, avoid: machine.readback_normal_form(v, fuel, avoid),
+        lambda v, fuel, m: machine.readback_normal_form(v, fuel, m.free_names),
         lambda v: machine.print_value(v),
         lambda v: machine.value_node_count(v),
     )
@@ -76,14 +77,15 @@ STRATEGIES = {
     **{s: _ordered(BACKENDS[name]) for name, s in ORDERED_STRATEGIES.items()},
     "closures": Strategy(
         lambda m, fuel: baselines.db_whnf(m, fuel),
-        lambda v, fuel, avoid: baselines.db_readback_normal_form(v, fuel, avoid),
+        lambda v, fuel, m: baselines.db_readback_normal_form(v, fuel, m.free_names),
         lambda v: baselines.db_print_value(v),
         lambda v: baselines.db_value_node_count(v),
     ),
-    # Eager normalization reaches the normal form in its first phase.
+    # Eager normalization reaches the normal form in its first phase,
+    # its binders already named clear of the input's free names.
     "beta-normal": Strategy(
         lambda m, fuel: baselines.normalize_hsub(m, fuel),
-        lambda nf, fuel, avoid: nf,
+        lambda nf, fuel, m: nf,
         lambda nf: nf,
         lambda nf: nf.node_count,
     ),
@@ -172,7 +174,7 @@ def run_strategy(strategy: str, term: NamedTerm, fuel: int) -> StrategyOutcome:
     if isinstance(value, FuelExhausted):
         return StrategyOutcome(None, budget.spent, 0)
     nodes = entry.node_count(value)
-    nf = entry.readback(value, budget, term.free_names)
+    nf = entry.readback(value, budget, term)
     if isinstance(nf, FuelExhausted):
         return StrategyOutcome(None, budget.spent, nodes)
     return StrategyOutcome(nf, budget.spent, nodes)
@@ -208,10 +210,9 @@ def run_comparison(
     """Run several strategies on one workload and gate on digest agreement."""
     if not strategies:
         raise ValueError("no strategies to compare")
-    records = [
-        run_config(BenchConfig(workload, size, strategy, fuel, repetitions))
-        for strategy in strategies
-    ]
+    # Every configuration is checked before any runs.
+    configs = [BenchConfig(workload, size, s, fuel, repetitions) for s in strategies]
+    records = [run_config(config) for config in configs]
     digests = {r.result_digest for r in records if r.status == STATUS_OK}
     if len(digests) > 1:
         detail = ", ".join(

@@ -88,7 +88,7 @@ def cmd_eval(args) -> int:
     result = strategy.whnf(term, fuel)
     if not isinstance(result, FuelExhausted):
         if args.print == "nf":
-            result = strategy.readback(result, fuel, term.free_names)
+            result = strategy.readback(result, fuel, term)
         else:
             result = strategy.print_value(result)
     if isinstance(result, FuelExhausted):
@@ -150,10 +150,6 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    for strategy in strategies:
-        if strategy not in bench.STRATEGIES:
-            print(f"unknown strategy {strategy!r}", file=sys.stderr)
-            return EXIT_BAD_INPUT
     fuel = _resolve_fuel(args.fuel)
     try:
         records = bench.run_comparison(

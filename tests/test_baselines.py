@@ -21,6 +21,8 @@ from ordlam.baselines import (
     normalize_hsub,
     to_debruijn,
 )
+from ordlam.bench import run_strategy
+from ordlam.cli import main
 from ordlam.envseq import _Cons
 from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
@@ -209,6 +211,14 @@ class TestDbPrintValue:
     def test_closures_print_their_environment(self, source, expected):
         v = db_whnf(parse_surface(source))
         assert print_surface(db_print_value(v)) == expected
+
+    def test_a_value_of_the_ordered_machine_is_refused(self):
+        with pytest.raises(TypeError, match="^not a closure-machine value: Closure"):
+            db_print_value(whnf(parse_surface(r"\x. c x")))
+
+    def test_a_named_term_is_refused(self):
+        with pytest.raises(TypeError, match="^not a de Bruijn term: Var"):
+            from_debruijn(Var("x"))
 
 
 class TestDeepDbPrinting:
@@ -408,13 +418,15 @@ def peak_bytes(call, m) -> int:
         tracemalloc.stop()
 
 
+def distinct_closure(n: int):
+    r"""\x. c a0 ... a(n-1) x."""
+    return Lam("x", App(distinct_names(n), Var("x")))
+
+
 NAME_READERS = pytest.mark.parametrize(
     "build, call",
     [
-        (
-            lambda n: Lam("x", App(distinct_names(n), Var("x"))),
-            lambda m: db_print_value(db_whnf(m)),
-        ),
+        (distinct_closure, lambda m: db_print_value(db_whnf(m))),
         (distinct_names, lambda m: from_debruijn(to_debruijn(m))),
     ],
     ids=["closure-print", "from-debruijn"],
@@ -440,3 +452,25 @@ class TestNameSpace:
         del junk
         filled = peak_bytes(call, m)
         assert abs(filled - emptied) <= 0.01 * emptied, (emptied, filled)
+
+    @pytest.mark.parametrize("via", ["run-strategy", "eval"])
+    def test_eager_strategy_peak_grows_linearly(self, tmp_path, capsys, via):
+        # normalize_hsub names its binders from its own de Bruijn term, and
+        # neither bench nor eval asks the named input for its free names.
+        def bench_nf(m):
+            assert run_strategy("beta-normal", m, 100).ok
+
+        def eval_nf(path):
+            assert main(["eval", path, "--strategy", "beta-normal", "--print", "nf"]) == 0
+
+        peaks = []
+        for n in (1000, 2000, 4000):
+            m = distinct_closure(n)
+            if via == "eval":
+                path = tmp_path / f"{n}.lam"
+                path.write_text(print_surface(m), encoding="utf-8")
+                peaks.append(peak_bytes(eval_nf, str(path)))
+            else:
+                peaks.append(peak_bytes(bench_nf, m))
+        assert all(b <= 2.5 * a for a, b in zip(peaks, peaks[1:])), peaks
+        assert peaks[-1] < 8 * 2**20, peaks

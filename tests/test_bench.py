@@ -237,6 +237,15 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="^unknown workload 'nope'$"):
             BenchConfig("nope", 4, "ordered-list")
 
+    def test_unknown_strategy_fails_before_any_run(self, monkeypatch):
+        import ordlam.bench as bench_mod
+
+        runs = []
+        monkeypatch.setattr(bench_mod, "run_config", runs.append)
+        with pytest.raises(ValueError, match="^unknown strategy 'quantum'$"):
+            run_comparison("church-add", 3, ["ordered-tree", "quantum"])
+        assert runs == []
+
     def test_digest_mismatch_refused(self, monkeypatch):
         import ordlam.bench as bench_mod
         from ordlam.bench import StrategyOutcome

@@ -44,6 +44,25 @@ class TestEval:
         assert main(["eval", f, "--strategy", strategy, "--print", mode]) == 0
         assert capsys.readouterr().out.strip() == "g n (f n)"
 
+    @pytest.mark.parametrize(
+        "strategy, mode, expected",
+        [(s, "nf", r"\z1. z1") for s in ("ordered", "closures", "beta-normal")]
+        # A weak head normal form skips only the names its value reaches:
+        # the exact closure of \y. y holds nothing, the scope-wide one
+        # still holds z0, and the eager one is the normal form.
+        + [
+            ("ordered", "whnf", r"\z0. z0"),
+            ("closures", "whnf", r"\z1. z1"),
+            ("beta-normal", "whnf", r"\z1. z1"),
+        ],
+    )
+    def test_binders_skip_the_inputs_free_names(
+        self, tmp_path, capsys, strategy, mode, expected
+    ):
+        f = write(tmp_path, "t.lam", r"(\x. \y. y) z0")
+        assert main(["eval", f, "--strategy", strategy, "--print", mode]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
     def test_nf_mode_reduces_under_binders(self, tmp_path, capsys):
         f = write(tmp_path, "t.lam", r"\x. (\y. y) x")
         assert main(["eval", f, "--print", "nf"]) == 0
@@ -262,12 +281,14 @@ class TestBench:
                 "--size",
                 "4",
                 "--strategies",
-                "quantum",
+                "ordered-tree,quantum",
                 "--out",
                 str(tmp_path / "x"),
             ]
         )
         assert code == 1
+        assert capsys.readouterr() == ("", "unknown strategy 'quantum'\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "out, stem",

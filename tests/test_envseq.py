@@ -1,8 +1,5 @@
-import __future__
-import inspect
 import math
 import random
-import textwrap
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +14,8 @@ from ordlam.envseq import (
     tree_is_balanced,
 )
 from ordlam.errors import InvariantError
+
+from mutation import install
 
 
 @pytest.fixture(params=list(BACKENDS))
@@ -881,24 +880,6 @@ class TestPeelScaling:
             assert larger <= 2.5 * smaller
 
 
-def _mutated(function, line, mutant):
-    """function compiled again from its source with line, which must occur
-    in it exactly once, replaced by mutant, in the function's own module
-    namespace."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(line) == 1, line
-    code = compile(
-        source.replace(line, mutant),
-        inspect.getsourcefile(function),
-        "exec",
-        flags=__future__.annotations.compiler_flag,
-        dont_inherit=True,
-    )
-    namespace = {}
-    exec(code, function.__globals__, namespace)
-    return namespace[function.__name__]
-
-
 # envseq's order-sensitive choices, each as a one-line mutant and the test
 # that must fail under it: (owner, function, line, mutant line, test
 # class, test method, its arguments). Every test named runs at sizes
@@ -1028,11 +1009,6 @@ class TestMutants:
     @pytest.mark.parametrize("name", list(MUTANTS))
     def test_mutant_fails_its_test(self, monkeypatch, name):
         owner, function, line, mutant, test_class, test, args = MUTANTS[name]
-        original = owner.__dict__[function]
-        if isinstance(original, classmethod):
-            mutated = classmethod(_mutated(original.__func__, line, mutant))
-        else:
-            mutated = _mutated(original, line, mutant)
-        monkeypatch.setattr(owner, function, mutated)
+        install(monkeypatch, owner, function, line, mutant)
         with pytest.raises((AssertionError, pytest.fail.Exception)):
             getattr(globals()[test_class](), test)(*args)

@@ -771,6 +771,15 @@ class TestNormalizeByEvaluation:
         assert isinstance(normalize_by_evaluation(OMEGA, fuel=500), FuelExhausted)
 
     @pytest.mark.parametrize("backend", [ListEnv, TreeEnv], ids=["list", "tree"])
+    def test_closures_open_in_pre_order(self, backend):
+        # Binders are named in the order their closures open: pre-order,
+        # spine arguments left to right. Digests rename binders, so the
+        # text is compared.
+        t = parse_surface(r"f (\x. g (\y. y x)) (\u. u)")
+        text = print_surface(normalize_by_evaluation(t, backend=backend))
+        assert text == r"f (\z0. g (\z1. z1 z0)) (\z2. z2)"
+
+    @pytest.mark.parametrize("backend", [ListEnv, TreeEnv], ids=["list", "tree"])
     def test_numeral_deeper_than_the_recursion_limit(self, backend):
         # Evaluation under both binders and readback of the 100,000-deep
         # spine, on the test thread; the printed text is compared, since
