@@ -104,15 +104,20 @@ _dlam_body = DLam.__dict__["body"].__set__
 
 
 def db_free_names(t: DbTerm) -> frozenset[str]:
-    """Names of all FVar nodes in t, which are its free names."""
+    """Names of all FVar nodes in t, which are its free names. A lambda
+    node that to_debruijn shared is walked once, however often t reaches
+    it."""
     names = []
+    walked = set()  # ids of the lambda nodes walked; t keeps them alive
     stack = [t]
     while stack:
         t = stack.pop()
         if type(t) is DApp:
             stack += (t.arg, t.fun)
         elif type(t) is DLam:
-            stack.append(t.body)
+            if id(t) not in walked:
+                walked.add(id(t))
+                stack.append(t.body)
         elif type(t) is FVar:
             names.append(t.name)
     return frozenset(names)
@@ -245,39 +250,44 @@ DbValue = Union[Spine, DbClosure]
 
 
 def _db_run(control, is_value: bool, stack: list, fuel: Fuel):
-    # machine._run's loop over de Bruijn terms: the same configuration,
-    # frames and fuel write-back, with index lookup in place of split and
-    # a cons onto the whole environment in place of multi-insert.
+    # machine._run's loop over de Bruijn terms: the same configuration in
+    # the same locals, frames and fuel write-back, with index lookup in
+    # place of split and a cons onto the whole environment in place of
+    # multi-insert. Out of fuel it does not push its configuration back
+    # onto the stack, since no caller plugs a closure-machine one back.
     remaining = fuel.remaining
+    if is_value:
+        value = control
+    else:
+        term, env = control
     try:
         while True:
             if not is_value:
-                term, env = control
                 if remaining == 0:
                     return FuelExhausted(fuel.budget)
                 remaining -= 1
                 kind = type(term)
                 if kind is DApp:
                     stack.append((_FRAME_ARG, term.arg, env))
-                    control = (term.fun, env)
+                    term = term.fun
                 elif kind is BVar:
-                    control = _env_lookup(env, term.index)
+                    value = _env_lookup(env, term.index)
                     is_value = True
                 elif kind is DLam:
-                    control = DbClosure(term, env)
+                    value = DbClosure(term, env)
                     is_value = True
                 elif kind is FVar:
-                    control = Spine(term.name)
+                    value = Spine(term.name)
                     is_value = True
                 else:
                     raise TypeError(f"not a de Bruijn term: {term!r}")
             else:
                 if not stack:
-                    return control
+                    return value
                 frame = stack.pop()
                 if frame[0] == _FRAME_ARG:
-                    stack.append((_FRAME_APPLY, control))
-                    control = (frame[1], frame[2])
+                    stack.append((_FRAME_APPLY, value))
+                    _, term, env = frame
                     is_value = False
                 else:
                     fun = frame[1]
@@ -285,9 +295,10 @@ def _db_run(control, is_value: bool, stack: list, fuel: Fuel):
                         return FuelExhausted(fuel.budget)
                     remaining -= 1
                     if type(fun) is Spine:
-                        control = Spine(fun.head, _Cons(control, fun.args))
+                        value = Spine(fun.head, _Cons(value, fun.args))
                     else:
-                        control = (fun.lam.body, _Cons(control, fun.env))
+                        term = fun.lam.body
+                        env = _Cons(value, fun.env)
                         is_value = False
     finally:
         fuel.remaining = remaining

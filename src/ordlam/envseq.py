@@ -17,8 +17,8 @@ Two observationally equal backends:
   right fingers. Exact environments hold only the values a body uses,
   so nearly all are short: a flat closure is one vector of exactly its
   free values (Appel, Compiling with Continuations, 1992, ch. 10), and
-  on it a split is two slices and a multi-insert one _gap_insert,
-  followed by one balanced build if the result reaches _FLAT. The
+  on it a split is two slices and a multi-insert one concatenation
+  (one position) or one _gap_insert, then a balanced build at _FLAT. The
   class's operations take such a tuple as their first argument, so a
   caller reaches them through the class. The bound is where a tuple
   peel, which copies all but one value, costs about what a tree peel
@@ -401,13 +401,17 @@ class TreeEnv:
     do split_at and multi_insert of a tuple for every part under the
     bound, and split_at of a TreeEnv for every part under _TREE_MIN. Exact
     environments are that short nearly always (they hold only the values
-    a body uses), so there a split is two slices and a multi-insert one
-    _gap_insert, and no wrapper object is built. The operations take
-    such a tuple as their first argument, so they are called through the
+    a body uses), so there a split is two slices and no wrapper object
+    is built. A multi-insert of one position (a binder with one
+    occurrence) is two slices and one concatenation around the value,
+    with no list built; one of several positions is one _gap_insert
+    list, turned into a tuple. The operations take such
+    a tuple as their first argument, so they are called through the
     class, TreeEnv.split_at(env, k), whichever form env has. A split of
     a tuple copies fewer than _FLAT slots. A tuple multi-insert whose
-    result reaches the bound makes the same one list build and then one
-    balanced _build of it, one node per element.
+    result reaches the bound, whatever its positions, makes one
+    _gap_insert list and then one balanced _build of it, one node per
+    element.
 
     A TreeEnv object holds at least _TREE_MIN (384) elements, so that a
     sequence going back and forth across _FLAT is not rebuilt at each
@@ -553,7 +557,16 @@ class TreeEnv:
         if not kvec:
             return self
         if type(self) is tuple:
-            out = _gap_insert(self, 0, len(self), kvec, value)
+            n = len(self)
+            if len(kvec) == 1 and n < _FLAT - 1:
+                # One position, a result under the bound: one concatenation.
+                k = kvec[0]
+                if k > n:
+                    raise InvariantError(
+                        f"insert positions need {k} elements, sequence has {n}"
+                    )
+                return self[:k] + (value,) + self[k:]
+            out = _gap_insert(self, 0, n, kvec, value)
             n = len(out)
             if n < _FLAT:
                 return tuple(out)

@@ -21,9 +21,16 @@ sequence shorter than envseq._FLAT (512 values, so nearly every exact
 environment) that was not split off a longer one, a bare tuple. _run
 calls a tuple's split and insert through the class, as
 TreeEnv.split_at(env, k), and any other environment's through its own
-methods, so every split and insert is a call to the backend class's
-attribute; it reads a dot's value off a tuple by index, after checking
-its length.
+methods, so every split and insert it makes is a call to the backend
+class's attribute; it reads a dot's value off a tuple by index, after
+checking its length. It makes no call that would change nothing: an
+application with no unbound dots (fv 0) runs both parts in the empty
+environment it has, and a beta into a binder with no occurrence (an
+empty kvec) enters the body with the closure's environment. Those are
+still the split and beta rules, one fuel unit each, so no rule or step
+count changes; only environment operations are saved, which are counted
+apart from machine transitions (Accattoli and Barras, "Environments and
+the complexity of abstract machines", PPDP 2017).
 
 The one-step machine that the trace checker (verify_trace) steps is
 that loop refocused: step decomposes a machine expression into _run's
@@ -185,37 +192,46 @@ _FRAME_APPLY = 1  # argument value arrived; apply the stored function value
 
 
 def _run(control, is_value: bool, stack: list, fuel: Fuel):
-    # The hot loop: the fuel left is one local, which the finally writes
-    # back on every exit, a raise included, and types are matched exactly,
-    # in dispatch-frequency order. Out of fuel, it leaves its configuration
-    # on the caller's stack (the popped apply frame, then (control,
-    # is_value)) for step and run_machine to plug back.
+    # The hot loop. The configuration lives in the locals term and env
+    # (evaluating) or value (returning), and the fuel left in remaining,
+    # which the finally writes back on every exit, a raise included.
+    # Types are matched exactly, in dispatch-frequency order. Out of fuel,
+    # it leaves its configuration on the caller's stack (the popped apply
+    # frame, then (control, is_value)) for step and run_machine to plug
+    # back. A closed application and a beta into a binder with no
+    # occurrence call no backend operation (see the module docstring).
     remaining = fuel.remaining
+    if is_value:
+        value = control
+    else:
+        term, env = control
     try:
         while True:
             if not is_value:
-                term, env = control
                 if remaining == 0:
-                    stack.append((control, False))
+                    stack.append(((term, env), False))
                     return FuelExhausted(fuel.budget)
                 remaining -= 1
                 kind = type(term)
                 if kind is OApp:
-                    if type(env) is tuple:
-                        env_fun, env_arg = TreeEnv.split_at(env, term.split)
+                    if not term.fv:
+                        stack.append((_FRAME_ARG, term.arg, env))
+                    elif type(env) is tuple:
+                        env, env_arg = TreeEnv.split_at(env, term.split)
+                        stack.append((_FRAME_ARG, term.arg, env_arg))
                     else:
-                        env_fun, env_arg = env.split_at(term.split)
-                    stack.append((_FRAME_ARG, term.arg, env_arg))
-                    control = (term.fun, env_fun)
+                        env, env_arg = env.split_at(term.split)
+                        stack.append((_FRAME_ARG, term.arg, env_arg))
+                    term = term.fun
                 elif kind is Dot:
                     if len(env) != 1:
                         raise InvariantError(
                             f"dot evaluated in environment of length {len(env)}"
                         )
-                    control = env[0] if type(env) is tuple else env.sole()
+                    value = env[0] if type(env) is tuple else env.sole()
                     is_value = True
                 elif kind is OLam:
-                    control = Closure(term, env)
+                    value = Closure(term, env)
                     is_value = True
                 elif kind is Free:
                     if len(env) != 0:
@@ -223,34 +239,35 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
                         raise InvariantError(
                             f"free variable evaluated in environment of length {n}"
                         )
-                    control = Spine(term.name)
+                    value = Spine(term.name)
                     is_value = True
                 else:
                     raise TypeError(f"not an ordered term: {term!r}")
             else:
                 if not stack:
-                    return control
+                    return value
                 frame = stack.pop()
                 if frame[0] == _FRAME_ARG:
-                    stack.append((_FRAME_APPLY, control))
-                    control = (frame[1], frame[2])
+                    stack.append((_FRAME_APPLY, value))
+                    _, term, env = frame
                     is_value = False
                 else:
                     fun = frame[1]
                     if remaining == 0:
-                        stack += (frame, (control, True))
+                        stack += (frame, (value, True))
                         return FuelExhausted(fuel.budget)
                     remaining -= 1
                     if type(fun) is Spine:
-                        control = Spine(fun.head, _Cons(control, fun.args))
+                        value = Spine(fun.head, _Cons(value, fun.args))
                     else:
                         lam = fun.lam
                         env = fun.env
-                        if type(env) is tuple:
-                            env = TreeEnv.multi_insert(env, lam.kvec, control)
-                        else:
-                            env = env.multi_insert(lam.kvec, control)
-                        control = (lam.body, env)
+                        if lam.kvec:
+                            if type(env) is tuple:
+                                env = TreeEnv.multi_insert(env, lam.kvec, value)
+                            else:
+                                env = env.multi_insert(lam.kvec, value)
+                        term = lam.body
                         is_value = False
     finally:
         fuel.remaining = remaining
@@ -323,8 +340,9 @@ def names_in_value(v: Value) -> frozenset[str]:
 # Printer tasks. A term task binds the term's unbound dots to the window
 # buf[lo:hi] of a shared list, so an application only moves the window's
 # middle. A binder copies its window once, with its fresh name's Var
-# inserted, through envseq's _gap_insert, the environments' own insert
-# and range check; a dot over that Var emits it as it is. Each free name
+# inserted, through envseq's _gap_insert, the tuple environments' insert
+# of several positions and its range check; a dot over that Var emits it
+# as it is. Each free name
 # and spine head is one Var too, so the printed term has one leaf node
 # per name.
 _TERM = 0  # (_TERM, ordered term, buf, lo, hi)

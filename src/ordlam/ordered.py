@@ -128,8 +128,23 @@ def is_ordered(t: OrderedTerm) -> bool:
 
 
 def ordered_free_names(t: OrderedTerm) -> frozenset[str]:
-    """Names of all free-variable nodes in t."""
-    return frozenset([sub.name for sub in subterms(t) if type(sub) is Free])
+    """Names of all free-variable nodes in t. A binder node that the
+    translation shared is walked once, however often t reaches it."""
+    names = []
+    walked = set()  # ids of the binder nodes walked; t keeps them alive
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is OApp:
+            stack += (t.arg, t.fun)
+        elif kind is OLam:
+            if id(t) not in walked:
+                walked.add(id(t))
+                stack.append(t.body)
+        elif kind is Free:
+            names.append(t.name)
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------

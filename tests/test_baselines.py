@@ -40,6 +40,7 @@ from ordlam.named import (
     reduce_once_all,
 )
 from ordlam.ordered import Free, parse_closed
+from ordlam.workloads import combinator_chain, leak_family
 
 S_NAMED = parse_surface(r"\x.\y.\z. x z (y z)")
 MOTIVATING = parse_surface(r"(\x.\y. a b y) g f")
@@ -147,6 +148,17 @@ class TestEvalClosures:
         identity_applied = parse_surface(r"(\x. x) a")
         assert db_whnf(identity_applied, fuel=3) == FuelExhausted(3)
         assert db_whnf(identity_applied, fuel=5) == Spine("a")
+
+    def test_exhaustion_at_every_budget_below_the_step_count(self):
+        for term in (MOTIVATING, combinator_chain(5), leak_family(5)):
+            full = Fuel(10**6)
+            value = db_whnf(term, full)
+            assert full.spent > 10
+            for k in range(1, full.spent):
+                fuel = Fuel(k)
+                assert db_whnf(term, fuel) == FuelExhausted(k)
+                assert (fuel.remaining, fuel.spent) == (0, k)
+            assert db_whnf(term, Fuel(full.spent)) == value
 
     def test_index_past_the_environment_is_internal_error(self):
         closure = DbClosure(DLam(BVar(1)), None)

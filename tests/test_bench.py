@@ -268,25 +268,33 @@ class TestRunComparison:
         # Tree backends that reorder their values: the spine over distinct
         # values reads back its arguments out of order, and the digests
         # differ. Below the flat bound every environment is a tuple, and
-        # one mutant reverses what each tuple insert builds. From the
-        # bound up the environment becomes a tree: one mutant reads its
-        # tree's values back to front, and one holds a right finger in
-        # sequence order instead of last first; past _FLAT + 1 the spine's
-        # splits refill that finger with a chunk again and again. The
-        # closure machine is
-        # the reference; the list backend's splits near the end make it
-        # quadratic at these sizes.
-        gap_insert = envseq._gap_insert
+        # one mutant reverses what each tuple insert returns, whether it
+        # takes the one-position path or _gap_insert. From the bound up
+        # the environment becomes a tree: one mutant reads its tree's
+        # values back to front, and one holds a right finger in sequence
+        # order instead of last first; past _FLAT + 1 the spine's splits
+        # refill that finger with a chunk again and again. The closure
+        # machine is the reference; the list backend's splits near the
+        # end make it quadratic at these sizes.
+        TreeEnv = envseq.TreeEnv
+        tree_insert = TreeEnv.multi_insert
         tree_values = envseq._values
-        mutants = [("_gap_insert", lambda *args: gap_insert(*args)[::-1])]
+
+        def reversed_tuple_insert(env, kvec, value):
+            out = tree_insert(env, kvec, value)
+            if type(env) is tuple:
+                return TreeEnv.from_values(list(out)[::-1])
+            return out
+
+        mutants = [(TreeEnv, "multi_insert", reversed_tuple_insert)]
         if size >= _FLAT:
             mutants.append(
-                ("_values", lambda node, out: out + tree_values(node, [])[::-1])
+                (envseq, "_values", lambda node, out: out + tree_values(node, [])[::-1])
             )
-            mutants.append(("_rchain", envseq._chain))
-        for name, mutant in mutants:
+            mutants.append((envseq, "_rchain", envseq._chain))
+        for owner, name, mutant in mutants:
             with monkeypatch.context() as patch:
-                patch.setattr(envseq, name, mutant)
+                patch.setattr(owner, name, mutant)
                 with pytest.raises(DigestMismatch):
                     run_comparison(
                         "distinct-spine",

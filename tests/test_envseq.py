@@ -150,6 +150,20 @@ class TestMultiInsert:
         with pytest.raises(InvariantError):
             envseq._gap_insert(buffer, lo, hi, (hi - lo + 1,), "w")
 
+    def test_one_position_at_every_index(self, backend):
+        # A tuple takes one position with one concatenation while the
+        # result stays under _FLAT, and through _gap_insert from there; a
+        # position past the end is refused either way.
+        for n in (0, 1, 5, _FLAT - 2, _FLAT - 1):
+            values = list(range(n))
+            env = backend.from_values(values)
+            for k in range(n + 1):
+                out = backend.multi_insert(env, (k,), "w")
+                assert list(out) == values[:k] + ["w"] + values[k:]
+            message = f"^insert positions need {n + 1} elements, sequence has {n}$"
+            with pytest.raises(InvariantError, match=message):
+                backend.multi_insert(env, (n + 1,), "w")
+
     def test_inserted_value_shared(self, backend):
         marker = ["shared"]
         result = backend.multi_insert(backend.from_values([1, 2]), (0, 2), marker)
@@ -883,7 +897,7 @@ class TestPeelScaling:
 # envseq's order-sensitive choices, each as a one-line mutant and the test
 # that must fail under it: (owner, function, line, mutant line, test
 # class, test method, its arguments). Every test named runs at sizes
-# above the flat bound.
+# that reach the flat bound.
 MUTANTS = {
     "left refill takes the tree's last chunk": (
         TreeEnv,
@@ -992,6 +1006,24 @@ MUTANTS = {
         "TestFlatState",
         "test_every_result_under_the_bound_is_flat",
         (_FLAT - 1,),
+    ),
+    "a one-position insert places the value one slot late": (
+        TreeEnv,
+        "multi_insert",
+        "return self[:k] + (value,) + self[k:]",
+        "return self[: k + 1] + (value,) + self[k + 1 :]",
+        "TestMultiInsert",
+        "test_one_position_at_every_index",
+        (TreeEnv,),
+    ),
+    "a one-position insert accepts a position one past the end": (
+        TreeEnv,
+        "multi_insert",
+        "if k > n:",
+        "if k > n + 1:",
+        "TestMultiInsert",
+        "test_one_position_at_every_index",
+        (TreeEnv,),
     ),
     "from_values keeps a tuple of length _FLAT": (
         TreeEnv,

@@ -49,7 +49,9 @@ from ordlam.named import (
     reduce_once_all,
 )
 from ordlam.ordered import DOT, Free, OApp, OLam, OrderedTerm, parse_closed
-from ordlam.workloads import build_workload, wide_binder
+from ordlam.workloads import build_workload, combinator_chain, leak_family, wide_binder
+
+from mutation import install
 
 S_NAMED = parse_surface(r"\x.\y.\z. x z (y z)")
 S_BODY3 = OApp(OApp(DOT, 1, DOT), 2, OApp(DOT, 1, DOT))
@@ -684,17 +686,26 @@ class TestRefocusing:
 
     @pytest.mark.parametrize("env", BACKENDS.values(), ids=BACKENDS)
     def test_exhaustion_at_every_budget_below_the_step_count(self, env):
-        t = parse_closed(MOTIVATING)
-        full = Fuel(DEFAULT_FUEL)
-        evaluate(t, env.empty(), full)
-        assert full.spent > 10
-        for k in range(1, full.spent):
-            fuel = Fuel(k)
-            assert evaluate(t, env.empty(), fuel) == FuelExhausted(k)
-            assert (fuel.remaining, fuel.spent) == (0, k)
-            # The paused configuration goes back on the loop's own stack.
-            assert not hasattr(fuel, "__dict__")
-        assert evaluate(t, env.empty(), Fuel(full.spent)) == whnf(MOTIVATING)
+        # Combinator chains and the leak family are mostly closed
+        # applications and binders without occurrences. Out of fuel, at
+        # every budget, run_machine plugs the paused configuration back into
+        # an expression that the steps left take to the same value.
+        for term in (MOTIVATING, combinator_chain(5), leak_family(5)):
+            t = parse_closed(term)
+            full = Fuel(DEFAULT_FUEL)
+            value = evaluate(t, env.empty(), full)
+            assert full.spent > 10
+            for k in range(1, full.spent):
+                fuel = Fuel(k)
+                assert evaluate(t, env.empty(), fuel) == FuelExhausted(k)
+                assert (fuel.remaining, fuel.spent) == (0, k)
+                # The paused configuration goes back on the loop's own stack.
+                assert not hasattr(fuel, "__dict__")
+                paused, steps = run_machine(Pending(t, env.empty()), k)
+                final, more = run_machine(paused)
+                assert (steps, steps + more) == (k, full.spent)
+                assert final == Done(value)
+            assert value == whnf(term)
 
 
 class TestWeight:
@@ -820,7 +831,89 @@ class TestEnvironmentCalls:
     """perfbench's tracer counts environment work by wrapping each backend
     class's split_at and multi_insert, so every split and insert the
     evaluator makes must be a call to that class attribute, on either
-    backend, whether the environment is an object or a bare tuple."""
+    backend, whether the environment is an object or a bare tuple. A
+    split of an application with no unbound dots and an insert for a
+    binder with no occurrence would change nothing, so the evaluator
+    makes neither call there; the two backends still make the same calls."""
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> Counter:
+        """(backend name, operation) -> calls, from here on."""
+        calls = Counter()
+        for backend in (ListEnv, TreeEnv):
+            for name in ("split_at", "multi_insert"):
+                operation = getattr(backend, name)
+
+                def counted(env, *args, key=(backend.__name__, name), op=operation):
+                    calls[key] += 1
+                    return op(env, *args)
+
+                monkeypatch.setattr(backend, name, counted)
+        return calls
+
+    def test_no_call_for_a_closed_application_or_an_unused_binder(
+        self, monkeypatch
+    ):
+        calls = self._count_calls(monkeypatch)
+        # (term, steps, split calls, insert calls). Every application but
+        # x c and f x is closed; f x still splits, although its split is 0,
+        # because its argument is a dot. The x of \x. c and of \x. \y. y
+        # has no occurrence. Every split and beta step costs one unit of
+        # fuel, whether it calls the backend or not.
+        cases = (
+            (r"(\x. c) (\y. y)", 5, 0, 0),
+            (r"(\x. x c) a", 8, 1, 1),
+            (r"(\x. f x) a", 8, 1, 1),
+            (r"(\x. \y. y) a b", 9, 0, 1),
+        )
+        for text, steps, splits, inserts in cases:
+            t = parse_closed(parse_surface(text))
+            for backend in (ListEnv, TreeEnv):
+                calls.clear()
+                fuel = Fuel(DEFAULT_FUEL)
+                evaluate(t, backend.empty(), fuel)
+                key = backend.__name__
+                assert fuel.spent == steps
+                assert calls[key, "split_at"] == splits
+                assert calls[key, "multi_insert"] == inserts
+
+    def test_one_call_per_open_split_and_per_used_binder(self, monkeypatch):
+        # On a corpus, the calls evaluate makes are the split steps at
+        # applications with unbound dots and the beta steps into binders
+        # with occurrences, counted off the one-step machine's trace.
+        calls = self._count_calls(monkeypatch)
+        made, expected, skipped = Counter(), Counter(), Counter()
+        for term in gen_terms(1009, 300, 40, 0.5):
+            t = parse_closed(term)
+            for backend in (ListEnv, TreeEnv):
+                key = backend.__name__
+                for before, _, rule in machine_trace(Pending(t, backend.empty()), 500):
+                    control, _, stack = _decompose(before)
+                    if rule == RULE_SPLIT:
+                        used = control[0].fv > 0
+                        operation = "split_at"
+                    elif rule == RULE_BETA:
+                        used = bool(stack[-1][1].lam.kvec)
+                        operation = "multi_insert"
+                    else:
+                        continue
+                    (expected if used else skipped)[key, operation] += 1
+                calls.clear()  # the trace's own calls
+                evaluate(t, backend.empty(), 500)
+                made += calls
+        assert made == expected
+        for operation in ("split_at", "multi_insert"):
+            assert made["ListEnv", operation] == made["TreeEnv", operation] > 0
+            assert skipped["ListEnv", operation] == skipped["TreeEnv", operation] > 0
+
+    def test_a_shortcut_keyed_on_the_split_is_caught(self, monkeypatch):
+        # An application whose function part is closed has split 0 but may
+        # have unbound dots in its argument: keyed on the split, the
+        # shortcut would hand the whole environment to both parts.
+        install(monkeypatch, machine, "_run", "if not term.fv:", "if not term.split:")
+        message = "^free variable evaluated in environment of length 1$"
+        with pytest.raises(InvariantError, match=message):
+            self.test_no_call_for_a_closed_application_or_an_unused_binder(monkeypatch)
 
     def test_backends_make_the_same_calls_and_short_parts_are_tuples(
         self, monkeypatch

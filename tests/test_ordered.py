@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from ordlam.baselines import BVar, DApp, DLam, FVar, to_debruijn
+from ordlam.baselines import BVar, DApp, DLam, FVar, db_free_names, to_debruijn
 from ordlam.gen import gen_terms
 from ordlam.named import App, Lam, Var, alpha_eq, parse_surface
 from ordlam.ordered import (
@@ -20,6 +20,7 @@ from ordlam.ordered import (
     to_ordered,
     write_ordered,
 )
+from ordlam.workloads import combinator_chain
 
 S_NAMED = parse_surface(r"\x.\y.\z. x z (y z)")
 
@@ -290,6 +291,22 @@ class TestSharedLambdas:
         assert d.body.fun is not d.body.arg
         assert d.body.fun.body.arg is d.body.arg.body.arg
         assert d == DLam(DApp(*[DLam(DApp(DApp(BVar(1), BVar(0)), DLam(BVar(0))))] * 2))
+
+    def test_free_names_walk_a_shared_lambda_once(self):
+        # The innermost lambda is reached 2**40 times through the nested
+        # applications; each walk visits every distinct node once.
+        t, d = OLam((), Free("a")), DLam(FVar("a"))
+        for _ in range(40):
+            t, d = OLam((), OApp(t, 0, t)), DLam(DApp(d, d))
+        assert ordered_free_names(t) == {"a"}
+        assert db_free_names(d) == {"a"}
+
+    def test_free_names_agree_with_the_named_term(self):
+        # The named free_names is an independent walk; the corpus shares
+        # nothing, the combinator chain shares its closed lambdas.
+        for term in gen_terms(61, 300, 40, 0.3) + [combinator_chain(50)]:
+            assert ordered_free_names(parse_closed(term)) == term.free_names
+            assert db_free_names(to_debruijn(term)) == term.free_names
 
 
 class TestTextFormat:
