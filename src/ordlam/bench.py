@@ -78,7 +78,7 @@ STRATEGIES = {
     "closures": Strategy(
         lambda m, fuel: baselines.db_whnf(m, fuel),
         lambda v, fuel, m: baselines.db_readback_normal_form(v, fuel, m.free_names),
-        lambda v: baselines.db_print_value(v),
+        lambda v: machine.print_value(v),
         lambda v: baselines.db_value_node_count(v),
     ),
     # Eager normalization reaches the normal form in its first phase,

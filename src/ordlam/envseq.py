@@ -119,16 +119,14 @@ class ListEnv:
             return _LIST_EMPTY, self
         if k == self._length:
             return self, _LIST_EMPTY
+        # A fresh copy of the first k cells, built front to back; the
+        # chain past them is shared.
         cell = self._cell
-        prefix = []
-        for _ in range(k):
-            prefix.append(cell.head)
+        first = last = _Cons(cell.head, None)
+        for _ in range(k - 1):
             cell = cell.tail
-        rest = ListEnv(cell, self._length - k)
-        rebuilt = None
-        for v in reversed(prefix):
-            rebuilt = _Cons(v, rebuilt)
-        return ListEnv(rebuilt, k), rest
+            last.tail = last = _Cons(cell.head, None)
+        return ListEnv(first, k), ListEnv(cell.tail, self._length - k)
 
     def multi_insert(self, kvec: tuple[int, ...], value: Any) -> "ListEnv":
         total = sum(kvec)
@@ -138,19 +136,26 @@ class ListEnv:
             )
         if not kvec:
             return self
-        # Copy the first total cells; the chain past them is shared.
+        # A fresh copy of the first total cells with value after each gap,
+        # built front to back from the result's first cell (the first gap
+        # and its value, as split_at copies); the chain past them is shared.
         cell = self._cell
-        prefix = []
-        for _ in range(total):
-            prefix.append(cell.head)
+        if kvec[0]:
+            first = last = _Cons(cell.head, None)
+            for _ in range(kvec[0] - 1):
+                cell = cell.tail
+                last.tail = last = _Cons(cell.head, None)
             cell = cell.tail
-        consumed = total
-        for gap in reversed(kvec):
-            cell = _Cons(value, cell)
-            for v in reversed(prefix[consumed - gap : consumed]):
-                cell = _Cons(v, cell)
-            consumed -= gap
-        return ListEnv(cell, self._length + len(kvec))
+            last.tail = last = _Cons(value, None)
+        else:
+            first = last = _Cons(value, None)
+        for gap in kvec[1:]:
+            for _ in range(gap):
+                last.tail = last = _Cons(cell.head, None)
+                cell = cell.tail
+            last.tail = last = _Cons(value, None)
+        last.tail = cell
+        return ListEnv(first, self._length + len(kvec))
 
     def __repr__(self) -> str:
         return f"ListEnv({list(self)!r})"

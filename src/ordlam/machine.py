@@ -36,16 +36,18 @@ The one-step machine that the trace checker (verify_trace) steps is
 that loop refocused: step decomposes a machine expression into _run's
 configuration (control, is_value, stack), runs one rule on one unit of
 fuel, and plugs the configuration where _run stops back into an
-expression; run_machine does the same once around a whole run. Printing
-turns terms, values and machine expressions back into named terms.
-Every walk here, readback included, is an explicit-stack loop, so term
-and value depth is bounded by memory, not by the recursion limit.
+expression; run_machine does the same once around a whole run. Every
+walk here, readback and printing included, is an explicit-stack loop,
+so term and value depth is bounded by memory, not by the recursion
+limit.
 
-Spines, the walks over values and readback to normal form are shared
-with the de Bruijn closure machine in baselines. A closure of either
-machine holds the binder node its loop met (lam) and an environment; a
-closure class takes part by providing lam, captured() and body_names(),
-and readback is given the machine's apply function.
+Spines, the walks over values, readback to normal form and printing
+are shared with the de Bruijn closure machine in baselines. A closure
+of either machine holds the binder node its loop met (lam) and an
+environment; a closure class takes part by providing lam, captured()
+and body_names(), and readback is given the machine's apply function.
+One printer (_print) turns ordered and de Bruijn terms, the values of
+both machines and machine expressions back into named terms.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
+from .debruijn import BVar, DApp, DbTerm, DLam, FVar, _env_lookup, db_free_names
 from .envseq import TreeEnv, _Cons, _gap_insert, _heads
 from .errors import InvariantError
 from .named import App, Fuel, FuelExhausted, Lam, NamedTerm, Var, _as_fuel
@@ -311,7 +314,9 @@ def whnf(
 
 
 def _reachable(v: Value) -> Iterator[Value]:
-    """Each distinct value node reachable from v, once (explicit stack)."""
+    """Each distinct value node reachable from v, once (explicit stack).
+    Anything reachable that is no value of either machine raises
+    TypeError."""
     seen: set[int] = set()
     stack: list = [v]
     while stack:
@@ -319,11 +324,13 @@ def _reachable(v: Value) -> Iterator[Value]:
         if id(item) in seen:
             continue
         seen.add(id(item))
-        yield item
-        if isinstance(item, Spine):
+        if type(item) is Spine:
             _heads(item.args, stack)
-        else:
+        elif hasattr(type(item), "captured"):
             stack.extend(item.captured())
+        else:
+            raise TypeError(f"not a value: {item!r}")
+        yield item
 
 
 def names_in_value(v: Value) -> frozenset[str]:
@@ -337,20 +344,26 @@ def names_in_value(v: Value) -> frozenset[str]:
     return frozenset(names)
 
 
-# Printer tasks. A term task binds the term's unbound dots to the window
-# buf[lo:hi] of a shared list, so an application only moves the window's
-# middle. A binder copies its window once, with its fresh name's Var
-# inserted, through envseq's _gap_insert, the tuple environments' insert
-# of several positions and its range check; a dot over that Var emits it
-# as it is. Each free name
+# Printer tasks. An ordered term task binds the term's unbound dots to
+# the window buf[lo:hi] of a shared list, so an application only moves
+# the window's middle. A binder copies its window once, with its fresh
+# name's Var inserted, through envseq's _gap_insert, the tuple
+# environments' insert of several positions and its range check; a dot
+# over that Var emits it as it is. A de Bruijn term task reads an index
+# below its depth off scope, the binder Vars in scope, innermost last,
+# and any other index off its environment. Binders of both families
+# push their Var onto scope and one _LAM task pops it. Each free name
 # and spine head is one Var too, so the printed term has one leaf node
 # per name.
 _TERM = 0  # (_TERM, ordered term, buf, lo, hi)
-_VALUE = 1  # (_VALUE, value)
-_EXPR = 2  # (_EXPR, machine expression)
-_APP = 3  # (_APP,): pop an argument and a function, push their application
-_LAM = 4  # (_LAM, binder): pop a body, push its abstraction
+_APP = 1  # (_APP,): pop an argument and a function, push their application
+_LAM = 2  # (_LAM,): pop a body and a binder Var, push their abstraction
+_DB = 3  # (_DB, de Bruijn term, scope start, cons-chain environment or _UNBOUND)
+_VALUE = 4  # (_VALUE, value)
+_EXPR = 5  # (_EXPR, machine expression)
 _APP_TASK = (_APP,)
+_LAM_TASK = (_LAM,)
+_UNBOUND = object()  # the environment of a de Bruijn term outside any closure
 
 
 def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
@@ -359,6 +372,7 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
     argument part, spine arguments left to right."""
     work = [task]
     out: list[NamedTerm] = []
+    scope: list[Var] = []
     leaves: dict[str, Var] = {}  # by free name or spine head
     while work:
         task = work.pop()
@@ -383,9 +397,10 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
                 else:
                     work.append((_VALUE, v))
             elif type(t) is OLam:
-                binder = next(fresh)
-                inner = _gap_insert(buf, lo, hi, t.kvec, Var(binder))
-                work.append((_LAM, binder))
+                var = Var(next(fresh))
+                scope.append(var)
+                inner = _gap_insert(buf, lo, hi, t.kvec, var)
+                work.append(_LAM_TASK)
                 work.append((_TERM, t.body, inner, 0, len(inner)))
             elif type(t) is Free:
                 if hi > lo:
@@ -398,7 +413,39 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
                 out.append(var)
             else:
                 raise TypeError(f"not an ordered term: {t!r}")
+        elif kind == _APP:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+        elif kind == _LAM:
+            out[-1] = Lam(scope.pop().name, out[-1])
+        elif kind == _DB:
+            _, t, base, env = task
+            if type(t) is DApp:
+                work.append(_APP_TASK)
+                work.append((_DB, t.arg, base, env))
+                work.append((_DB, t.fun, base, env))
+            elif type(t) is BVar:
+                depth = len(scope) - base
+                if t.index < depth:
+                    out.append(scope[-1 - t.index])
+                elif env is _UNBOUND:
+                    raise InvariantError(f"unbound index {t.index} at depth {depth}")
+                else:
+                    work.append((_VALUE, _env_lookup(env, t.index - depth)))
+            elif type(t) is DLam:
+                scope.append(Var(next(fresh)))
+                work.append(_LAM_TASK)
+                work.append((_DB, t.body, base, env))
+            elif type(t) is FVar:
+                var = leaves.get(t.name)
+                if var is None:
+                    var = leaves[t.name] = Var(t.name)
+                out.append(var)
+            else:
+                raise TypeError(f"not a de Bruijn term: {t!r}")
         elif kind == _VALUE:
+            # Every caller has read the names of each value it prints
+            # (names_in_value), which refuses anything not a value.
             v = task[1]
             if type(v) is Spine:
                 var = leaves.get(v.head)
@@ -412,12 +459,10 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
                 values = list(v.env)
                 work.append((_TERM, v.lam, values, 0, len(values)))
             else:
-                raise TypeError(f"not a value: {v!r}")
-        elif kind == _APP:
-            arg = out.pop()
-            out[-1] = App(out[-1], arg)
-        elif kind == _LAM:
-            out[-1] = Lam(task[1], out[-1])
+                # A closure-machine closure: its binder node opens a scope
+                # of its own, whose body sees only that binder, then the
+                # closure's environment.
+                work.append((_DB, v.lam, len(scope), v.env))
         else:
             e = task[1]
             if isinstance(e, Pending):
@@ -446,8 +491,14 @@ def print_ordered(t: OrderedTerm, env: list) -> NamedTerm:
     return _print((_TERM, t, values, 0, len(values)), fresh_names(avoid))
 
 
+def from_debruijn(t: DbTerm, avoid: frozenset[str] = frozenset()) -> NamedTerm:
+    """Name the binders of a de Bruijn term with deterministic fresh names."""
+    return _print((_DB, t, 0, _UNBOUND), fresh_names(db_free_names(t) | avoid))
+
+
 def print_value(v: Value) -> NamedTerm:
-    """Print a value as a named term (spines as applications, closures as lambdas)."""
+    """Print a value of either machine as a named term (spines as
+    applications, closures as lambdas) without reducing anything."""
     return _print((_VALUE, v), fresh_names(names_in_value(v)))
 
 

@@ -18,8 +18,10 @@ insignificant.
 
 Term is the base class of all three term families (named here, ordered
 and de Bruijn); its ==, hash() and repr() read one walk of each node's
-constructor fields. Every walk over terms is an explicit-stack loop, so
-term depth is bounded by memory, not by the recursion limit.
+constructor fields, and the two nameless families read their free names
+with one more shared walk (_leaf_names). Every walk over terms is an
+explicit-stack loop, so term depth is bounded by memory, not by the
+recursion limit.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterator, Optional, Union
 
 class Term:
     """Base class of the three term families: named (NamedTerm), ordered
-    (ordered.OrderedTerm) and de Bruijn (baselines.DbTerm).
+    (ordered.OrderedTerm) and de Bruijn (debruijn.DbTerm).
 
     A term's constructor fields are the ones its class lists in
     __match_args__, in constructor order. Terms are immutable: assigning
@@ -134,6 +136,29 @@ def _fields(t: Term) -> tuple:
         else:
             out.append(item)
     return tuple(out)
+
+
+def _leaf_names(t: Term, app: type, lam: type, leaf: type) -> frozenset[str]:
+    """The names of t's named leaves, which are its free names. t is a
+    nameless term (ordered or de Bruijn) whose family's application,
+    binder and named-leaf classes are app, lam and leaf. A binder node
+    that a translation shared is walked once, however often t reaches
+    it."""
+    names = []
+    walked = set()  # ids of the binder nodes walked; t keeps them alive
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is app:
+            stack += (t.arg, t.fun)
+        elif kind is lam:
+            if id(t) not in walked:
+                walked.add(id(t))
+                stack.append(t.body)
+        elif kind is leaf:
+            names.append(t.name)
+    return frozenset(names)
 
 
 class NamedTerm(Term):

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .named import _IDENT, App, Lam, NamedTerm, Term, Var
+from .named import _IDENT, App, Lam, NamedTerm, Term, Var, _leaf_names
 
 
 class OrderedTerm(Term):
@@ -130,21 +130,7 @@ def is_ordered(t: OrderedTerm) -> bool:
 def ordered_free_names(t: OrderedTerm) -> frozenset[str]:
     """Names of all free-variable nodes in t. A binder node that the
     translation shared is walked once, however often t reaches it."""
-    names = []
-    walked = set()  # ids of the binder nodes walked; t keeps them alive
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        kind = type(t)
-        if kind is OApp:
-            stack += (t.arg, t.fun)
-        elif kind is OLam:
-            if id(t) not in walked:
-                walked.add(id(t))
-                stack.append(t.body)
-        elif kind is Free:
-            names.append(t.name)
-    return frozenset(names)
+    return _leaf_names(t, OApp, OLam, Free)
 
 
 # ---------------------------------------------------------------------------

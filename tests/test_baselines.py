@@ -5,28 +5,28 @@ import tracemalloc
 import pytest
 
 from ordlam.baselines import (
-    BVar,
-    DApp,
     DbClosure,
-    DLam,
-    FVar,
     db_apply,
-    db_free_names,
     db_normalize_by_evaluation,
-    db_print_value,
     db_value_node_count,
     db_whnf,
-    from_debruijn,
-    locally_closed,
     normalize_hsub,
-    to_debruijn,
 )
 from ordlam.bench import run_strategy
 from ordlam.cli import main
+from ordlam.debruijn import (
+    BVar,
+    DApp,
+    DLam,
+    FVar,
+    db_free_names,
+    locally_closed,
+    to_debruijn,
+)
 from ordlam.envseq import _Cons
 from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
-from ordlam.machine import Spine, value_node_count, whnf
+from ordlam.machine import Spine, from_debruijn, print_value, value_node_count, whnf
 from ordlam.named import (
     App,
     Fuel,
@@ -222,11 +222,13 @@ class TestDbPrintValue:
     )
     def test_closures_print_their_environment(self, source, expected):
         v = db_whnf(parse_surface(source))
-        assert print_surface(db_print_value(v)) == expected
+        assert print_surface(print_value(v)) == expected
 
     def test_a_value_of_the_ordered_machine_is_refused(self):
-        with pytest.raises(TypeError, match="^not a closure-machine value: Closure"):
-            db_print_value(whnf(parse_surface(r"\x. c x")))
+        # from_debruijn prints de Bruijn terms only; an ordered-machine
+        # value goes through print_value.
+        with pytest.raises(TypeError, match="^not a de Bruijn term: Closure"):
+            from_debruijn(whnf(parse_surface(r"\x. c x")))
 
     def test_a_named_term_is_refused(self):
         with pytest.raises(TypeError, match="^not a de Bruijn term: Var"):
@@ -243,7 +245,7 @@ class TestDeepDbPrinting:
         for _ in range(self.DEPTH):
             v = Spine("f", _Cons(v, None))
         expected = "f (" * (self.DEPTH - 1) + "f x" + ")" * (self.DEPTH - 1)
-        assert print_surface(db_print_value(v)) == expected
+        assert print_surface(print_value(v)) == expected
 
     def test_closure_under_deep_binders(self):
         # \z0. \z1. ... \zD. y z0, where y comes from the closure's
@@ -253,7 +255,7 @@ class TestDeepDbPrinting:
             body = DLam(body)
         v = DbClosure(DLam(body), _Cons(Spine("y"), None))
         expected = "".join(f"\\z{i}. " for i in range(self.DEPTH + 1)) + "y z0"
-        assert print_surface(db_print_value(v)) == expected
+        assert print_surface(print_value(v)) == expected
 
 
 class TestDeepDbTerms:
@@ -417,9 +419,10 @@ def peak_bytes(call, m) -> int:
     tracemalloc does not see an allocation that CPython serves from one of
     its free lists (up to 2000 tuples per size), so the same call peaks
     lower when code run earlier in the process left a free list full; for
-    the 4-tuples of `_db_print` that is about 21 % at n = 1000. A full
-    `gc.collect()` empties every free list, so the peak is taken from that
-    emptied state and reads the same whatever ran before.
+    the 4-tuples of the de Bruijn printer's tasks that was about 21 % at
+    n = 1000. A full `gc.collect()` empties every free list, so the peak
+    is taken from that emptied state and reads the same whatever ran
+    before.
     """
     gc.collect()
     tracemalloc.start()
@@ -438,7 +441,7 @@ def distinct_closure(n: int):
 NAME_READERS = pytest.mark.parametrize(
     "build, call",
     [
-        (distinct_closure, lambda m: db_print_value(db_whnf(m))),
+        (distinct_closure, lambda m: print_value(db_whnf(m))),
         (distinct_names, lambda m: from_debruijn(to_debruijn(m))),
     ],
     ids=["closure-print", "from-debruijn"],

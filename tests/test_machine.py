@@ -371,9 +371,19 @@ class TestPrinting:
             print_ordered(t, [spine(f"v{i}") for i in range(t.fv)])
 
     def test_print_value_needs_a_value_of_this_machine(self):
-        closure = baselines.DbClosure(baselines.DLam(baselines.BVar(0)), None)
-        with pytest.raises(TypeError, match=r"^not a value: DbClosure\("):
-            print_value(closure)
+        # A closure-machine term is printed by from_debruijn; bare, it is
+        # no value of either machine.
+        with pytest.raises(TypeError, match=r"^not a value: DLam\("):
+            print_value(baselines.DLam(baselines.BVar(0)))
+
+    def test_print_value_prints_a_value_of_either_machine(self):
+        # A closure capturing a closure, held by each machine's own binder
+        # nodes; a named term is no value of either.
+        m = parse_surface(r"(\x. \y. \z. y (x z)) (\u. u) f")
+        for v in (whnf(m), baselines.db_whnf(m)):
+            assert print_surface(print_value(v)) == r"\z0. f ((\z1. z1) z0)"
+        with pytest.raises(TypeError, match=r"^not a value: Var\(name='x'\)$"):
+            print_value(Var("x"))
 
     def test_spine_repr(self):
         text = "Spine('f', [Spine('a', []), Spine('b', [])])"

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from ordlam.baselines import BVar, DApp, DLam, FVar, db_free_names, to_debruijn
+from ordlam.debruijn import BVar, DApp, DLam, FVar, db_free_names, to_debruijn
 from ordlam.gen import gen_terms
 from ordlam.named import App, Lam, Var, alpha_eq, parse_surface
 from ordlam.ordered import (

@@ -6,8 +6,8 @@ import pickle
 
 import pytest
 
-from ordlam.baselines import BVar, DApp, DLam, FVar, db_normalize_by_evaluation
-from ordlam.baselines import to_debruijn
+from ordlam.baselines import db_normalize_by_evaluation, db_whnf, normalize_hsub
+from ordlam.debruijn import BVar, DApp, DLam, FVar, to_debruijn
 from ordlam.envseq import BACKENDS
 from ordlam.gen import gen_terms
 from ordlam.named import (
@@ -23,7 +23,8 @@ from ordlam.named import (
     print_surface,
     subst,
 )
-from ordlam.machine import normalize_by_evaluation, print_ordered
+from ordlam.machine import from_debruijn, normalize_by_evaluation, print_ordered
+from ordlam.machine import print_value
 from ordlam.ordered import DOT, Dot, Free, OApp, OLam, parse_closed, subterms
 from ordlam.ordered import to_ordered
 from ordlam.workloads import big_spine, church, church_add, combinator_chain
@@ -326,6 +327,21 @@ def test_closure_readback_shares_one_var_per_name():
 
 def test_printing_shares_one_var_per_binder():
     _check_one_leaf_per_binder(print_ordered(parse_closed(church(6)), []))
+
+
+@pytest.mark.parametrize(
+    "printed",
+    [
+        lambda: print_value(db_whnf(church(6))),
+        lambda: from_debruijn(to_debruijn(church(6))),
+        lambda: normalize_hsub(church_add(6)),
+    ],
+    ids=["closure-whnf", "from-debruijn", "eager"],
+)
+def test_de_bruijn_printing_shares_one_var_per_binder(printed):
+    # The closure machine's values and de Bruijn terms print through the
+    # ordered printer's loop, with one Var per binder.
+    _check_one_leaf_per_binder(printed())
 
 
 def test_translation_shares_one_free_per_name():
