@@ -58,7 +58,7 @@ from typing import Iterator, Optional, Union
 from .debruijn import BVar, DApp, DbTerm, DLam, FVar, _env_lookup, db_free_names
 from .envseq import TreeEnv, _Cons, _gap_insert, _heads
 from .errors import InvariantError
-from .named import App, Fuel, FuelExhausted, Lam, NamedTerm, Var, _as_fuel
+from .named import App, Fuel, FuelExhausted, Lam, NamedTerm, Var, _as_fuel, _Leaves
 from .named import alpha_key, fresh_names, reduct_keys
 from .ordered import (
     Dot,
@@ -349,75 +349,113 @@ def names_in_value(v: Value) -> frozenset[str]:
 # the window's middle. A binder copies its window once, with its fresh
 # name's Var inserted, through envseq's _gap_insert, the tuple
 # environments' insert of several positions and its range check; a dot
-# over that Var emits it as it is. A de Bruijn term task reads an index
-# below its depth off scope, the binder Vars in scope, innermost last,
-# and any other index off its environment. Binders of both families
-# push their Var onto scope and one _LAM task pops it. Each free name
-# and spine head is one Var too, so the printed term has one leaf node
-# per name.
+# over that Var emits it as it is. The loop of an ordered term task walks
+# into an application's function part on the same window's left part. A
+# leaf function part (a dot or a free variable) is emitted there, and the
+# loop walks on into the argument, so a right-nested spine such as
+# s (s (... z)) pushes one _APP_TASK per application and no task tuple.
+# Past any other function part, the argument waits: a leaf argument (a
+# free variable, or a dot whose window holds a Var) as its Var, joined
+# to the function part when popped, and any other one as a term task
+# above an _APP_TASK. A de Bruijn term task reads an index below its
+# depth off scope, the binder Vars in scope, innermost last, and any
+# other index off its environment. Binders of both families push their
+# Var onto scope and one _LAM_TASK pops it. Each free name and spine
+# head is one Var too, so the printed term has one leaf node per name.
 _TERM = 0  # (_TERM, ordered term, buf, lo, hi)
-_APP = 1  # (_APP,): pop an argument and a function, push their application
-_LAM = 2  # (_LAM,): pop a body and a binder Var, push their abstraction
-_DB = 3  # (_DB, de Bruijn term, scope start, cons-chain environment or _UNBOUND)
-_VALUE = 4  # (_VALUE, value)
-_EXPR = 5  # (_EXPR, machine expression)
-_APP_TASK = (_APP,)
-_LAM_TASK = (_LAM,)
+_DB = 1  # (_DB, de Bruijn term, scope start, cons-chain environment or _UNBOUND)
+_VALUE = 2  # (_VALUE, value)
+_EXPR = 3  # (_EXPR, machine expression)
+_APP_TASK = ("app",)  # pop an argument and a function, push their application
+_LAM_TASK = ("lam",)  # pop a body and a binder Var, push their abstraction
 _UNBOUND = object()  # the environment of a de Bruijn term outside any closure
 
 
 def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
     """Print one task's term with an explicit work stack, so depth never
     recurses. Binders draw fresh names in pre-order, function part before
-    argument part, spine arguments left to right."""
+    argument part, spine arguments left to right. An ordered term's
+    applications are walked in the loop, as the comment above says; a
+    work item that is a Var is a leaf argument, joined to the term below
+    it at once."""
     work = [task]
     out: list[NamedTerm] = []
     scope: list[Var] = []
-    leaves: dict[str, Var] = {}  # by free name or spine head
+    leaves = _Leaves(Var)  # by free name or spine head
     while work:
         task = work.pop()
+        if task is _APP_TASK:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+            continue
+        if type(task) is Var:
+            out[-1] = App(out[-1], task)
+            continue
+        if task is _LAM_TASK:
+            out[-1] = Lam(scope.pop().name, out[-1])
+            continue
         kind = task[0]
         if kind == _TERM:
             _, t, buf, lo, hi = task
-            if type(t) is OApp:
-                if t.split > hi - lo:
-                    raise InvariantError("application split exceeds environment length")
-                mid = lo + t.split
-                work.append(_APP_TASK)
-                work.append((_TERM, t.arg, buf, mid, hi))
-                work.append((_TERM, t.fun, buf, lo, mid))
-            elif type(t) is Dot:
-                if hi - lo != 1:
-                    raise InvariantError(
-                        f"dot printed under environment of length {hi - lo}"
-                    )
-                v = buf[lo]
-                if type(v) is Var:
+            rest = None  # the argument of the leaf function part the loop is at
+            while True:
+                kind = type(t)
+                if kind is OApp:
+                    if t.split > hi - lo:
+                        raise InvariantError(
+                            "application split exceeds environment length"
+                        )
+                    mid = lo + t.split
+                    fun = t.fun
+                    arg = t.arg
+                    if type(fun) is Dot or type(fun) is Free:
+                        work.append(_APP_TASK)
+                        rest = arg
+                        rest_hi = hi
+                    elif type(arg) is Free and mid == hi:
+                        work.append(leaves[arg.name])
+                    elif type(arg) is Dot and hi - mid == 1 and type(buf[mid]) is Var:
+                        work.append(buf[mid])
+                    else:
+                        work += (_APP_TASK, (_TERM, arg, buf, mid, hi))
+                    t = fun
+                    hi = mid
+                    continue
+                if kind is Dot:
+                    if hi - lo != 1:
+                        raise InvariantError(
+                            f"dot printed under environment of length {hi - lo}"
+                        )
+                    v = buf[lo]
+                    if type(v) is not Var:
+                        if rest is not None:
+                            work.append((_TERM, rest, buf, hi, rest_hi))
+                        work.append((_VALUE, v))
+                        break
                     out.append(v)
+                elif kind is Free:
+                    if hi > lo:
+                        raise InvariantError(
+                            "free variable printed under a non-empty environment"
+                        )
+                    out.append(leaves[t.name])
+                elif kind is OLam:
+                    var = Var(next(fresh))
+                    scope.append(var)
+                    buf = _gap_insert(buf, lo, hi, t.kvec, var)
+                    lo = 0
+                    hi = len(buf)
+                    work.append(_LAM_TASK)
+                    t = t.body
+                    continue
                 else:
-                    work.append((_VALUE, v))
-            elif type(t) is OLam:
-                var = Var(next(fresh))
-                scope.append(var)
-                inner = _gap_insert(buf, lo, hi, t.kvec, var)
-                work.append(_LAM_TASK)
-                work.append((_TERM, t.body, inner, 0, len(inner)))
-            elif type(t) is Free:
-                if hi > lo:
-                    raise InvariantError(
-                        "free variable printed under a non-empty environment"
-                    )
-                var = leaves.get(t.name)
-                if var is None:
-                    var = leaves[t.name] = Var(t.name)
-                out.append(var)
-            else:
-                raise TypeError(f"not an ordered term: {t!r}")
-        elif kind == _APP:
-            arg = out.pop()
-            out[-1] = App(out[-1], arg)
-        elif kind == _LAM:
-            out[-1] = Lam(scope.pop().name, out[-1])
+                    raise TypeError(f"not an ordered term: {t!r}")
+                if rest is None:
+                    break
+                t = rest
+                lo = hi
+                hi = rest_hi
+                rest = None
         elif kind == _DB:
             _, t, base, env = task
             if type(t) is DApp:
@@ -437,10 +475,7 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
                 work.append(_LAM_TASK)
                 work.append((_DB, t.body, base, env))
             elif type(t) is FVar:
-                var = leaves.get(t.name)
-                if var is None:
-                    var = leaves[t.name] = Var(t.name)
-                out.append(var)
+                out.append(leaves[t.name])
             else:
                 raise TypeError(f"not a de Bruijn term: {t!r}")
         elif kind == _VALUE:
@@ -448,10 +483,7 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
             # (names_in_value), which refuses anything not a value.
             v = task[1]
             if type(v) is Spine:
-                var = leaves.get(v.head)
-                if var is None:
-                    var = leaves[v.head] = Var(v.head)
-                out.append(var)
+                out.append(leaves[v.head])
                 for arg in _heads(v.args, []):
                     work.append(_APP_TASK)
                     work.append((_VALUE, arg))
@@ -512,36 +544,62 @@ def _normal_form(
     """Read a value back to a named beta-normal form, opening each closure
     by applying it (with apply) to a fresh inert head. Closures are opened
     in pre-order, spine arguments left to right. All occurrences of a
-    name read back as one Var node."""
+    name read back as one Var node.
+
+    The loop walks a spine's argument chain, which holds the last
+    argument first. Each argument but the first waits: a bare head (a
+    spine with no arguments) as its Var, joined at once when popped, and
+    any other value above a join marker. The first argument, like an
+    opened closure's body, is read in place. So a right-nested spine
+    such as s (s (... z)) pushes one marker per argument and no tuple."""
     fuel = _as_fuel(fuel)
     fresh = fresh_names(names_in_value(v) | avoid)
-    # Work items: a value to read back; None, to pop an argument and a
-    # function and push their application; or a binder name, to wrap the
-    # top result in that binder.
-    work: list = [v]
+    # Work items: a value to read back, above a None; None, to pop an
+    # argument and a function and push their application; a Var, to
+    # apply the top result to it; or a binder name, to wrap the top
+    # result in that binder.
+    work: list = []
     out: list[NamedTerm] = []
-    heads: dict[str, Var] = {}  # one Var per spine head
-    while work:
-        item = work.pop()
-        if item is None:
-            arg = out.pop()
-            out[-1] = App(out[-1], arg)
-        elif type(item) is str:
-            out[-1] = Lam(item, out[-1])
-        elif type(item) is Spine:
-            var = heads.get(item.head)
-            if var is None:
-                var = heads[item.head] = Var(item.head)
-            out.append(var)
-            for arg in _heads(item.args, []):
-                work += (None, arg)
+    heads = _Leaves(Var)  # one Var per spine head
+    while True:
+        while True:
+            if type(v) is Spine:
+                out.append(heads[v.head])
+                cell = v.args
+                if cell is None:
+                    break
+                while cell.tail is not None:
+                    arg = cell.head
+                    if type(arg) is Spine and arg.args is None:
+                        work.append(heads[arg.head])
+                    else:
+                        work += (None, arg)
+                    cell = cell.tail
+                v = cell.head
+                if type(v) is Spine and v.args is None:
+                    out[-1] = App(out[-1], heads[v.head])
+                    break
+                work.append(None)
+            else:
+                binder = next(fresh)
+                applied = apply(v, Spine(binder), fuel)
+                if isinstance(applied, FuelExhausted):
+                    return FuelExhausted(fuel.spent)
+                work.append(binder)
+                v = applied
+        while work:
+            v = work.pop()
+            if v is None:
+                arg = out.pop()
+                out[-1] = App(out[-1], arg)
+            elif type(v) is Var:
+                out[-1] = App(out[-1], v)
+            elif type(v) is str:
+                out[-1] = Lam(v, out[-1])
+            else:
+                break
         else:
-            binder = next(fresh)
-            applied = apply(item, Spine(binder), fuel)
-            if isinstance(applied, FuelExhausted):
-                return FuelExhausted(fuel.spent)
-            work += (binder, applied)
-    return out.pop()
+            return out.pop()
 
 
 def readback_normal_form(

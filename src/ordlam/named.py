@@ -143,22 +143,60 @@ def _leaf_names(t: Term, app: type, lam: type, leaf: type) -> frozenset[str]:
     nameless term (ordered or de Bruijn) whose family's application,
     binder and named-leaf classes are app, lam and leaf. A binder node
     that a translation shared is walked once, however often t reaches
-    it."""
+    it.
+
+    The loop reads a named leaf where it meets it, as a child of an
+    application too, and walks on into an application's function part;
+    it pushes an argument only when the function part needs walking
+    as well. A right-nested spine such as s (s (... z)) pushes nothing."""
     names = []
     walked = set()  # ids of the binder nodes walked; t keeps them alive
     stack = [t]
     while stack:
         t = stack.pop()
-        kind = type(t)
-        if kind is app:
-            stack += (t.arg, t.fun)
-        elif kind is lam:
-            if id(t) not in walked:
+        while True:
+            kind = type(t)
+            if kind is app:
+                fun = t.fun
+                t = t.arg
+                kind = type(t)
+                if kind is leaf:
+                    names.append(t.name)
+                    t = fun
+                elif kind is app or kind is lam:
+                    kind = type(fun)
+                    if kind is leaf:
+                        names.append(fun.name)
+                    elif kind is app or kind is lam:
+                        stack.append(t)
+                        t = fun
+                else:
+                    t = fun
+            elif kind is lam:
+                if id(t) in walked:
+                    break
                 walked.add(id(t))
-                stack.append(t.body)
-        elif kind is leaf:
-            names.append(t.name)
+                t = t.body
+            else:
+                if kind is leaf:
+                    names.append(t.name)
+                break
     return frozenset(names)
+
+
+class _Leaves(dict):
+    """One leaf node per name: a name not yet seen gets a node built by
+    the leaf class given, kept for every later lookup, so a lookup is one
+    subscript either way."""
+
+    __slots__ = ("leaf",)
+
+    def __init__(self, leaf: type):
+        self.leaf = leaf
+
+    def __missing__(self, name: str):
+        node = self[name] = self.leaf(name)
+        return node
 
 
 class NamedTerm(Term):
@@ -488,41 +526,62 @@ def parse_surface(src: str) -> NamedTerm:
 
 
 def print_surface(t: NamedTerm) -> str:
-    """Render a term with minimal parentheses; re-parses to an alpha-equal term."""
+    """Render a term with minimal parentheses; re-parses to an alpha-equal term.
+
+    A lambda body extends to the end of the term, so a lambda is bare
+    only where nothing follows it. The loop walks a term in such a
+    position: into an application's function part, which stays bare
+    when it is an application (left-associative) and is parenthesized
+    when it is a lambda, pushing the argument, which stays bare only
+    when it is a variable, and the closing parenthesis it needs. A
+    variable function part is written at once, and the loop goes on
+    into the argument, so a right-nested spine such as s (s (... z))
+    pushes only its closing parentheses."""
     parts: list[str] = []
-    # Items are literal strings and terms. A lambda body extends to the end
-    # of the term, so a lambda is bare only where nothing follows it; every
-    # term on the stack is in such a position, and the parentheses a term
-    # needs elsewhere are pushed around it.
-    stack: list = [t]
-    while stack:
-        t = stack.pop()
-        kind = type(t)
-        if kind is str:
-            parts.append(t)
-        elif kind is App:
-            # Function position: applications stay bare (left-associative),
-            # lambdas need parentheses. Argument position: only a variable
-            # stays bare.
-            arg = t.arg
-            if type(arg) is Var:
-                stack.append(arg.name)
+    # Closing parentheses, and arguments still to write: a Var written
+    # bare, any other term parenthesized.
+    stack: list = []
+    while True:
+        while True:
+            kind = type(t)
+            if kind is App:
+                fun = t.fun
+                arg = t.arg
+                if type(fun) is Var:
+                    if type(arg) is Var:
+                        parts += (fun.name, " ", arg.name)
+                        break
+                    parts += (fun.name, " (")
+                    stack.append(")")
+                    t = arg
+                    continue
+                if type(arg) is Var:
+                    stack.append(arg)
+                else:
+                    stack += (")", arg)
+                if type(fun) is Lam:
+                    parts.append("(")
+                    stack.append(")")
+                t = fun
+            elif kind is Var:
+                parts.append(t.name)
+                break
+            elif kind is Lam:
+                parts += ("\\", t.binder, ". ")
+                t = t.body
             else:
-                stack += (")", arg, "(")
-            stack.append(" ")
-            fun = t.fun
-            if type(fun) is Lam:
-                stack += (")", fun, "(")
+                raise TypeError(f"not a named term: {t!r}")
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                parts.append(t)
+            elif type(t) is Var:
+                parts += (" ", t.name)
             else:
-                stack.append(fun)
-        elif kind is Var:
-            parts.append(t.name)
-        elif kind is Lam:
-            parts += ("\\", t.binder, ". ")
-            stack.append(t.body)
+                parts.append(" (")
+                break
         else:
-            raise TypeError(f"not a named term: {t!r}")
-    return "".join(parts)
+            return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .named import _IDENT, App, Lam, NamedTerm, Term, Var, _leaf_names
+from .named import _IDENT, App, Lam, NamedTerm, Term, Var, _Leaves, _leaf_names
 
 
 class OrderedTerm(Term):
@@ -163,52 +163,95 @@ def to_ordered(m: NamedTerm, gamma: frozenset[str] = frozenset()) -> ParseResult
 
 def _translate(m: NamedTerm, bound: set[str], occ: list[str]) -> OrderedTerm:
     """Translate m, appending the names its unbound dots stand for to occ
-    (subterms go left to right, so occ fills in the order of the dots)."""
-    # Work items: a named term; None, to apply the second result from the
-    # top to the top one; (lambda, shadows, start), to close a binder.
-    work: list = [m]
+    (subterms go left to right, so occ fills in the order of the dots).
+
+    The loop walks into an application's function part and pushes its
+    argument. A variable function part is translated where it is met,
+    and the loop walks on into the argument; a variable argument is
+    pushed as itself and joined to the function part's translation when
+    it is popped. So a spine such as s (s (... z)) or f a b c pushes one
+    item per application, and no task per node."""
+    # Work items: an argument still to translate, a Var joined at once
+    # and any other term above a None; None, to apply the second result
+    # from the top to the top one; (lambda, shadows, start), to close a
+    # binder.
+    work: list = []
     out: list[OrderedTerm] = []
     # The closed translations (fv 0) of m's lambdas met so far, by id; m
     # holds them all for the whole call. A lambda met again translates
     # the same way unless one of its free names is now bound.
     closed: dict[int, OLam] = {}
     # One Free node per name, as DOT is the one dot.
-    frees: dict[str, Free] = {}
-    while work:
-        t = work.pop()
-        kind = type(t)
-        if kind is Var:
-            name = t.name
-            if name in bound:
-                occ.append(name)
-                out.append(DOT)
+    frees = _Leaves(Free)
+    t = m
+    while True:
+        while True:
+            kind = type(t)
+            if kind is App:
+                fun = t.fun
+                arg = t.arg
+                if type(fun) is not Var:
+                    if type(arg) is Var:
+                        work.append(arg)
+                    else:
+                        work += (None, arg)
+                    t = fun
+                    continue
+                name = fun.name
+                if name in bound:
+                    occ.append(name)
+                    out.append(DOT)
+                else:
+                    out.append(frees[name])
+                if type(arg) is Var:
+                    work.append(arg)
+                    break
+                work.append(None)
+                t = arg
+            elif kind is Var:
+                name = t.name
+                if name in bound:
+                    occ.append(name)
+                    out.append(DOT)
+                else:
+                    out.append(frees[name])
+                break
+            elif kind is Lam:
+                done = closed.get(id(t))
+                if done is not None and t.free_names.isdisjoint(bound):
+                    out.append(done)
+                    break
+                work.append((t, t.binder in bound, len(occ)))
+                bound.add(t.binder)
+                t = t.body
             else:
-                free = frees.get(name)
-                if free is None:
-                    free = frees[name] = Free(name)
-                out.append(free)
-        elif kind is App:
-            work += (None, t.arg, t.fun)
-        elif kind is Lam:
-            done = closed.get(id(t))
-            if done is not None and t.free_names.isdisjoint(bound):
-                out.append(done)
-                continue
-            work += ((t, t.binder in bound, len(occ)), t.body)
-            bound.add(t.binder)
-        elif t is None:
-            arg = out.pop()
-            out[-1] = OApp(out[-1], out[-1].fv, arg)
+                raise TypeError(f"not a named term: {t!r}")
+        while work:
+            t = work.pop()
+            if t is None:
+                arg = out.pop()
+                out[-1] = OApp(out[-1], out[-1].fv, arg)
+            elif type(t) is Var:
+                name = t.name
+                if name in bound:
+                    occ.append(name)
+                    arg = DOT
+                else:
+                    arg = frees[name]
+                out[-1] = OApp(out[-1], out[-1].fv, arg)
+            elif type(t) is tuple:
+                lam, shadows, start = t
+                binder = lam.binder
+                if not shadows:
+                    bound.discard(binder)
+                kvec, occ[start:] = _strip_occurrences(occ[start:], binder)
+                done = out[-1] = OLam(kvec, out[-1])
+                if not done.fv:
+                    closed[id(lam)] = done
+            else:
+                break
         else:
-            lam, shadows, start = t
-            binder = lam.binder
-            if not shadows:
-                bound.discard(binder)
-            kvec, occ[start:] = _strip_occurrences(occ[start:], binder)
-            done = out[-1] = OLam(kvec, out[-1])
-            if not done.fv:
-                closed[id(lam)] = done
-    return out.pop()
+            return out.pop()
 
 
 def _strip_occurrences(

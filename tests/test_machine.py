@@ -30,6 +30,7 @@ from ordlam.machine import (
     print_expr,
     print_ordered,
     print_value,
+    readback_normal_form,
     run_machine,
     step,
     value_node_count,
@@ -81,6 +82,21 @@ def spine(name, *args):
     for a in args:
         cell = _Cons(a, cell)
     return Spine(name, cell)
+
+
+def var_objects(t):
+    """How many distinct Var objects a named term holds, by name."""
+    ids = {}
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is Var:
+            ids.setdefault(u.name, set()).add(id(u))
+        elif type(u) is App:
+            stack += (u.fun, u.arg)
+        else:
+            stack.append(u.body)
+    return {name: len(found) for name, found in ids.items()}
 
 
 class TestEvaluate:
@@ -352,6 +368,69 @@ class TestPrinting:
         with pytest.raises(InvariantError, match=message):
             print_expr(Pending(t, TreeEnv.from_values(values)))
 
+    def test_dot_function_part_bound_to_a_value(self):
+        # A function part's dot whose window holds a spine, or a closure,
+        # rather than a binder's Var prints through the value task; the
+        # argument after it still reads its own window.
+        t = OApp(DOT, 1, OApp(DOT, 1, DOT))
+        values = [spine("f", spine("a")), whnf(parse_surface(r"\u. u")), spine("b")]
+        assert print_surface(print_ordered(t, values)) == r"f a ((\z0. z0) b)"
+        # The same inside a closure, whose environment holds the value.
+        for value, text in (("f a", r"\z0. f a z0"), (r"\u. u", r"\z0. (\z1. z1) z0")):
+            m = parse_surface(rf"(\g. \x. g x) ({value})")
+            assert print_surface(print_value(whnf(m))) == text
+
+    def test_leaf_arguments_of_a_left_nested_spine(self):
+        # Past a function part that is no leaf, a free variable argument
+        # and a dot over a binder's Var wait as their Var; a dot over any
+        # other value waits as a term task.
+        m = parse_surface(r"(\x. \y. f (g y) a y x (h x)) (k b)")
+        text = r"\z0. f (g z0) a z0 (k b) (h (k b))"
+        assert print_surface(print_value(whnf(m))) == text
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            (
+                OApp(Free("f"), 0, OApp(DOT, 3, DOT)),
+                "^application split exceeds environment length$",
+            ),
+            (
+                OApp(OApp(Free("f"), 0, DOT), 0, DOT),
+                "^dot printed under environment of length 0$",
+            ),
+            (
+                OApp(OApp(Free("a"), 1, DOT), 1, DOT),
+                "^free variable printed under a non-empty environment$",
+            ),
+            (
+                OApp(OLam((0,), OApp(Free("f"), 0, Free("a"))), 0, DOT),
+                "^free variable printed under a non-empty environment$",
+            ),
+            (
+                OApp(
+                    OLam((0,), OApp(OApp(Free("f"), 0, Free("g")), 0, Free("a"))),
+                    0,
+                    DOT,
+                ),
+                "^free variable printed under a non-empty environment$",
+            ),
+        ],
+        ids=[
+            "split-after-a-leaf-function",
+            "dot-after-a-leaf-function",
+            "free-function-in-a-spine",
+            "free-argument-after-a-leaf-function",
+            "free-argument-waiting",
+        ],
+    )
+    def test_window_errors_inside_a_spine(self, t, message):
+        # Each bad node sits where the loop walks on past a leaf function
+        # part, or where an argument waits for its function part, so the
+        # guard that refuses it is met inside the spine's own walk.
+        with pytest.raises(InvariantError, match=message):
+            print_ordered(t, [spine(f"v{i}") for i in range(t.fv)])
+
     @pytest.mark.parametrize(
         "t, message",
         [
@@ -384,6 +463,22 @@ class TestPrinting:
             assert print_surface(print_value(v)) == r"\z0. f ((\z1. z1) z0)"
         with pytest.raises(TypeError, match=r"^not a value: Var\(name='x'\)$"):
             print_value(Var("x"))
+
+    def test_one_var_per_name(self):
+        # Every occurrence of a name in a printed value or a read-back
+        # normal form is one Var object, built once per call.
+        m = parse_surface(r"(\x. \y. c x (y x) (c (x y)) (\u. u x)) (a a)")
+        one_each = {"a": 1, "c": 1, "z0": 1, "z1": 1}
+        for v in (whnf(m, backend=ListEnv), whnf(m), baselines.db_whnf(m)):
+            assert var_objects(print_value(v)) == one_each
+        for nf in (
+            normalize_by_evaluation(m, backend=ListEnv),
+            normalize_by_evaluation(m),
+            baselines.db_normalize_by_evaluation(m),
+        ):
+            assert var_objects(nf) == one_each
+        text = r"\z0. c (a a) (z0 (a a)) (c (a a z0)) (\z1. z1 (a a))"
+        assert print_surface(nf) == text
 
     def test_spine_repr(self):
         text = "Spine('f', [Spine('a', []), Spine('b', [])])"
@@ -419,6 +514,26 @@ class TestDeepPrinting:
             v = spine("f", v)
         expected = "f (" * (self.DEPTH - 1) + "f x" + ")" * (self.DEPTH - 1)
         assert print_surface(print_value(v)) == expected
+
+    def test_ordered_left_nested_spine(self):
+        # \x. x x ... x: each argument is a dot over the binder's Var,
+        # waiting for the function part to its left.
+        body = DOT
+        for i in range(self.DEPTH):
+            body = OApp(body, i + 1, DOT)
+        lam = OLam((0,) * (self.DEPTH + 1), body)
+        expected = r"\z0. z0" + " z0" * self.DEPTH
+        assert print_surface(print_ordered(lam, [])) == expected
+
+    def test_ordered_right_nested_free_heads(self):
+        # a (b (a ... c)), the shape of an interleaved-binders normal
+        # form: every function part is a free variable.
+        t = Free("c")
+        for i in range(self.DEPTH):
+            t = OApp(Free("ab"[i % 2]), 0, t)
+        heads = " (".join("ab"[i % 2] for i in reversed(range(self.DEPTH)))
+        expected = heads + " c" + ")" * (self.DEPTH - 1)
+        assert print_surface(print_ordered(t, [])) == expected
 
     def test_pair_chain(self):
         e = Pending(OLam((0,), DOT), ListEnv.empty())
@@ -812,6 +927,15 @@ class TestNormalizeByEvaluation:
         result = normalize_by_evaluation(Lam("s", Lam("z", body)), 10**6, backend)
         expected = r"\z0. \z1. " + "z0 (" * (depth - 1) + "z0 z1" + ")" * (depth - 1)
         assert print_surface(result) == expected
+
+    def test_left_nested_spine_deeper_than_the_recursion_limit(self):
+        # f a (g a) a (g a) ...: 100,000 arguments, bare heads and
+        # applied ones alternating, read back on the test thread.
+        depth = 100_000
+        arg = spine("g", spine("a"))
+        v = spine("f", *[arg if i % 2 else spine("a") for i in range(depth)])
+        expected = "f" + " a (g a)" * (depth // 2)
+        assert print_surface(readback_normal_form(v, 1)) == expected
 
     @pytest.mark.parametrize("n", (1000, 2000, 4000))
     def test_wide_binder_builds_tree_cells_linear_in_n(self, cells, n):

@@ -479,3 +479,25 @@ class TestDeepTerms:
         kvec = " ".join(["0"] * depth)
         numeral = parse_closed(Lam("s", Lam("z", body)))
         assert write_ordered(numeral) == f"(lam ({kvec}) (lam ({depth}) {dots}))"
+
+    def test_left_nested_translation_handles_depth_beyond_the_recursion_limit(self):
+        # x a b a b ...: every argument is a variable, waiting for the
+        # function part to its left; in the context {a} each a is a dot.
+        depth = 100_000
+        t = Var("x")
+        for i in range(depth):
+            t = App(t, Var("ab"[i % 2]))
+        result = to_ordered(t, frozenset({"a"}))
+        assert result.vars == ("a",) * (depth // 2)
+        prefixes = [f"(app {(i + 1) // 2} " for i in reversed(range(depth))]
+        suffixes = [" .)" if i % 2 == 0 else " b)" for i in range(depth)]
+        assert write_ordered(result.term) == "".join(prefixes) + "x" + "".join(suffixes)
+
+    def test_free_names_of_right_nested_spines(self):
+        # f (g (f ... x)) in both nameless families.
+        depth = 100_000
+        t, d = Free("x"), FVar("x")
+        for i in range(depth):
+            t, d = OApp(Free("fg"[i % 2]), 0, t), DApp(FVar("fg"[i % 2]), d)
+        assert ordered_free_names(t) == {"f", "g", "x"}
+        assert db_free_names(d) == {"f", "g", "x"}
