@@ -25,9 +25,15 @@ Two observationally equal backends:
   costs; like a rope's flat leaves (Boehm, Atkinson and Plass, SPE
   1995), a split of a tuple below it copies fewer than _FLAT slots, and
   never shares a larger tuple through an offset, which would keep the
-  values cut off alive. Evaluation nearly always splits off a prefix
-  of one or two elements, or, in a left-nested spine c M1 ... Mn, the
-  last argument's values off the end; on a long sequence the finger at
+  values cut off alive. The one exception is the evaluator's own: for a
+  bound variable applied to an argument, x M, it reads x's value off a
+  tuple and evaluates M in a window of the same tuple one slot on,
+  with no call here (machine._run). That keeps nothing alive longer,
+  since the window only moves past values that the evaluator's pending
+  apply frames hold, and it lets the tuple go where the run of such
+  heads ends. Evaluation nearly always splits off a prefix of one or
+  two elements, or, in a left-nested spine c M1 ... Mn, the last
+  argument's values off the end; on a long sequence the finger at
   that end serves those splits in O(1) cells each. A split just past a
   finger first tops the finger up with a chunk of _CHUNK (64)
   elements, taken off the tree's end by one logarithmic split, and then

@@ -21,13 +21,26 @@ sequence shorter than envseq._FLAT (512 values, so nearly every exact
 environment) that was not split off a longer one, a bare tuple. _run
 calls a tuple's split and insert through the class, as
 TreeEnv.split_at(env, k), and any other environment's through its own
-methods, so every split and insert it makes is a call to the backend
-class's attribute; it reads a dot's value off a tuple by index, after
-checking its length. It makes no call that would change nothing: an
-application with no unbound dots (fv 0) runs both parts in the empty
-environment it has, and a beta into a binder with no occurrence (an
-empty kvec) enters the body with the closure's environment. Those are
-still the split and beta rules, one fuel unit each, so no rule or step
+methods, so every insert, and every split but one kind, is a call to
+the backend class's attribute; it reads a dot's value off a tuple by
+index, after checking its length. It makes no call that would change
+nothing: an application with no unbound dots (fv 0) runs both parts in
+the empty environment it has, and a beta into a binder with no
+occurrence (an empty kvec) enters the body with the closure's
+environment. Nor does it split a tuple at 1 for a bound variable
+applied to an argument, x M, which would copy all of the tuple past x:
+with fuel for two rules left (never so in step, which runs on one
+unit), it takes the split and bound rules in one pass, pushes x's value
+as the function value and evaluates M in a window of the same tuple
+that starts one slot later. A run of such
+heads, x (y (x ... c)), moves the window on and copies nothing; where
+the run ends, the window becomes an exact tuple again, before any other
+rule, so closures, argument frames and a paused configuration hold
+exact tuples as before. The window only moves past values that the
+pushed apply frames hold, and the loop lets the buffer go where the run
+ends, so no value is held longer. ListEnv and TreeEnv objects split at
+1 in O(1) cells and always split through their class. These are still
+the split, bound and beta rules, one fuel unit each, so no rule or step
 count changes; only environment operations are saved, which are counted
 apart from machine transitions (Accattoli and Barras, "Environments and
 the complexity of abstract machines", PPDP 2017).
@@ -61,6 +74,7 @@ from .errors import InvariantError
 from .named import App, Fuel, FuelExhausted, Lam, NamedTerm, Var, _as_fuel, _Leaves
 from .named import alpha_key, fresh_names, reduct_keys
 from .ordered import (
+    DOT,
     Dot,
     Free,
     OApp,
@@ -201,9 +215,12 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
     # Types are matched exactly, in dispatch-frequency order. Out of fuel,
     # it leaves its configuration on the caller's stack (the popped apply
     # frame, then (control, is_value)) for step and run_machine to plug
-    # back. A closed application and a beta into a binder with no
-    # occurrence call no backend operation (see the module docstring).
+    # back. A closed application, a beta into a binder with no occurrence
+    # and a bound head over a tuple call no backend operation (see the
+    # module docstring). Inside a run of bound heads the environment is
+    # the window env[lo:] of a tuple; lo is 0 everywhere else.
     remaining = fuel.remaining
+    lo = 0
     if is_value:
         value = control
     else:
@@ -211,11 +228,33 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
     try:
         while True:
             if not is_value:
+                kind = type(term)
+                if (
+                    kind is OApp
+                    and term.fun is DOT
+                    and term.split == 1
+                    and type(env) is tuple
+                    and remaining > 1
+                    and lo < len(env)
+                ):
+                    # x M over a tuple, with fuel for two rules: split and
+                    # bound in one pass. The apply frame takes x's value,
+                    # and M's environment is the window past it.
+                    remaining -= 2
+                    stack.append((_FRAME_APPLY, env[lo]))
+                    lo += 1
+                    term = term.arg
+                    continue
+                if lo:
+                    # The run has ended: the rule below, or a paused
+                    # configuration, gets an exact tuple, and the buffer
+                    # is let go.
+                    env = env[lo:]
+                    lo = 0
                 if remaining == 0:
                     stack.append(((term, env), False))
                     return FuelExhausted(fuel.budget)
                 remaining -= 1
-                kind = type(term)
                 if kind is OApp:
                     if not term.fv:
                         stack.append((_FRAME_ARG, term.arg, env))
@@ -481,20 +520,35 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
         elif kind == _VALUE:
             # Every caller has read the names of each value it prints
             # (names_in_value), which refuses anything not a value.
+            # The loop reads a spine's first argument, the end of its
+            # chain, in place. Each other argument waits, the last one
+            # lowest: a bare head as its Var, any other value as a task
+            # above an _APP_TASK. So a right-nested spine such as
+            # f (g (... x)) pushes one _APP_TASK per argument and no tuple.
             v = task[1]
-            if type(v) is Spine:
+            while type(v) is Spine:
                 out.append(leaves[v.head])
-                for arg in _heads(v.args, []):
-                    work.append(_APP_TASK)
-                    work.append((_VALUE, arg))
-            elif type(v) is Closure:
-                values = list(v.env)
-                work.append((_TERM, v.lam, values, 0, len(values)))
+                cell = v.args
+                if cell is None:
+                    break
+                while cell.tail is not None:
+                    arg = cell.head
+                    if type(arg) is Spine and arg.args is None:
+                        work.append(leaves[arg.head])
+                    else:
+                        work += (_APP_TASK, (_VALUE, arg))
+                    cell = cell.tail
+                work.append(_APP_TASK)
+                v = cell.head
             else:
-                # A closure-machine closure: its binder node opens a scope
-                # of its own, whose body sees only that binder, then the
-                # closure's environment.
-                work.append((_DB, v.lam, len(scope), v.env))
+                if type(v) is Closure:
+                    values = list(v.env)
+                    work.append((_TERM, v.lam, values, 0, len(values)))
+                else:
+                    # A closure-machine closure: its binder node opens a
+                    # scope of its own, whose body sees only that binder,
+                    # then the closure's environment.
+                    work.append((_DB, v.lam, len(scope), v.env))
         else:
             e = task[1]
             if isinstance(e, Pending):

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from ordlam import baselines, machine, named
+from ordlam.bench import run_strategy
 from ordlam.envseq import _FLAT, _TREE_MIN, BACKENDS, ListEnv, TreeEnv, _Cons
 from ordlam.errors import InvariantError
 from ordlam.gen import gen_terms
@@ -42,6 +43,7 @@ from ordlam.named import (
     App,
     FuelExhausted,
     Lam,
+    NamedTerm,
     Var,
     alpha_eq,
     normalize,
@@ -58,6 +60,11 @@ S_NAMED = parse_surface(r"\x.\y.\z. x z (y z)")
 S_BODY3 = OApp(OApp(DOT, 1, DOT), 2, OApp(DOT, 1, DOT))
 OMEGA = parse_surface(r"(\x. x x) (\x. x x)")
 MOTIVATING = parse_surface(r"(\x.\y. a b y) g f")
+# Bound variables applied down a spine, x (y (x (y c))), and 2 applied to
+# 3 and then to g and x: runs of bound heads with split 1, over a
+# spine's values and over closures.
+BOUND_HEADS = parse_surface(r"(\x. \y. x (y (x (y c)))) a b")
+NUMERAL_APPLIED = parse_surface(r"(\s. \z. s (s z)) (\s. \z. s (s (s z))) g x")
 
 # step reaches each backend's split_at and multi_insert through the
 # evaluator's loop, so the machine tests run on every backend in BACKENDS:
@@ -685,13 +692,31 @@ class TestMachine:
         from ordlam.named import App as NApp
 
         s_applied = NApp(NApp(NApp(S_NAMED, Var("g")), Var("f")), Var("n"))
-        cases = ((s_applied, DEFAULT_FUEL), (MOTIVATING, DEFAULT_FUEL), (OMEGA, 40))
+        cases = (
+            (s_applied, DEFAULT_FUEL),
+            (MOTIVATING, DEFAULT_FUEL),
+            (OMEGA, 40),
+            (BOUND_HEADS, DEFAULT_FUEL),
+            (NUMERAL_APPLIED, DEFAULT_FUEL),
+        )
         for t, budget in cases:
             e = Pending(parse_closed(t), backend.empty())
             trace = list(machine_trace(e, budget))
             for k in range(1, len(trace)):
                 assert run_machine(e, k) == (trace[k - 1][1], k)
             assert run_machine(e, budget) == (trace[-1][1], len(trace))
+        # The one-step machine still takes a bound head with split 1 as a
+        # split and then a bound step, whatever run_machine does with it.
+        for t, heads in ((BOUND_HEADS, 4), (NUMERAL_APPLIED, 14)):
+            trace = list(machine_trace(Pending(parse_closed(t), backend.empty())))
+            rules = [rule for _, _, rule in trace]
+            seen = 0
+            for i, (before, _, rule) in enumerate(trace):
+                app = _decompose(before)[0][0] if rule == RULE_SPLIT else None
+                if app is not None and app.fun is DOT and app.split == 1:
+                    assert rules[i : i + 2] == [RULE_SPLIT, RULE_BOUND]
+                    seen += 1
+            assert seen == heads
         # On a partly spent Fuel, the count is this run's steps alone.
         e = Pending(parse_closed(MOTIVATING), backend.empty())
         fuel = Fuel(DEFAULT_FUEL)
@@ -812,10 +837,19 @@ class TestRefocusing:
     @pytest.mark.parametrize("env", BACKENDS.values(), ids=BACKENDS)
     def test_exhaustion_at_every_budget_below_the_step_count(self, env):
         # Combinator chains and the leak family are mostly closed
-        # applications and binders without occurrences. Out of fuel, at
+        # applications and binders without occurrences; BOUND_HEADS and
+        # NUMERAL_APPLIED are mostly bound heads, which the loop takes two
+        # rules at a time while the fuel lasts, so some budgets stop
+        # between those two rules or inside a run of them. Out of fuel, at
         # every budget, run_machine plugs the paused configuration back into
         # an expression that the steps left take to the same value.
-        for term in (MOTIVATING, combinator_chain(5), leak_family(5)):
+        for term in (
+            MOTIVATING,
+            combinator_chain(5),
+            leak_family(5),
+            BOUND_HEADS,
+            NUMERAL_APPLIED,
+        ):
             t = parse_closed(term)
             full = Fuel(DEFAULT_FUEL)
             value = evaluate(t, env.empty(), full)
@@ -961,14 +995,59 @@ class TestNormalizeByEvaluation:
         assert print_surface(normalize_by_evaluation(term, backend=ListEnv)) == text
 
 
+class TestBoundHeadChains:
+    """(\\x0. ... \\x(n-1). x0 (x1 (... (x(n-1) E)))) a0 ... a(n-1): a run
+    of n bound heads, each with split 1, over n distinct values, so a
+    window of the environment that starts a slot off reads a wrong
+    value. E ends the run as a free name c (so the last head's argument
+    is closed), as the last variable itself (a dot) or as a binder over
+    it (a closure built from the window). Sizes straddle _TREE_MIN and
+    _FLAT, where the tree holds the environment as a tuple or as a
+    TreeEnv object, and reach a refill of its left finger."""
+
+    ENDS = ("free", "dot", "binder")
+
+    @staticmethod
+    def chain(n: int, end: str) -> tuple[NamedTerm, str]:
+        """The term and its normal form's text."""
+        k = n - 1
+        end_term, end_text = {
+            "free": ("c", "c"),
+            "dot": (f"x{k}", f"a{k}"),
+            "binder": (rf"\y. x{k} y", rf"(\z0. a{k} z0)"),
+        }[end]
+        heads = n if end == "free" else k
+        body = parse_surface(end_term)
+        for i in reversed(range(heads)):
+            body = App(Var(f"x{i}"), body)
+        for i in reversed(range(n)):
+            body = Lam(f"x{i}", body)
+        for i in range(n):
+            body = App(body, Var(f"a{i}"))
+        spine = " (".join(f"a{i}" for i in range(heads))
+        return body, f"{spine} {end_text}" + ")" * (heads - 1)
+
+    @pytest.mark.parametrize("end", ENDS)
+    @pytest.mark.parametrize("n", (6, 383, 384, 511, 512, 513, 1057))
+    def test_normal_form_on_every_strategy(self, n, end):
+        term, expected = self.chain(n, end)
+        for strategy in ("ordered-list", "ordered-tree", "closures"):
+            outcome = run_strategy(strategy, term, DEFAULT_FUEL)
+            assert print_surface(outcome.normal_form) == expected, strategy
+
+
 class TestEnvironmentCalls:
     """perfbench's tracer counts environment work by wrapping each backend
     class's split_at and multi_insert, so every split and insert the
-    evaluator makes must be a call to that class attribute, on either
-    backend, whether the environment is an object or a bare tuple. A
-    split of an application with no unbound dots and an insert for a
-    binder with no occurrence would change nothing, so the evaluator
-    makes neither call there; the two backends still make the same calls."""
+    evaluator makes must be a call to that class attribute, whether the
+    environment is an object or a bare tuple. A split of an application
+    with no unbound dots and an insert for a binder with no occurrence
+    would change nothing, so the evaluator makes neither call there. A
+    bound variable applied to an argument, x M with split 1, over a
+    tuple makes no call either: the evaluator reads x's value and hands
+    M the rest of the tuple as a window, unless the split is the last
+    unit of fuel. Every other split, on a tuple or on a ListEnv or
+    TreeEnv object, is one call."""
 
     @staticmethod
     def _count_calls(monkeypatch) -> Counter:
@@ -989,43 +1068,59 @@ class TestEnvironmentCalls:
         self, monkeypatch
     ):
         calls = self._count_calls(monkeypatch)
-        # (term, steps, split calls, insert calls). Every application but
-        # x c and f x is closed; f x still splits, although its split is 0,
-        # because its argument is a dot. The x of \x. c and of \x. \y. y
-        # has no occurrence. Every split and beta step costs one unit of
-        # fuel, whether it calls the backend or not.
+        # (term, steps, split calls on the list and on the tree, insert
+        # calls). Every application but x c, f x and x (y c) is closed;
+        # f x still splits, although its split is 0, because its argument
+        # is a dot. x c and x (y c) are bound heads with split 1, which
+        # the tree's tuples take without a call. The x of \x. c and of
+        # \x. \y. y has no occurrence. Every split and beta step costs one
+        # unit of fuel, whether it calls the backend or not.
         cases = (
-            (r"(\x. c) (\y. y)", 5, 0, 0),
-            (r"(\x. x c) a", 8, 1, 1),
-            (r"(\x. f x) a", 8, 1, 1),
-            (r"(\x. \y. y) a b", 9, 0, 1),
+            (r"(\x. c) (\y. y)", 5, (0, 0), 0),
+            (r"(\x. x c) a", 8, (1, 0), 1),
+            (r"(\x. f x) a", 8, (1, 1), 1),
+            (r"(\x. \y. y) a b", 9, (0, 0), 1),
+            (r"(\x. \y. x (y c)) a b", 15, (2, 0), 2),
         )
         for text, steps, splits, inserts in cases:
             t = parse_closed(parse_surface(text))
-            for backend in (ListEnv, TreeEnv):
+            for backend, split_calls in zip((ListEnv, TreeEnv), splits):
                 calls.clear()
                 fuel = Fuel(DEFAULT_FUEL)
                 evaluate(t, backend.empty(), fuel)
                 key = backend.__name__
                 assert fuel.spent == steps
-                assert calls[key, "split_at"] == splits
+                assert calls[key, "split_at"] == split_calls
                 assert calls[key, "multi_insert"] == inserts
 
     def test_one_call_per_open_split_and_per_used_binder(self, monkeypatch):
         # On a corpus, the calls evaluate makes are the split steps at
-        # applications with unbound dots and the beta steps into binders
-        # with occurrences, counted off the one-step machine's trace.
+        # applications with unbound dots, but for a bound head with split
+        # 1 over a tuple before the last unit of fuel, and the beta steps
+        # into binders with occurrences, counted off the one-step
+        # machine's trace.
         calls = self._count_calls(monkeypatch)
         made, expected, skipped = Counter(), Counter(), Counter()
+        budget = 500
         for term in gen_terms(1009, 300, 40, 0.5):
             t = parse_closed(term)
             for backend in (ListEnv, TreeEnv):
                 key = backend.__name__
-                for before, _, rule in machine_trace(Pending(t, backend.empty()), 500):
+                trace = machine_trace(Pending(t, backend.empty()), budget)
+                for count, (before, _, rule) in enumerate(trace, 1):
                     control, _, stack = _decompose(before)
                     if rule == RULE_SPLIT:
-                        used = control[0].fv > 0
+                        app, env = control
+                        windowed = (
+                            type(env) is tuple
+                            and app.fun is DOT
+                            and app.split == 1
+                            and count < budget
+                        )
+                        used = app.fv > 0 and not windowed
                         operation = "split_at"
+                        if windowed:
+                            skipped[key, "window"] += 1
                     elif rule == RULE_BETA:
                         used = bool(stack[-1][1].lam.kvec)
                         operation = "multi_insert"
@@ -1033,12 +1128,19 @@ class TestEnvironmentCalls:
                         continue
                     (expected if used else skipped)[key, operation] += 1
                 calls.clear()  # the trace's own calls
-                evaluate(t, backend.empty(), 500)
+                evaluate(t, backend.empty(), budget)
                 made += calls
         assert made == expected
+        # Only the tree's tuples take a window, and they take one at
+        # every bound head with split 1 the list splits.
+        assert skipped["ListEnv", "window"] == 0 < skipped["TreeEnv", "window"]
+        assert made["ListEnv", "split_at"] == (
+            made["TreeEnv", "split_at"] + skipped["TreeEnv", "window"]
+        )
+        assert made["ListEnv", "multi_insert"] == made["TreeEnv", "multi_insert"] > 0
         for operation in ("split_at", "multi_insert"):
-            assert made["ListEnv", operation] == made["TreeEnv", operation] > 0
-            assert skipped["ListEnv", operation] == skipped["TreeEnv", operation] > 0
+            assert made["TreeEnv", operation] > 0
+            assert skipped["ListEnv", operation] > 0
 
     def test_a_shortcut_keyed_on_the_split_is_caught(self, monkeypatch):
         # An application whose function part is closed has split 0 but may
@@ -1052,7 +1154,7 @@ class TestEnvironmentCalls:
     def test_backends_make_the_same_calls_and_short_parts_are_tuples(
         self, monkeypatch
     ):
-        work = Counter()  # (backend, operation) -> [calls, cells, max length]
+        work = Counter()  # (backend, operation, measure) -> total
         tree_lengths = []  # the length of every TreeEnv object built
 
         def counting(backend, name, cells):
@@ -1101,13 +1203,21 @@ class TestEnvironmentCalls:
                 ("church-exp", 5),
             )
         ]
-        for backend in (ListEnv, TreeEnv):
+
+        def run_all(backend):
             for term in terms:
                 evaluate(parse_closed(term), backend.empty(), 500)
             for term in typed + workloads:
                 assert not isinstance(
                     normalize_by_evaluation(term, 100_000, backend), FuelExhausted
                 )
+
+        # Without its windows (no application is a bound head the loop
+        # recognizes), the tree makes the list's calls, cell for cell.
+        with monkeypatch.context() as m:
+            m.setattr(machine, "DOT", object())
+            for backend in (ListEnv, TreeEnv):
+                run_all(backend)
         for name in ("split_at", "multi_insert"):
             for measure in ("calls", "cells", "max_len"):
                 listed = work["ListEnv", name, measure]
@@ -1115,6 +1225,16 @@ class TestEnvironmentCalls:
         assert work["TreeEnv", "split_at", "max_len"] >= _FLAT + 33
         assert tree_lengths and min(tree_lengths) >= _TREE_MIN
         assert min(tree_lengths) < _FLAT
+        # With them, its inserts are the same and its splits fewer.
+        windowless = work.copy()
+        work.clear()
+        run_all(TreeEnv)
+        for measure in ("calls", "cells", "max_len"):
+            key = "TreeEnv", "multi_insert", measure
+            assert work[key] == windowless[key]
+        for measure in ("calls", "cells"):
+            key = "TreeEnv", "split_at", measure
+            assert 0 < work[key] < windowless[key]
 
 
 class TestVerifyTrace:

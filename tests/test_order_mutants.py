@@ -6,6 +6,7 @@ import pytest
 
 from ordlam import machine, ordered
 from ordlam.envseq import TreeEnv
+from ordlam.errors import InvariantError
 
 import test_machine
 import test_named
@@ -84,6 +85,30 @@ ORDER_MUTANTS = {
         "test_right_nested_application_parenthesized",
         (),
     ),
+    # A bound head with split 1 over a tuple pushes the window's first
+    # value and moves the window on; read one slot late, every head takes
+    # the next variable's value.
+    "the window is read one slot late": (
+        machine,
+        "_run",
+        "stack.append((_FRAME_APPLY, env[lo]))",
+        "stack.append((_FRAME_APPLY, env[lo + 1]))",
+        test_machine.TestBoundHeadChains,
+        "test_normal_form_on_every_strategy",
+        (6, "dot"),
+    ),
+    # Where a run of bound heads ends, the window becomes an exact tuple;
+    # a closure given the whole buffer instead holds the values its
+    # binder does not use.
+    "a closure takes the whole buffer": (
+        machine,
+        "_run",
+        "if lo:",
+        "if lo and kind is not OLam:",
+        test_machine.TestBoundHeadChains,
+        "test_normal_form_on_every_strategy",
+        (6, "binder"),
+    ),
     "a binder's gaps listed last first": (
         ordered,
         "_strip_occurrences",
@@ -96,9 +121,20 @@ ORDER_MUTANTS = {
 }
 
 
+# A mutant whose test fails on an invariant check rather than on an
+# assert: the error the check raises.
+CHECKED = {
+    "a closure takes the whole buffer": (
+        InvariantError,
+        "^closure environment has 6 entries, binder needs 1$",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", list(ORDER_MUTANTS))
 def test_mutant_fails_its_test(monkeypatch, name):
     owner, function, line, mutant, test_class, test, args = ORDER_MUTANTS[name]
+    error, message = CHECKED.get(name, (AssertionError, None))
     install(monkeypatch, owner, function, line, mutant)
-    with pytest.raises(AssertionError):
+    with pytest.raises(error, match=message):
         getattr(test_class(), test)(*args)
