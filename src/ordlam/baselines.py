@@ -33,17 +33,19 @@ from typing import Optional, Union
 from .debruijn import BVar, DApp, DbTerm, DLam, FVar, _env_lookup, db_free_names
 from .debruijn import to_debruijn
 from .envseq import _Cons, _heads
+from . import machine
 from .machine import (
     _FRAME_APPLY,
     _FRAME_ARG,
+    _READ,
     DEFAULT_FUEL,
     Spine,
     _equal,
-    _normal_form,
+    _print,
     from_debruijn,
     value_node_count,
 )
-from .named import Fuel, FuelExhausted, NamedTerm, _as_fuel
+from .named import Fuel, FuelExhausted, NamedTerm, _as_fuel, fresh_names
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +161,9 @@ def db_readback_normal_form(
     v: DbValue, fuel: Union[int, Fuel], avoid: frozenset[str] = frozenset()
 ) -> Union[NamedTerm, FuelExhausted]:
     """Fully normalize a closure-machine value back to a named term."""
-    return _normal_form(db_apply, v, fuel, avoid)
+    # Names are read through machine's binding, as its own readback does.
+    fresh = fresh_names(machine.names_in_value(v) | avoid)
+    return _print((_READ, v), fresh, db_apply, _as_fuel(fuel))
 
 
 def db_normalize_by_evaluation(

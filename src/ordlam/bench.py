@@ -2,8 +2,10 @@
 
 Every run fully normalizes the workload term and digests a canonical
 print of the normal form; records from strategies that disagree are
-refused rather than written out. Wall time covers evaluation and
-readback only (never digesting or serialization). The space column
+refused rather than written out. Wall time covers evaluation, the
+space count below and readback (never digesting or serialization);
+the count takes microseconds on the two machines, but for the eager
+normalizer it walks the whole normal form. The space column
 counts distinct live value nodes retained by the evaluated result
 (term nodes for the eager normalizer), a deterministic stand-in for
 process memory. One strategy table drives both this runner and

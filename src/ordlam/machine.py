@@ -58,9 +58,15 @@ Spines, the walks over values, readback to normal form and printing
 are shared with the de Bruijn closure machine in baselines. A closure
 of either machine holds the binder node its loop met (lam) and an
 environment; a closure class takes part by providing lam, captured()
-and body_names(), and readback is given the machine's apply function.
-One printer (_print) turns ordered and de Bruijn terms, the values of
-both machines and machine expressions back into named terms.
+and body_names(). One printer (_print) builds every named term made
+from a value or a nameless term: it prints ordered and de Bruijn terms,
+the values of both machines and machine expressions, and it reads a
+value of either machine back to its normal form, given that machine's
+apply function and the caller's Fuel. Printing and readback walk a
+spine in the same loop and part only at a closure, which printing
+shows as its binder node and readback opens by applying it to a fresh
+name, so both name binders in one order: pre-order, spine arguments
+left to right.
 """
 
 from __future__ import annotations
@@ -398,25 +404,33 @@ def names_in_value(v: Value) -> frozenset[str]:
 # to the function part when popped, and any other one as a term task
 # above an _APP_TASK. A de Bruijn term task reads an index below its
 # depth off scope, the binder Vars in scope, innermost last, and any
-# other index off its environment. Binders of both families push their
-# Var onto scope and one _LAM_TASK pops it. Each free name and spine
-# head is one Var too, so the printed term has one leaf node per name.
+# other index off its environment. A value task and a readback task walk
+# a spine alike and part only at a closure: the one prints its binder
+# node, the other opens it by applying it to a fresh name. Binders of
+# both families, and each closure readback opens, push their Var onto
+# scope and one _LAM_TASK pops it. Each free name and spine head is one
+# Var too, and readback's binder Var is its name's, so the term built
+# has one leaf node per name.
 _TERM = 0  # (_TERM, ordered term, buf, lo, hi)
 _DB = 1  # (_DB, de Bruijn term, scope start, cons-chain environment or _UNBOUND)
 _VALUE = 2  # (_VALUE, value)
-_EXPR = 3  # (_EXPR, machine expression)
+_READ = 3  # (_READ, value): its normal form, read back with _print's apply and fuel
+_EXPR = 4  # (_EXPR, machine expression)
 _APP_TASK = ("app",)  # pop an argument and a function, push their application
 _LAM_TASK = ("lam",)  # pop a body and a binder Var, push their abstraction
 _UNBOUND = object()  # the environment of a de Bruijn term outside any closure
 
 
-def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
+def _print(
+    task: tuple, fresh: Iterator[str], apply=None, fuel: Optional[Fuel] = None
+) -> Union[NamedTerm, FuelExhausted]:
     """Print one task's term with an explicit work stack, so depth never
     recurses. Binders draw fresh names in pre-order, function part before
     argument part, spine arguments left to right. An ordered term's
     applications are walked in the loop, as the comment above says; a
     work item that is a Var is a leaf argument, joined to the term below
-    it at once."""
+    it at once. A readback task opens each closure with apply, the
+    machine's, spending fuel, and returns FuelExhausted when it is gone."""
     work = [task]
     out: list[NamedTerm] = []
     scope: list[Var] = []
@@ -517,38 +531,52 @@ def _print(task: tuple, fresh: Iterator[str]) -> NamedTerm:
                 out.append(leaves[t.name])
             else:
                 raise TypeError(f"not a de Bruijn term: {t!r}")
-        elif kind == _VALUE:
-            # Every caller has read the names of each value it prints
-            # (names_in_value), which refuses anything not a value.
-            # The loop reads a spine's first argument, the end of its
-            # chain, in place. Each other argument waits, the last one
-            # lowest: a bare head as its Var, any other value as a task
-            # above an _APP_TASK. So a right-nested spine such as
-            # f (g (... x)) pushes one _APP_TASK per argument and no tuple.
+        elif kind == _VALUE or kind == _READ:
+            # Every caller has read the names of each value it prints or
+            # reads back (names_in_value), which refuses anything not a
+            # value. The loop reads a spine's first argument, the end of
+            # its chain, in place, joined at once when it is a bare head.
+            # Each other argument waits, the last one lowest: a bare head
+            # as its Var, any other value as a task of the same kind above
+            # an _APP_TASK. So a right-nested spine such as f (g (... x))
+            # pushes one _APP_TASK per argument and no tuple. Readback
+            # reads an opened closure's body in place too.
             v = task[1]
-            while type(v) is Spine:
-                out.append(leaves[v.head])
-                cell = v.args
-                if cell is None:
-                    break
-                while cell.tail is not None:
-                    arg = cell.head
-                    if type(arg) is Spine and arg.args is None:
-                        work.append(leaves[arg.head])
-                    else:
-                        work += (_APP_TASK, (_VALUE, arg))
-                    cell = cell.tail
-                work.append(_APP_TASK)
-                v = cell.head
-            else:
-                if type(v) is Closure:
+            while True:
+                if type(v) is Spine:
+                    out.append(leaves[v.head])
+                    cell = v.args
+                    if cell is None:
+                        break
+                    while cell.tail is not None:
+                        arg = cell.head
+                        if type(arg) is Spine and arg.args is None:
+                            work.append(leaves[arg.head])
+                        else:
+                            work += (_APP_TASK, (kind, arg))
+                        cell = cell.tail
+                    v = cell.head
+                    if type(v) is Spine and v.args is None:
+                        out[-1] = App(out[-1], leaves[v.head])
+                        break
+                    work.append(_APP_TASK)
+                elif kind == _READ:
+                    name = next(fresh)
+                    v = apply(v, Spine(name), fuel)
+                    if isinstance(v, FuelExhausted):
+                        return FuelExhausted(fuel.spent)
+                    scope.append(leaves[name])
+                    work.append(_LAM_TASK)
+                elif type(v) is Closure:
                     values = list(v.env)
                     work.append((_TERM, v.lam, values, 0, len(values)))
+                    break
                 else:
                     # A closure-machine closure: its binder node opens a
                     # scope of its own, whose body sees only that binder,
                     # then the closure's environment.
                     work.append((_DB, v.lam, len(scope), v.env))
+                    break
         else:
             e = task[1]
             if isinstance(e, Pending):
@@ -592,70 +620,6 @@ def print_value(v: Value) -> NamedTerm:
 # full normalization by evaluation
 
 
-def _normal_form(
-    apply, v: Value, fuel: Union[int, Fuel], avoid: frozenset[str]
-) -> Union[NamedTerm, FuelExhausted]:
-    """Read a value back to a named beta-normal form, opening each closure
-    by applying it (with apply) to a fresh inert head. Closures are opened
-    in pre-order, spine arguments left to right. All occurrences of a
-    name read back as one Var node.
-
-    The loop walks a spine's argument chain, which holds the last
-    argument first. Each argument but the first waits: a bare head (a
-    spine with no arguments) as its Var, joined at once when popped, and
-    any other value above a join marker. The first argument, like an
-    opened closure's body, is read in place. So a right-nested spine
-    such as s (s (... z)) pushes one marker per argument and no tuple."""
-    fuel = _as_fuel(fuel)
-    fresh = fresh_names(names_in_value(v) | avoid)
-    # Work items: a value to read back, above a None; None, to pop an
-    # argument and a function and push their application; a Var, to
-    # apply the top result to it; or a binder name, to wrap the top
-    # result in that binder.
-    work: list = []
-    out: list[NamedTerm] = []
-    heads = _Leaves(Var)  # one Var per spine head
-    while True:
-        while True:
-            if type(v) is Spine:
-                out.append(heads[v.head])
-                cell = v.args
-                if cell is None:
-                    break
-                while cell.tail is not None:
-                    arg = cell.head
-                    if type(arg) is Spine and arg.args is None:
-                        work.append(heads[arg.head])
-                    else:
-                        work += (None, arg)
-                    cell = cell.tail
-                v = cell.head
-                if type(v) is Spine and v.args is None:
-                    out[-1] = App(out[-1], heads[v.head])
-                    break
-                work.append(None)
-            else:
-                binder = next(fresh)
-                applied = apply(v, Spine(binder), fuel)
-                if isinstance(applied, FuelExhausted):
-                    return FuelExhausted(fuel.spent)
-                work.append(binder)
-                v = applied
-        while work:
-            v = work.pop()
-            if v is None:
-                arg = out.pop()
-                out[-1] = App(out[-1], arg)
-            elif type(v) is Var:
-                out[-1] = App(out[-1], v)
-            elif type(v) is str:
-                out[-1] = Lam(v, out[-1])
-            else:
-                break
-        else:
-            return out.pop()
-
-
 def readback_normal_form(
     v: Value, fuel: Union[int, Fuel], avoid: frozenset[str] = frozenset()
 ) -> Union[NamedTerm, FuelExhausted]:
@@ -664,7 +628,8 @@ def readback_normal_form(
     Closures are opened by applying them to fresh inert heads, so this
     keeps evaluating under binders until only spines remain.
     """
-    return _normal_form(apply_value, v, fuel, avoid)
+    fresh = fresh_names(names_in_value(v) | avoid)
+    return _print((_READ, v), fresh, apply_value, _as_fuel(fuel))
 
 
 def normalize_by_evaluation(

@@ -91,6 +91,33 @@ def spine(name, *args):
     return Spine(name, cell)
 
 
+def right_nested_spine(n: int) -> NamedTerm:
+    """f (g (f ... x)) with n applications."""
+    t = Var("x")
+    for i in range(n):
+        t = App(Var("fg"[i % 2]), t)
+    return t
+
+
+def left_nested_spine(n: int, first_applied: bool) -> NamedTerm:
+    """f applied to n arguments, a and g a alternating; the first is g a
+    when first_applied, else a."""
+    a = Var("a")
+    applied = App(Var("g"), a)
+    t = Var("f")
+    for i in range(n):
+        t = App(t, applied if (i % 2 == 0) == first_applied else a)
+    return t
+
+
+# Each strategy's weak head evaluation and readback, by run_strategy's names.
+READERS = {
+    "ordered-list": (lambda m: whnf(m, backend=ListEnv), readback_normal_form),
+    "ordered-tree": (whnf, readback_normal_form),
+    "closures": (baselines.db_whnf, baselines.db_readback_normal_form),
+}
+
+
 def var_objects(t):
     """How many distinct Var objects a named term holds, by name."""
     ids = {}
@@ -970,6 +997,64 @@ class TestNormalizeByEvaluation:
         v = spine("f", *[arg if i % 2 else spine("a") for i in range(depth)])
         expected = "f" + " a (g a)" * (depth // 2)
         assert print_surface(readback_normal_form(v, 1)) == expected
+
+    @pytest.mark.parametrize("strategy", READERS)
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (
+                parse_surface(r"f (\x. g (\y. y x)) (\u. u)"),
+                r"f (\z0. g (\z1. z1 z0)) (\z2. z2)",
+            ),
+            (
+                build_workload("church-add", 6),
+                r"\z0. \z1. z0 (z0 (z0 (z0 (z0 (z0 z1)))))",
+            ),
+            (
+                parse_surface(r"(\a. \b. k (\x. a x) b (\y. y (\z. z b))) f (\w. w)"),
+                r"k (\z0. f z0) (\z1. z1) (\z2. z2 (\z3. z3 (\z4. z4)))",
+            ),
+        ],
+        ids=["siblings", "church-add-6", "captured"],
+    )
+    def test_readback_runs_out_at_every_budget(self, strategy, m, expected):
+        # Readback alone, from a new weak head normal form each time:
+        # every budget short of its steps stops it with that budget spent,
+        # and a budget of exactly its steps reads the normal form.
+        evaluate_whnf, readback = READERS[strategy]
+        fuel = Fuel(DEFAULT_FUEL)
+        assert print_surface(readback(evaluate_whnf(m), fuel, m.free_names)) == expected
+        steps = fuel.spent
+        assert steps > 1
+        for k in range(1, steps):
+            result = readback(evaluate_whnf(m), Fuel(k), m.free_names)
+            assert result == FuelExhausted(k), k
+        nf = readback(evaluate_whnf(m), Fuel(steps), m.free_names)
+        assert print_surface(nf) == expected
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            right_nested_spine(3000),
+            left_nested_spine(3000, first_applied=False),
+            left_nested_spine(3000, first_applied=True),
+        ],
+        ids=["right-nested", "left-nested-bare-first", "left-nested-applied-first"],
+    )
+    def test_print_value_and_readback_agree_on_spines(self, m):
+        # A closure-free value is its own normal form. Printing it and
+        # reading it back (which takes no fuel) walk its spines in one
+        # loop, a bare first argument joined at once, and build the same
+        # term with one Var per name, from either machine's value.
+        expected = print_surface(m)
+        for v in (whnf(m, backend=ListEnv), whnf(m), baselines.db_whnf(m)):
+            for t in (
+                print_value(v),
+                readback_normal_form(v, 1),
+                baselines.db_readback_normal_form(v, 1),
+            ):
+                assert print_surface(t) == expected
+                assert set(var_objects(t).values()) == {1}
 
     @pytest.mark.parametrize("n", (1000, 2000, 4000))
     def test_wide_binder_builds_tree_cells_linear_in_n(self, cells, n):

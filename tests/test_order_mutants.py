@@ -8,6 +8,7 @@ from ordlam import machine, ordered
 from ordlam.envseq import TreeEnv
 from ordlam.errors import InvariantError
 
+import test_bench
 import test_machine
 import test_named
 import test_ordered
@@ -20,10 +21,12 @@ ORDER_MUTANTS = {
     # digest renames away.
     "readback opens sibling closures right to left": (
         machine,
-        "_normal_form",
-        "work += (None, arg)",
-        "work += (None, arg) if type(arg) is Spine else "
-        "(None, (b := next(fresh)), apply(arg, Spine(b), fuel))",
+        "_print",
+        "work += (_APP_TASK, (kind, arg))",
+        "work += (_APP_TASK, (kind, arg)) "
+        "if kind == _VALUE or type(arg) is Spine else "
+        "(_APP_TASK, _LAM_TASK, (kind, apply(arg, Spine(b := next(fresh)), fuel)), "
+        "scope.append(leaves[b]))[:3]",
         test_machine.TestNormalizeByEvaluation,
         "test_closures_open_in_pre_order",
         (TreeEnv,),
@@ -32,9 +35,21 @@ ORDER_MUTANTS = {
     # the last one read there instead comes out first, and twice.
     "readback reads a spine's last argument in place of its first": (
         machine,
-        "_normal_form",
+        "_print",
         "v = cell.head",
         "v = v.args.head",
+        test_machine.TestNormalizeByEvaluation,
+        "test_closures_open_in_pre_order",
+        (TreeEnv,),
+    ),
+    # Readback applies a closure to a spine of its binder's fresh name;
+    # applied to the next name instead, the body reads a name no binder
+    # holds.
+    "readback applies a closure to a name other than its binder's": (
+        machine,
+        "_print",
+        "v = apply(v, Spine(name), fuel)",
+        "v = apply(v, Spine(next(fresh)), fuel)",
         test_machine.TestNormalizeByEvaluation,
         "test_closures_open_in_pre_order",
         (TreeEnv,),
@@ -108,6 +123,29 @@ ORDER_MUTANTS = {
         test_machine.TestBoundHeadChains,
         "test_normal_form_on_every_strategy",
         (6, "binder"),
+    ),
+    # Fresh binder names skip every name the printed term holds free;
+    # printing reads machine's binding of fresh_names.
+    "fresh names ignore the names to avoid": (
+        machine,
+        "fresh_names",
+        "if name not in avoid:",
+        "if True:",
+        test_bench.TestDigest,
+        "test_canonical_binders_skip_free_names",
+        (r"\x. z0 x", r"\z1. z0 z1"),
+    ),
+    # Translation reuses a closed lambda's translation only where none of
+    # its free names is bound; reused under a binder of one of them, the
+    # copy keeps the free variable where a dot belongs.
+    "translation reuses a lambda whose free names are bound": (
+        ordered,
+        "_translate",
+        "if done is not None and t.free_names.isdisjoint(bound):",
+        "if done is not None:",
+        test_ordered.TestSharedLambdas,
+        "test_captured_copy_translates_with_a_dot",
+        (),
     ),
     "a binder's gaps listed last first": (
         ordered,
