@@ -26,15 +26,16 @@ Two observationally equal backends:
   1995), a split of a tuple below it copies fewer than _FLAT slots, and
   never shares a larger tuple through an offset, which would keep the
   values cut off alive. The one exception is the evaluator's own: for a
-  bound variable applied to an argument, x M, it reads x's value off a
-  tuple and evaluates M in a window of the same tuple one slot on,
-  with no call here (machine._run). That keeps nothing alive longer,
-  since the window only moves past values that the evaluator's pending
-  apply frames hold, and it lets the tuple go where the run of such
-  heads ends. Evaluation nearly always splits off a prefix of one or
-  two elements, or, in a left-nested spine c M1 ... Mn, the last
-  argument's values off the end; on a long sequence the finger at
-  that end serves those splits in O(1) cells each. A split just past a
+  bound variable applied to an argument, x M, or an application to a
+  bound variable, M x, it reads x's value off a tuple and evaluates M
+  in a window of the same tuple one slot shorter at that end, with no
+  call here (machine._run). That keeps nothing alive longer, since the
+  window only moves past values that the evaluator's pending apply or
+  argument frames hold, and it lets the tuple go where the run of such
+  applications ends. Evaluation nearly always splits off a prefix of
+  one or two elements, or, in a left-nested spine c M1 ... Mn, the last
+  argument's values off the end; on a TreeEnv object the finger at that
+  end serves those splits in O(1) cells each. A split just past a
   finger first tops the finger up with a chunk of _CHUNK (64)
   elements, taken off the tree's end by one logarithmic split, and then
   splits inside it (Hinze and Paterson's finger trees, JFP 2006, refill
@@ -446,7 +447,10 @@ class TreeEnv:
     * the mirror image when k falls less than _CHUNK before the right
       finger. A left-nested spine c M1 ... Mn splits off its last
       argument at each application, so this serves the spine's
-      successive splits at n - 1, n - 2, ...;
+      successive splits at n - 1, n - 2, ... while the environment is a
+      TreeEnv object. On a tuple the evaluator makes no such split
+      where an argument Mi is a bound variable: it moves the right end
+      of a window over the tuple instead (machine._run);
     * otherwise one _split of the tree, O(log n), with both fingers
       shared.
 

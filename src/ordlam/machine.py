@@ -21,29 +21,38 @@ sequence shorter than envseq._FLAT (512 values, so nearly every exact
 environment) that was not split off a longer one, a bare tuple. _run
 calls a tuple's split and insert through the class, as
 TreeEnv.split_at(env, k), and any other environment's through its own
-methods, so every insert, and every split but one kind, is a call to
+methods, so every insert, and every split but two kinds, is a call to
 the backend class's attribute; it reads a dot's value off a tuple by
 index, after checking its length. It makes no call that would change
 nothing: an application with no unbound dots (fv 0) runs both parts in
 the empty environment it has, and a beta into a binder with no
 occurrence (an empty kvec) enters the body with the closure's
-environment. Nor does it split a tuple at 1 for a bound variable
-applied to an argument, x M, which would copy all of the tuple past x:
-with fuel for two rules left (never so in step, which runs on one
-unit), it takes the split and bound rules in one pass, pushes x's value
-as the function value and evaluates M in a window of the same tuple
-that starts one slot later. A run of such
-heads, x (y (x ... c)), moves the window on and copies nothing; where
-the run ends, the window becomes an exact tuple again, before any other
-rule, so closures, argument frames and a paused configuration hold
-exact tuples as before. The window only moves past values that the
-pushed apply frames hold, and the loop lets the buffer go where the run
-ends, so no value is held longer. ListEnv and TreeEnv objects split at
-1 in O(1) cells and always split through their class. These are still
-the split, bound and beta rules, one fuel unit each, so no rule or step
-count changes; only environment operations are saved, which are counted
-apart from machine transitions (Accattoli and Barras, "Environments and
-the complexity of abstract machines", PPDP 2017).
+environment. Nor does it split a tuple where a bound variable sits at
+either end of an application, which would copy all of the tuple but
+that variable's value. With fuel for two rules left (never so in step,
+which runs on one unit), it evaluates the application in a window
+env[lo:hi] of the tuple whose two ends move. For a bound variable
+applied to an argument, x M, it takes the split and bound rules in one
+pass, pushes x's value as the function value and moves lo one slot on
+to evaluate M. For an application to a bound variable, M x (the split
+falls one slot before the window's end), it takes the split rule,
+pushes an argument frame holding x's value as an exact 1-tuple and
+moves hi one slot back to evaluate M. A run of bound heads, x (y (...
+c)), a spine of bound arguments, c x1 ... xn, or any mix of the two
+moves the window and copies nothing; where the run ends, the window
+becomes an exact tuple again, before any other rule, so closures,
+argument frames and a paused configuration hold exact tuples as
+before. Every value before lo is held by a pushed apply frame and every
+value from hi on by a pushed argument frame, no frame is popped while
+the window is open, and the loop lets the buffer go where the run ends,
+so no value is held longer. ListEnv and TreeEnv objects always split
+through their class: both split at 1 in O(1) cells, and a TreeEnv
+object splits off its last value in O(1) cells too, at its right
+finger. These are still the split, bound and beta rules, one fuel unit each, so no
+rule or step count changes; only environment operations are saved,
+which are counted apart from machine transitions (Accattoli and
+Barras, "Environments and the complexity of abstract machines", PPDP
+2017).
 
 The one-step machine that the trace checker (verify_trace) steps is
 that loop refocused: step decomposes a machine expression into _run's
@@ -222,11 +231,15 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
     # it leaves its configuration on the caller's stack (the popped apply
     # frame, then (control, is_value)) for step and run_machine to plug
     # back. A closed application, a beta into a binder with no occurrence
-    # and a bound head over a tuple call no backend operation (see the
-    # module docstring). Inside a run of bound heads the environment is
-    # the window env[lo:] of a tuple; lo is 0 everywhere else.
+    # and a bound head or a bound argument over a tuple call no backend
+    # operation (see the module docstring). Inside a run of such
+    # applications the environment is the window env[lo:hi] of a tuple;
+    # everywhere else hi is None and lo is 0. Every value before lo is
+    # held by a pushed apply frame and every value from hi on by a pushed
+    # argument frame, and no frame is popped while the window is open.
     remaining = fuel.remaining
     lo = 0
+    hi = None
     if is_value:
         value = control
     else:
@@ -237,26 +250,38 @@ def _run(control, is_value: bool, stack: list, fuel: Fuel):
                 kind = type(term)
                 if (
                     kind is OApp
-                    and term.fun is DOT
-                    and term.split == 1
+                    and (term.fun is DOT or term.arg is DOT)
                     and type(env) is tuple
                     and remaining > 1
-                    and lo < len(env)
                 ):
-                    # x M over a tuple, with fuel for two rules: split and
-                    # bound in one pass. The apply frame takes x's value,
-                    # and M's environment is the window past it.
-                    remaining -= 2
-                    stack.append((_FRAME_APPLY, env[lo]))
-                    lo += 1
-                    term = term.arg
-                    continue
-                if lo:
+                    if hi is None:
+                        hi = len(env)
+                    if term.fun is DOT:
+                        if term.split == 1 and lo < hi:
+                            # x M, with fuel for two rules: split and bound
+                            # in one pass. The apply frame takes x's value,
+                            # and M's environment is the window past it.
+                            remaining -= 2
+                            stack.append((_FRAME_APPLY, env[lo]))
+                            lo += 1
+                            term = term.arg
+                            continue
+                    elif term.split == hi - lo - 1:
+                        # M x: the split rule. The argument frame takes the
+                        # window's last value as an exact 1-tuple, and M's
+                        # environment is the window before it.
+                        remaining -= 1
+                        hi -= 1
+                        stack.append((_FRAME_ARG, DOT, (env[hi],)))
+                        term = term.fun
+                        continue
+                if hi is not None:
                     # The run has ended: the rule below, or a paused
                     # configuration, gets an exact tuple, and the buffer
                     # is let go.
-                    env = env[lo:]
+                    env = env[lo:hi]
                     lo = 0
+                    hi = None
                 if remaining == 0:
                     stack.append(((term, env), False))
                     return FuelExhausted(fuel.budget)

@@ -1061,10 +1061,10 @@ class TestNormalizeByEvaluation:
         # Each application of the spine c a ... a splits its environment
         # just before the last value; the tree's right finger serves those
         # splits in O(1) cells amortized, where a split of the tree itself
-        # would copy an O(log n) path each time. The last _FLAT - 1 splits
-        # (of a TreeEnv object down to _TREE_MIN, then of tuples) are the
-        # same work at every n, so the n more values of wide_binder(2n)
-        # cost at most 5 cells each.
+        # would copy an O(log n) path each time. The last _FLAT - 1
+        # applications (splits of a TreeEnv object down to _TREE_MIN, then
+        # a window over a tuple) are the same work at every n, so the n
+        # more values of wide_binder(2n) cost at most 5 cells each.
         built = []
         for width in (n, 2 * n):
             cells.built = 0
@@ -1121,18 +1121,81 @@ class TestBoundHeadChains:
             assert print_surface(outcome.normal_form) == expected, strategy
 
 
+class TestBoundArgumentSpines:
+    """(\\x0. ... \\x(n-1). B) a0 ... a(n-1) over n distinct values, where
+    the body B is a head H applied to the variables H does not use, so
+    each application of B's spine has a bound argument and a window of
+    the environment whose right end is a slot off reads a wrong value.
+    H is a free name c, the bound x0 (so the window's left end moves
+    too), a binder over x0 (a closure cut from the window) or a run of
+    bound heads x0 (x1 (c x2 ... x(n-1))), which uses every variable
+    itself. Sizes are TestBoundHeadChains' own."""
+
+    HEADS = ("free", "bound", "binder", "run")
+
+    @staticmethod
+    def spine(n: int, head: str) -> tuple[NamedTerm, str]:
+        """The term and its normal form's text."""
+        args = " ".join(f"x{i}" for i in range(2, n))
+        values = " ".join(f"a{i}" for i in range(2, n))
+        body, expected = {
+            "free": (f"c x0 x1 {args}", f"c a0 a1 {values}"),
+            "bound": (f"x0 x1 {args}", f"a0 a1 {values}"),
+            "binder": (rf"(\y. x0 y) x1 {args}", f"a0 a1 {values}"),
+            "run": (f"x0 (x1 (c {args}))", f"a0 (a1 (c {values}))"),
+        }[head]
+        body = parse_surface(body)
+        for i in reversed(range(n)):
+            body = Lam(f"x{i}", body)
+        for i in range(n):
+            body = App(body, Var(f"a{i}"))
+        return body, expected
+
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("n", (6, 383, 384, 511, 512, 513, 1057))
+    def test_normal_form_on_every_strategy(self, n, head):
+        term, expected = self.spine(n, head)
+        for strategy in ("ordered-list", "ordered-tree", "closures"):
+            outcome = run_strategy(strategy, term, DEFAULT_FUEL)
+            assert print_surface(outcome.normal_form) == expected, strategy
+
+    @pytest.mark.parametrize("head", HEADS)
+    @pytest.mark.parametrize("env", BACKENDS.values(), ids=BACKENDS)
+    def test_every_pause_plugs_back_an_exact_configuration(self, env, head):
+        # At every budget below the step count, run_machine stops where
+        # the one-step machine does, which never opens a window. The
+        # expression it plugs back holds only exact environments (Pending
+        # checks each), and the one-step machine takes it on to the same
+        # end with every obligation met.
+        term, _ = self.spine(6, head)
+        e = Pending(parse_closed(term), env.empty())
+        trace = list(machine_trace(e))
+        final = trace[-1][1]
+        assert isinstance(final, Done) and len(trace) > 20
+        for k in range(1, len(trace)):
+            paused, steps = run_machine(e, k)
+            assert (paused, steps) == (trace[k - 1][1], k)
+            report = verify_trace(paused)
+            assert report.failures == () and not report.exhausted
+            assert report.steps == len(trace) - k
+            assert report.last == final
+
+
 class TestEnvironmentCalls:
     """perfbench's tracer counts environment work by wrapping each backend
     class's split_at and multi_insert, so every split and insert the
     evaluator makes must be a call to that class attribute, whether the
     environment is an object or a bare tuple. A split of an application
     with no unbound dots and an insert for a binder with no occurrence
-    would change nothing, so the evaluator makes neither call there. A
-    bound variable applied to an argument, x M with split 1, over a
-    tuple makes no call either: the evaluator reads x's value and hands
-    M the rest of the tuple as a window, unless the split is the last
-    unit of fuel. Every other split, on a tuple or on a ListEnv or
-    TreeEnv object, is one call."""
+    would change nothing, so the evaluator makes neither call there.
+    Over a tuple, unless the split is the last unit of fuel, a bound
+    variable applied to an argument, x M with split 1, makes no call
+    either, and nor does an application to a bound variable, M x: the
+    evaluator keeps a window env[lo:hi] of the tuple, moves its left end
+    past x's value, which it reads, or its right end past the argument's
+    value, which it hands on as a 1-tuple, and evaluates M in what is
+    left. Every other split, on a tuple or on a ListEnv or TreeEnv
+    object, is one call."""
 
     @staticmethod
     def _count_calls(monkeypatch) -> Counter:
@@ -1155,15 +1218,16 @@ class TestEnvironmentCalls:
         calls = self._count_calls(monkeypatch)
         # (term, steps, split calls on the list and on the tree, insert
         # calls). Every application but x c, f x and x (y c) is closed;
-        # f x still splits, although its split is 0, because its argument
-        # is a dot. x c and x (y c) are bound heads with split 1, which
-        # the tree's tuples take without a call. The x of \x. c and of
-        # \x. \y. y has no occurrence. Every split and beta step costs one
-        # unit of fuel, whether it calls the backend or not.
+        # f x still splits on the list, although its split is 0, because
+        # its argument is a dot. x c and x (y c) are bound heads with
+        # split 1 and f x is applied to a bound variable, which the tree's
+        # tuples take without a call. The x of \x. c and of \x. \y. y has
+        # no occurrence. Every split and beta step costs one unit of fuel,
+        # whether it calls the backend or not.
         cases = (
             (r"(\x. c) (\y. y)", 5, (0, 0), 0),
             (r"(\x. x c) a", 8, (1, 0), 1),
-            (r"(\x. f x) a", 8, (1, 1), 1),
+            (r"(\x. f x) a", 8, (1, 0), 1),
             (r"(\x. \y. y) a b", 9, (0, 0), 1),
             (r"(\x. \y. x (y c)) a b", 15, (2, 0), 2),
         )
@@ -1181,9 +1245,9 @@ class TestEnvironmentCalls:
     def test_one_call_per_open_split_and_per_used_binder(self, monkeypatch):
         # On a corpus, the calls evaluate makes are the split steps at
         # applications with unbound dots, but for a bound head with split
-        # 1 over a tuple before the last unit of fuel, and the beta steps
-        # into binders with occurrences, counted off the one-step
-        # machine's trace.
+        # 1 or a bound argument over a tuple before the last unit of fuel,
+        # and the beta steps into binders with occurrences, counted off
+        # the one-step machine's trace.
         calls = self._count_calls(monkeypatch)
         made, expected, skipped = Counter(), Counter(), Counter()
         budget = 500
@@ -1198,8 +1262,7 @@ class TestEnvironmentCalls:
                         app, env = control
                         windowed = (
                             type(env) is tuple
-                            and app.fun is DOT
-                            and app.split == 1
+                            and ((app.fun is DOT and app.split == 1) or app.arg is DOT)
                             and count < budget
                         )
                         used = app.fv > 0 and not windowed
@@ -1217,7 +1280,8 @@ class TestEnvironmentCalls:
                 made += calls
         assert made == expected
         # Only the tree's tuples take a window, and they take one at
-        # every bound head with split 1 the list splits.
+        # every bound head with split 1 and every bound argument the list
+        # splits.
         assert skipped["ListEnv", "window"] == 0 < skipped["TreeEnv", "window"]
         assert made["ListEnv", "split_at"] == (
             made["TreeEnv", "split_at"] + skipped["TreeEnv", "window"]
@@ -1297,8 +1361,9 @@ class TestEnvironmentCalls:
                     normalize_by_evaluation(term, 100_000, backend), FuelExhausted
                 )
 
-        # Without its windows (no application is a bound head the loop
-        # recognizes), the tree makes the list's calls, cell for cell.
+        # Without its windows (no application has a bound head or a bound
+        # argument the loop recognizes), the tree makes the list's calls,
+        # cell for cell.
         with monkeypatch.context() as m:
             m.setattr(machine, "DOT", object())
             for backend in (ListEnv, TreeEnv):

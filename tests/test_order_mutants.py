@@ -112,14 +112,27 @@ ORDER_MUTANTS = {
         "test_normal_form_on_every_strategy",
         (6, "dot"),
     ),
-    # Where a run of bound heads ends, the window becomes an exact tuple;
-    # a closure given the whole buffer instead holds the values its
-    # binder does not use.
+    # An application to a bound variable over a tuple pushes the
+    # window's last value as its argument and moves the window's right
+    # end back; read one slot early, every argument takes the value of
+    # the variable before it.
+    "the right window is read one slot early": (
+        machine,
+        "_run",
+        "(env[hi],)",
+        "(env[hi - 1],)",
+        test_machine.TestBoundArgumentSpines,
+        "test_normal_form_on_every_strategy",
+        (6, "free"),
+    ),
+    # Where a run of bound heads or bound arguments ends, the window
+    # becomes an exact tuple; a closure given the whole buffer instead
+    # holds the values its binder does not use.
     "a closure takes the whole buffer": (
         machine,
         "_run",
-        "if lo:",
-        "if lo and kind is not OLam:",
+        "if hi is not None:",
+        "if hi is not None and kind is not OLam:",
         test_machine.TestBoundHeadChains,
         "test_normal_form_on_every_strategy",
         (6, "binder"),
